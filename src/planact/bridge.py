@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nn import Linear, Mask, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
-from .tensor import Tensor, concat, take_rows
+from .tensor import Tensor, concat, parameter, take_rows
 from .vision import VisualTokens
 from .vocab import Vocabulary, tokenize
 
@@ -36,12 +36,8 @@ class BridgeConfig:
 class QueryBridge(Module):
     def __init__(self, rng: np.random.Generator, vocab_size: int, config: BridgeConfig):
         self.config = config
-        self.queries = Tensor(rng.standard_normal((config.query_count, config.dim)) * 0.1)
-        self.queries.requires_grad = True
-        self.queries.is_param = True
-        self.text_embed = Tensor(rng.standard_normal((vocab_size, config.dim)) * 0.1)
-        self.text_embed.requires_grad = True
-        self.text_embed.is_param = True
+        self.queries = parameter(rng, (config.query_count, config.dim), scale=0.1)
+        self.text_embed = parameter(rng, (vocab_size, config.dim), scale=0.1)
         self.text_pos = sinusoidal_embedding(config.max_text_len, config.dim)
         self.blocks = [
             TransformerBlock(

@@ -66,6 +66,11 @@ def load_checkpoint(prefix: Path) -> tuple[dict[str, np.ndarray], dict]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["byte_offset"]
+        if start < 0 or start + 8 * count > len(blob):
+            raise ValidationError(
+                f"{blob_path}: tensor {entry['name']} at byte {start} needs {8 * count} bytes "
+                f"but the blob holds {len(blob)}"
+            )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return arrays, manifest.get("meta", {})

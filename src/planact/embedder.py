@@ -7,12 +7,14 @@ unless the service already guarantees it.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
-import requests
 
 from .errors import ContractError, PipelineError
 from .seeding import rng_for
@@ -54,22 +56,32 @@ class RemoteEmbedder:
         self.normalize = normalize
 
     def _post(self, kind: str, items: list[str]) -> list[np.ndarray]:
-        payload = {"kind": kind, "items": items}
+        request = urllib.request.Request(
+            f"{self.base_url}/embed",
+            data=json.dumps({"kind": kind, "items": items}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
         last_error: Exception | None = None
         for _ in range(self.retries + 1):
             try:
-                resp = requests.post(
-                    f"{self.base_url}/embed", json=payload, timeout=self.timeout
-                )
-                resp.raise_for_status()
-                vectors = [np.asarray(v, dtype=np.float64) for v in resp.json()["vectors"]]
-                if len(vectors) != len(items):
-                    raise PipelineError("embedding service returned a short batch")
-                if self.normalize:
-                    vectors = [v / np.linalg.norm(v) for v in vectors]
-                return vectors
-            except (requests.RequestException, KeyError, ValueError) as exc:
+                # urlopen raises HTTPError, an OSError, on 4xx/5xx responses
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    body = json.loads(resp.read())
+                vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
+            except (OSError, http.client.HTTPException, KeyError, ValueError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error response still holds its connection
                 last_error = exc
+                continue
+            if len(vectors) != len(items):
+                raise PipelineError("embedding service returned a short batch")
+            if self.normalize:
+                norms = [np.linalg.norm(v) for v in vectors]
+                if 0.0 in norms:
+                    item = items[norms.index(0.0)]
+                    raise PipelineError(f"embedding service returned a zero {kind} vector for {item!r}")
+                vectors = [v / n for v, n in zip(vectors, norms)]
+            return vectors
         raise PipelineError(f"embedding service unreachable after retries: {last_error}")
 
     def text_embed(self, text: str) -> np.ndarray:

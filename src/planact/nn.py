@@ -259,15 +259,3 @@ def learned_embedding(rng: np.random.Generator, n: int, d: int, scale: float = 0
     if n <= 0 or d <= 0:
         raise ContractError(f"positional table needs positive extents, got {n}x{d}")
     return parameter(rng, (n, d), scale=scale)
-
-
-def positional_embedding(
-    n: int, d: int, kind: str = "sinusoidal", rng: np.random.Generator | None = None
-) -> Tensor:
-    if kind == "sinusoidal":
-        return sinusoidal_embedding(n, d)
-    if kind == "learned":
-        if rng is None:
-            raise ContractError("learned positional embedding requires an rng")
-        return learned_embedding(rng, n, d)
-    raise ContractError(f"unknown positional embedding kind {kind!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .annotate import build_vqa_pairs, synthetic_candidates
 from .checkpoint import atomic_write_text
-from .errors import ContractError, IngestError, PipelineError, ValidationError
+from .errors import ContractError, IngestError, ParseError, PipelineError, ValidationError
 from .plans import PlanDocument, parse_plan
 from .prompts import assemble_prompt
 from .seeding import stable_seed
@@ -126,10 +126,13 @@ def ingest(
     meta_rows = _read_jsonl(meta_path, {"video_id": str, "duration_sec": (int, float), "scenario": str})
     metas: dict[str, VideoMeta] = {}
     for row in meta_rows:
+        vid = row["video_id"]
+        if vid in metas:
+            raise ValidationError(f"{meta_path}: duplicate meta row for video {vid}")
         duration = float(row["duration_sec"])
         if duration <= 0:
-            raise ValidationError(f"video {row['video_id']} has non-positive duration")
-        metas[row["video_id"]] = VideoMeta(row["video_id"], duration, row["scenario"])
+            raise ValidationError(f"video {vid} has non-positive duration")
+        metas[vid] = VideoMeta(vid, duration, row["scenario"])
 
     narr_rows = _read_jsonl(
         narrations_path, {"video_id": str, "timestamp_sec": (int, float), "narration": str}
@@ -402,7 +405,7 @@ def build_dataset(
             for cand in raw:
                 try:
                     parsed.append((cand, parse_plan(cand)))
-                except Exception:
+                except ParseError:
                     continue
             if not parsed:
                 counters["generator_failures"] += 1

@@ -118,7 +118,3 @@ def render_plan(doc: PlanDocument) -> str:
         else:
             lines.append(f"{step.index}. {step.verb}")
     return "\n".join(lines)
-
-
-def normalize_plan_text(text: str) -> str:
-    return render_plan(parse_plan(text))

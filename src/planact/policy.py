@@ -171,27 +171,39 @@ class ControlModel(Module):
         fused = concat([self._pooled(z_instance), z_global], axis=0).reshape(1, -1)
         return self.head(fused)
 
-    def forward(self, obs: np.ndarray, plan_text: str | None) -> Tensor:
+    def forward(self, obs: np.ndarray, plan_text: str | None, cache: dict | None = None) -> Tensor:
+        """Action logits (1 x actions) for one observation and plan.
+
+        With a ``cache`` the bridge is treated as frozen: instance features are
+        computed once per distinct (observation, plan) pair and reused as
+        constants.  An ablated or plan-less call uses zero features.
+        """
         obs_t = Tensor(obs)
-        z_global = self.global_enc(obs_t)
         if self.ablate_plan or plan_text is None:
             z_instance = zeros(self.config.query_count, self.config.bridge_dim)
-        else:
+        elif cache is None:
             z_instance = self.instance_features(obs_t, plan_text)
-        return self.policy_logits(z_instance, z_global)
+        else:
+            key = (obs.tobytes(), plan_text)
+            z_instance = cache.get(key)
+            if z_instance is None:
+                z_instance = Tensor(self.instance_features(obs_t, plan_text).data)
+                cache[key] = z_instance
+        return self.policy_logits(z_instance, self.global_enc(obs_t))
 
     def act(self, obs: np.ndarray, plan_text: str | None) -> int:
         return int(np.argmax(self.forward(obs, plan_text).data[0]))
 
     def trainable_parameters(self) -> dict[str, Tensor]:
-        params = self.named_parameters()
+        """Parameters the policy's logits depend on; the bridge side only when it trains.
+
+        The bridge's language-model projection and the encoder's frame table
+        are never read by the policy, so they are never trained here.
+        """
+        frozen = ("bridge.proj.", "grid_vision.temporal")
         if self.ablate_plan or not self.config.train_bridge:
-            params = {
-                k: v
-                for k, v in params.items()
-                if not (k.startswith("bridge.") or k.startswith("grid_vision."))
-            }
-        return params
+            frozen = ("bridge.", "grid_vision.")
+        return {k: v for k, v in self.named_parameters().items() if not k.startswith(frozen)}
 
 
 @dataclass
@@ -214,30 +226,12 @@ def _dataset_from_demos(
     return data
 
 
-def _sample_logits(model: ControlModel, obs: np.ndarray, plan: str, cache: dict | None) -> Tensor:
-    """Policy logits with the instance features optionally served from a frozen-bridge cache."""
-    if cache is None:
-        return model.forward(obs, plan)
-    key = (obs.tobytes(), plan)
-    z_instance = cache.get(key)
-    if z_instance is None:
-        obs_t = Tensor(obs)
-        z_instance = (
-            zeros(model.config.query_count, model.config.bridge_dim)
-            if model.ablate_plan
-            else model.instance_features(obs_t, plan)
-        )
-        z_instance = Tensor(z_instance.data)
-        cache[key] = z_instance
-    return model.policy_logits(z_instance, model.global_enc(Tensor(obs)))
-
-
 def _batch_loss(
     model: ControlModel,
     batch: list[tuple[np.ndarray, str, int]],
     cache: dict | None = None,
 ) -> Tensor:
-    logits = concat([_sample_logits(model, obs, plan, cache) for obs, plan, _ in batch], axis=0)
+    logits = concat([model.forward(obs, plan, cache) for obs, plan, _ in batch], axis=0)
     return cross_entropy(logits, [action for _, _, action in batch])
 
 
@@ -273,9 +267,7 @@ def bc_train(
     )
     params = model.trainable_parameters()
     optimizer = AdamW(list(params.values()), AdamWConfig())
-    cache: dict | None = None
-    if not cfg.train_bridge or model.ablate_plan:
-        cache = {}
+    cache = None if cfg.train_bridge else {}
     log = TrainLog()
     log.initial_loss = dataset_loss(model, demos)
     step = 0
@@ -339,15 +331,6 @@ def evaluate_policy(
 def model_policy(model: ControlModel):
     def policy_fn(env: GoalGridEnv, obs: np.ndarray, plan_text: str) -> int:
         return model.act(obs, None if model.ablate_plan else plan_text)
-
-    return policy_fn
-
-
-def random_policy(seed: int = 0):
-    rng = np.random.default_rng(seed)
-
-    def policy_fn(env: GoalGridEnv, obs: np.ndarray, plan_text: str) -> int:
-        return int(rng.integers(len(ACTIONS)))
 
     return policy_fn
 

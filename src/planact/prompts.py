@@ -12,8 +12,6 @@ import numpy as np
 from .errors import ContractError
 from .seeding import rng_for
 
-CAPTION_PREFIX = "Describe this video."
-QA_PREFIX = ""
 PLAN_QUESTION_PREFIX = "how to do the task that "
 
 COT_SCHEMA_LINES = (

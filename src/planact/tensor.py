@@ -10,7 +10,7 @@ float64 throughout so finite-difference checks stay meaningful.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -284,10 +284,6 @@ def zeros(*shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def ones(*shape) -> Tensor:
-    return Tensor(np.ones(shape))
-
-
 def parameter(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> Tensor:
     """Trainable tensor initialised from a scaled standard normal draw."""
     t = Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
@@ -416,16 +412,7 @@ def unfold_windows(x: Tensor, k: int) -> Tensor:
     return Tensor._result(out, (x,), grad_fn)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return as_tensor(a) @ as_tensor(b)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Smooth tanh-form gaussian error linear unit."""
     c = math.sqrt(2.0 / math.pi)
     return x * 0.5 * ((c * (x + x.power(3.0) * 0.044715)).tanh() + 1.0)
-
-
-def stack_rows(rows: Iterable[Tensor]) -> Tensor:
-    """Stack 1-d tensors of equal length into a matrix."""
-    return concat([r.reshape(1, -1) for r in rows], axis=0)

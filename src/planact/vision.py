@@ -1,10 +1,11 @@
 """Patch-based visual encoder for single images and stacked video frames.
 
 Images are cut into non-overlapping patches, linearly embedded, position-tagged
-and passed through self-attention blocks.  Output tokens are read one block
-early: the final block exists in the parameter set but is bypassed, so features
-come from the second-to-last block.  Video frames are encoded independently and
-concatenated frame-major with a per-frame temporal embedding added.
+and passed through self-attention blocks.  Features are read from the
+penultimate layer of a ``blocks``-deep encoder, so the last block is never
+allocated (as BLIP-2 removes the last ViT layer): ``blocks - 1`` blocks run.
+Video frames are encoded independently and concatenated frame-major with a
+per-frame temporal embedding added.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class VisionConfig:
     image_size: int = 32
     patch_size: int = 8
     dim: int = 64
-    blocks: int = 3
+    blocks: int = 3  # full encoder depth; features come from its penultimate layer
     heads: int = 4
     ff_mult: int = 4
     max_frames: int = 8
@@ -58,6 +59,8 @@ class VisualTokens:
 
 class VisualEncoder(Module):
     def __init__(self, rng: np.random.Generator, config: VisionConfig):
+        if config.blocks < 1:
+            raise ContractError(f"vision encoder needs at least 1 block, got {config.blocks}")
         if config.image_size % config.patch_size != 0:
             raise ContractError(
                 f"image size {config.image_size} not divisible by patch {config.patch_size}"
@@ -74,9 +77,8 @@ class VisualEncoder(Module):
             self.pos = learned_embedding(rng, self.patches_per_frame, config.dim)
         self.blocks = [
             TransformerBlock(rng, config.dim, config.heads, ff_mult=config.ff_mult)
-            for _ in range(config.blocks)
+            for _ in range(config.blocks - 1)
         ]
-        self.positional_enabled = True
 
     def _patchify(self, image: Tensor) -> Tensor:
         c, h, w = image.shape
@@ -94,11 +96,8 @@ class VisualEncoder(Module):
         return patches
 
     def _encode_tokens(self, image: Tensor) -> Tensor:
-        x = self.patch_embed(self._patchify(as_tensor(image)))
-        if self.positional_enabled:
-            x = x + self.pos
-        # features are read after the second-to-last block; the final block is unused
-        for block in self.blocks[:-1]:
+        x = self.patch_embed(self._patchify(as_tensor(image))) + self.pos
+        for block in self.blocks:
             x = block(x, Mask.full())
         return x
 
@@ -112,12 +111,10 @@ class VisualEncoder(Module):
             raise ContractError(
                 f"frame count {n} outside [1, {self.config.max_frames}]"
             )
-        per_frame = []
-        for f, frame in enumerate(frames):
-            tokens = self._encode_tokens(frame)
-            if self.positional_enabled:
-                tokens = tokens + self.temporal[f : f + 1, :]
-            per_frame.append(tokens)
+        per_frame = [
+            self._encode_tokens(frame) + self.temporal[f : f + 1, :]
+            for f, frame in enumerate(frames)
+        ]
         return VisualTokens(
             concat(per_frame, axis=0), frame_count=n, patches_per_frame=self.patches_per_frame
         )

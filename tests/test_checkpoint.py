@@ -58,3 +58,12 @@ def test_restore_rejects_shape_mismatch(tmp_path):
 def test_missing_checkpoint(tmp_path):
     with pytest.raises(ValidationError):
         load_checkpoint(tmp_path / "nothing")
+
+
+def test_truncated_blob_names_file_and_tensor(tmp_path, rng):
+    tensors = {"a": Tensor(rng.standard_normal(4)), "b.w": Tensor(rng.standard_normal((2, 3)))}
+    save_checkpoint(tmp_path / "ckpt", tensors)
+    blob = tmp_path / "ckpt.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(ValidationError, match=r"ckpt\.bin.*tensor b\.w"):
+        load_checkpoint(tmp_path / "ckpt")

@@ -1,3 +1,7 @@
+import json
+import urllib.error
+import urllib.request
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,7 @@ class TestEmbedServer:
         serve_forever_in_thread(server)
         yield f"http://127.0.0.1:{server.server_address[1]}"
         server.shutdown()
+        server.server_close()
 
     def test_remote_matches_mock(self, server_url, mock):
         remote = RemoteEmbedder(server_url)
@@ -59,7 +64,39 @@ class TestEmbedServer:
             remote.text_embed("x")
 
     def test_bad_request_rejected(self, server_url):
-        import requests
+        request = urllib.request.Request(
+            f"{server_url}/embed",
+            data=json.dumps({"kind": "audio", "items": []}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert info.value.code == 400
+        info.value.close()
 
-        resp = requests.post(f"{server_url}/embed", json={"kind": "audio", "items": []})
-        assert resp.status_code == 400
+    def test_error_status_retried_then_raises(self, server_url):
+        remote = RemoteEmbedder(server_url, retries=1)
+        with pytest.raises(PipelineError, match="retries.*400"):
+            remote._post("audio", ["x"])
+
+
+class ZeroEmbedder:
+    """Stub provider whose every vector is zero."""
+
+    def text_embed(self, text: str) -> np.ndarray:
+        return np.zeros(4)
+
+    frame_embed = text_embed
+
+
+def test_zero_vector_rejected_when_normalizing():
+    server = make_embed_server(ZeroEmbedder(), port=0)
+    serve_forever_in_thread(server)
+    try:
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        with pytest.raises(PipelineError, match="zero frame vector for 'vid@1.000'"):
+            RemoteEmbedder(url, normalize=True).frame_embed("vid@1.000")
+        np.testing.assert_array_equal(RemoteEmbedder(url, normalize=False).text_embed("x"), 0.0)
+    finally:
+        server.shutdown()
+        server.server_close()

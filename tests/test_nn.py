@@ -10,7 +10,7 @@ from planact.nn import (
     MultiHeadAttention,
     TransformerBlock,
     attention_probs,
-    positional_embedding,
+    learned_embedding,
     scaled_dot_attention,
     sinusoidal_embedding,
 )
@@ -189,13 +189,9 @@ class TestPositionalEmbedding:
         np.testing.assert_allclose(table.data[0], [0, 1, 0, 1, 0, 1], atol=1e-12)
 
     def test_learned_requires_grad(self, rng):
-        table = positional_embedding(4, 8, kind="learned", rng=rng)
+        table = learned_embedding(rng, 4, 8)
         assert table.requires_grad and table.is_param
 
     def test_sinusoidal_bounded(self):
         table = sinusoidal_embedding(50, 16)
         assert np.all(np.abs(table.data) <= 1.0)
-
-    def test_invalid_kind(self):
-        with pytest.raises(ContractError):
-            positional_embedding(2, 2, kind="fourier")

@@ -76,6 +76,12 @@ class TestIngest:
         _, grouped, orphans = ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
         assert orphans == 1 and set(grouped) == {"v"}
 
+    def test_duplicate_meta_row_rejected(self, tmp_path):
+        write_jsonl(tmp_path / "n.jsonl", [narr("v", 1.0, "C opens a drawer")])
+        write_jsonl(tmp_path / "m.jsonl", [meta("v", 10.0), meta("w", 5.0), meta("v", 2.0)])
+        with pytest.raises(ValidationError, match=r"m\.jsonl.*duplicate.*video v"):
+            ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+
 
 class TestStage1Filter:
     def make(self, vid, texts, scenario="kitchen"):
@@ -409,3 +415,31 @@ class TestBuildDataset:
         for row in map(json.loads, (out / "vqa.jsonl").read_text().splitlines()):
             assert (row["video_id"], row["start_sec"]) in dataset_keys
             assert row["question"] and row["answer"]
+
+
+class FixedCandidates:
+    """Plan generator that returns the same candidate list for every prompt."""
+
+    name = "fixed"
+
+    def __init__(self, candidates):
+        self.candidates = candidates
+
+    def generate(self, prompt, count, seed_key):
+        return list(self.candidates)
+
+
+class TestCandidateParsing:
+    def run(self, paths, out, candidates):
+        return build_dataset(
+            paths[0], paths[1], PipelineConfig(similarity_threshold=-1.0),
+            MockEmbedder(dim=16), FixedCandidates(candidates), out,
+        )
+
+    def test_unparseable_candidates_count_as_generator_failures(self, fixture_paths, tmp_path):
+        summary = self.run(fixture_paths, tmp_path / "out", ["no plan here"])
+        assert summary["kept_count"] == 0 and summary["generator_failures"] > 0
+
+    def test_programming_errors_propagate(self, fixture_paths, tmp_path):
+        with pytest.raises(TypeError):
+            self.run(fixture_paths, tmp_path / "out", [None])

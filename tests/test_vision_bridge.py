@@ -63,6 +63,17 @@ class TestVisualEncoder:
         np.testing.assert_array_equal(patches.data[0], [0, 1, 4, 5])
         np.testing.assert_array_equal(patches.data[3], [10, 11, 14, 15])
 
+    def test_allocates_only_the_blocks_it_runs(self, encoder, rng):
+        assert len(encoder.blocks) == SMALL_VISION.blocks - 1
+        frames = [Tensor(rng.standard_normal((3, 32, 32))) for _ in range(2)]
+        encoder.encode_frames(frames).tokens.sum().backward()
+        missing = [name for name, p in encoder.named_parameters().items() if p.grad is None]
+        assert missing == []
+
+    def test_zero_blocks_rejected(self, rng):
+        with pytest.raises(ContractError):
+            VisualEncoder(rng, VisionConfig(channels=1, image_size=4, patch_size=2, dim=4, blocks=0))
+
 
 class TestQueryBridge:
     def test_bottleneck_shape_fixed(self, encoder, bridge, vocab, rng):
