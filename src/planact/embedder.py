@@ -124,7 +124,14 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
     return ThreadingHTTPServer(("127.0.0.1", port), Handler)
 
 
+# serve_forever notices shutdown() only between polls, so the poll interval
+# bounds how long a server teardown blocks (the library default is 0.5 s).
+SHUTDOWN_POLL_S = 0.05
+
+
 def serve_forever_in_thread(server: ThreadingHTTPServer) -> threading.Thread:
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": SHUTDOWN_POLL_S}, daemon=True
+    )
     thread.start()
     return thread

@@ -233,18 +233,30 @@ def save_demos(prefix: Path, demos: list[Demonstration]) -> None:
 
 
 def load_demos(prefix: Path, config: EnvConfig) -> list[Demonstration]:
+    """Read what ``save_demos`` wrote; a blob or ``obs_ref`` that does not fit raises."""
     prefix = Path(prefix)
+    bin_path, jsonl_path = prefix.with_suffix(".bin"), prefix.with_suffix(".jsonl")
     obs_shape = (config.object_count + 1, config.height, config.width)
-    obs_size = int(np.prod(obs_shape))
-    blob = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
+    obs_bytes = 8 * int(np.prod(obs_shape))
+    raw = bin_path.read_bytes()
+    if len(raw) % obs_bytes:
+        raise ValidationError(
+            f"{bin_path}: {len(raw)} bytes is not a whole number of {obs_shape} "
+            f"float64 observations ({obs_bytes} bytes each)"
+        )
+    blob = np.frombuffer(raw, dtype="<f8").reshape(-1, *obs_shape)
     demos = []
-    for line in prefix.with_suffix(".jsonl").read_text().splitlines():
+    for line in jsonl_path.read_text().splitlines():
         row = json.loads(line)
         steps = []
-        for step in row["steps"]:
+        for i, step in enumerate(row["steps"]):
             ref = step["obs_ref"]
-            obs = blob[ref * obs_size : (ref + 1) * obs_size].reshape(obs_shape).copy()
-            steps.append((obs, step["plan"], int(step["action"])))
+            if type(ref) is not int or not 0 <= ref < len(blob):
+                raise ValidationError(
+                    f"{jsonl_path}: demo seed {row['seed']} step {i}: obs_ref {ref!r} is not "
+                    f"one of the {len(blob)} observations in {bin_path}"
+                )
+            steps.append((blob[ref].copy(), step["plan"], int(step["action"])))
         demo = Demonstration(seed=int(row["seed"]), steps=steps, success=True)
         demo.validate(config)
         demos.append(demo)

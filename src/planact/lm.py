@@ -7,6 +7,14 @@ key/value rows that every position may attend to; these adapter rows are the
 only LM-interior trainables when the base model is frozen.  Logits are emitted
 for text positions only, and text positions are numbered independently of the
 soft prompt so prompt rows never shift positional slots.
+
+``forward`` optionally takes an ``LmCache``.  The first (empty-cache) call
+runs the soft prompt and the first tokens; each later call passes only the
+new tokens, whose positions continue after the cached text.  New rows attend
+to every cached row and causally among themselves, so a prefill followed by
+one-token steps gives the logits of the full forward up to float64 round-off.
+The cache stores each block's projected keys and values as constants; it
+serves inference and carries no gradient across calls.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nn import LayerNorm, Linear, Mask, Module, TransformerBlock
+from .nn import KVCache, LayerNorm, Linear, Mask, Module, TransformerBlock
 from .tensor import Tensor, concat, parameter, take_rows
 
 
@@ -29,6 +37,20 @@ class LmConfig:
     context: int = 256
     prefix_len: int = 4
     ff_mult: int = 4
+
+
+@dataclass
+class LmCache:
+    """One ``KVCache`` per block, and how many of the cached rows are soft prompt rows."""
+
+    blocks: list[KVCache]
+    soft_rows: int = 0
+
+    def __len__(self) -> int:
+        return len(self.blocks[0])
+
+    def copy(self) -> "LmCache":
+        return LmCache([c.copy() for c in self.blocks], self.soft_rows)
 
 
 class MicroLm(Module):
@@ -48,34 +70,49 @@ class MicroLm(Module):
         self.ln_f = LayerNorm(config.dim)
         self.out = Linear(rng, config.dim, config.vocab_size)
 
+    def new_cache(self) -> LmCache:
+        return LmCache([KVCache() for _ in self.blocks])
+
     def forward(
         self,
         ids: list[int],
         soft_prompt: Tensor | None = None,
         use_adapters: bool = True,
+        cache: LmCache | None = None,
     ) -> Tensor:
+        """Logits for the text rows of ``ids``; with ``cache``, only the new tokens' rows."""
         n = len(ids)
         if n == 0:
             raise ContractError("lm forward requires at least one token")
+        past = 0 if cache is None else len(cache)
+        if past and soft_prompt is not None:
+            raise ContractError("the soft prompt enters only on the first (empty-cache) call")
         n_soft = 0 if soft_prompt is None else soft_prompt.shape[0]
         prefix = self.config.prefix_len if use_adapters else 0
-        if n + n_soft + prefix > self.config.context:
+        if past + n + n_soft + prefix > self.config.context:
             raise ContractError(
-                f"sequence of {n} tokens + {n_soft} prompt rows + {prefix} adapter rows "
-                f"exceeds context {self.config.context}"
+                f"sequence of {past} cached rows + {n} tokens + {n_soft} prompt rows + "
+                f"{prefix} adapter rows exceeds context {self.config.context}"
             )
         if soft_prompt is not None and soft_prompt.shape[1] != self.config.dim:
             raise DimensionError(
                 f"soft prompt width {soft_prompt.shape[1]} does not match model dim "
                 f"{self.config.dim}"
             )
-        x = take_rows(self.embed, ids) + self.pos[:n, :]
+        start = 0
+        if cache is not None:
+            if past:
+                start = past - cache.soft_rows
+            else:
+                cache.soft_rows = n_soft
+        x = take_rows(self.embed, ids) + self.pos[start : start + n, :]
         if soft_prompt is not None:
             x = concat([soft_prompt, x], axis=0)
         mask = Mask.prefix_mask(n_soft) if n_soft else Mask.causal()
-        for block, adapter in zip(self.blocks, self.adapters):
+        caches = [None] * len(self.blocks) if cache is None else cache.blocks
+        for block, adapter, block_cache in zip(self.blocks, self.adapters, caches):
             kv = (adapter[:, 0, :], adapter[:, 1, :]) if use_adapters else None
-            x = block(x, mask, self_prefix_kv=kv)
+            x = block(x, mask, self_prefix_kv=kv, self_cache=block_cache)
         h = self.ln_f(x)
         if n_soft:
             h = h[n_soft:, :]

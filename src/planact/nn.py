@@ -129,8 +129,40 @@ class Linear(Module):
         return x @ self.w + self.b
 
 
+class KVCache:
+    """Projected self-attention keys and values of the rows run so far, held as constants.
+
+    ``extend`` appends new rows and returns every cached row followed by the
+    new ones.  The stored copies carry no autodiff graph, so nothing links one
+    call to the next.  ``extend`` rebinds rather than mutates the stored
+    tensors, so a copy shares them safely.
+    """
+
+    def __init__(self, k: Tensor | None = None, v: Tensor | None = None):
+        self.k = k
+        self.v = v
+
+    def __len__(self) -> int:
+        return 0 if self.k is None else self.k.shape[0]
+
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        if self.k is not None:
+            k = concat([self.k, k], axis=0)
+            v = concat([self.v, v], axis=0)
+        self.k, self.v = Tensor(k.data), Tensor(v.data)
+        return k, v
+
+    def copy(self) -> "KVCache":
+        return KVCache(self.k, self.v)
+
+
 class MultiHeadAttention(Module):
-    """Per-head projections, concatenation, and output projection."""
+    """Per-head projections, concatenation, and output projection.
+
+    Keys and values are laid out as [prefix_kv rows][cached rows][new rows];
+    prefix and cached rows are visible to every query, and ``mask`` covers
+    the new rows only.
+    """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
         if dim % heads != 0:
@@ -148,6 +180,7 @@ class MultiHeadAttention(Module):
         x_kv: Tensor,
         mask,
         prefix_kv: tuple[Tensor, Tensor] | None = None,
+        cache: KVCache | None = None,
     ) -> Tensor:
         if x_q.shape[1] != self.dim or x_kv.shape[1] != self.dim:
             raise DimensionError(
@@ -158,13 +191,17 @@ class MultiHeadAttention(Module):
         v = self.w_v(x_kv)
         n_q, n_k = x_q.shape[0], x_kv.shape[0]
         allowed = _allowed_matrix(mask, n_q, n_k)
+        visible = 0
+        if cache is not None:
+            visible = len(cache)
+            k, v = cache.extend(k, v)
         if prefix_kv is not None:
             kp, vp = prefix_kv
             k = concat([kp, k], axis=0)
             v = concat([vp, v], axis=0)
-            allowed = np.concatenate(
-                [np.ones((n_q, kp.shape[0]), dtype=bool), allowed], axis=1
-            )
+            visible += kp.shape[0]
+        if visible:
+            allowed = np.concatenate([np.ones((n_q, visible), dtype=bool), allowed], axis=1)
         dh = self.dim // self.heads
         outs = []
         for h in range(self.heads):
@@ -198,6 +235,9 @@ class TransformerBlock(Module):
 
     ``cross_rows`` limits cross-attention (and its residual update) to the
     leading rows of the sequence; remaining rows pass through unchanged.
+    ``self_cache`` holds the self-attention keys and values of earlier rows;
+    ``x`` then carries only the new rows, and their keys and values are
+    appended to it.
     """
 
     def __init__(
@@ -224,6 +264,7 @@ class TransformerBlock(Module):
         cross_kv: Tensor | None = None,
         cross_rows: int | None = None,
         self_prefix_kv: tuple[Tensor, Tensor] | None = None,
+        self_cache: KVCache | None = None,
     ) -> Tensor:
         if (cross_kv is not None) != self.has_cross:
             raise ContractError(
@@ -231,7 +272,9 @@ class TransformerBlock(Module):
                 f"(has_cross={self.has_cross})"
             )
         normed = self.ln_self(x)
-        h = x + self.self_attn(normed, normed, self_mask, prefix_kv=self_prefix_kv)
+        h = x + self.self_attn(
+            normed, normed, self_mask, prefix_kv=self_prefix_kv, cache=self_cache
+        )
         if self.has_cross:
             if cross_rows is None or cross_rows >= h.shape[0]:
                 h = h + self.cross_attn(self.ln_cross(h), cross_kv, Mask.full())

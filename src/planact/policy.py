@@ -235,9 +235,15 @@ def _batch_loss(
     return cross_entropy(logits, [action for _, _, action in batch])
 
 
-def dataset_loss(model: ControlModel, demos: list[Demonstration], limit: int = 256) -> float:
+def dataset_loss(
+    model: ControlModel,
+    demos: list[Demonstration],
+    limit: int = 256,
+    cache: dict | None = None,
+) -> float:
+    """Mean NLL of the unaugmented expert actions; ``cache`` as in ``ControlModel.forward``."""
     data = _dataset_from_demos(demos, augment=False)[:limit]
-    return _batch_loss(model, data).item()
+    return _batch_loss(model, data, cache).item()
 
 
 def bc_train(
@@ -251,7 +257,8 @@ def bc_train(
     Training triples are expanded over the grid's eight dihedral symmetries
     (exact invariances of the environment) when ``augment_symmetry`` is set.
     With the bridge frozen, instance features are computed once per distinct
-    (observation, plan) pair and reused across epochs.
+    (observation, plan) pair and reused across epochs and by the logged
+    initial and final losses.
     """
     if not demos:
         raise ContractError("behavioral cloning requires at least one demonstration")
@@ -269,7 +276,7 @@ def bc_train(
     optimizer = AdamW(list(params.values()), AdamWConfig())
     cache = None if cfg.train_bridge else {}
     log = TrainLog()
-    log.initial_loss = dataset_loss(model, demos)
+    log.initial_loss = dataset_loss(model, demos, cache=cache)
     step = 0
     for _ in range(epochs):
         order = rng.permutation(len(data))
@@ -283,7 +290,7 @@ def bc_train(
             optimizer.step(schedule.lr_at(step))
             step += 1
             log.losses.append(loss.item())
-    log.final_loss = dataset_loss(model, demos)
+    log.final_loss = dataset_loss(model, demos, cache=cache)
     return log
 
 

@@ -27,6 +27,8 @@ class GenerationConfig:
             raise ContractError(f"top_p must lie in (0, 1], got {self.top_p}")
         if self.samples_per_prompt < 1:
             raise ContractError("samples_per_prompt must be at least 1")
+        if self.max_new_tokens < 1:
+            raise ContractError("max_new_tokens must be at least 1")
 
 
 def sample_token(
@@ -59,19 +61,27 @@ def generate(
 ) -> list[list[int]] | list[str]:
     """Draw ``samples_per_prompt`` continuations; returns texts when a vocabulary is given.
 
-    Each sample is drawn sequentially from one seeded stream, stopping at EOS
-    or after ``max_new_tokens`` new tokens.
+    The prompt (and soft prompt) is prefilled once into a key/value cache.
+    Each sample takes its own copy of that cache, draws its first token from
+    the prefill's last logit row, and then feeds one token per step, so a
+    step runs one position.  Samples are drawn sequentially from one seeded
+    stream, stopping at EOS or after ``max_new_tokens`` new tokens; no forward
+    runs after a sample's last token.
     """
     rng = np.random.default_rng(cfg.seed)
+    prefill = model.new_cache()
+    first = model.forward(prompt_ids, soft_prompt, use_adapters=use_adapters, cache=prefill)
     results = []
     for _ in range(cfg.samples_per_prompt):
-        ids = list(prompt_ids)
+        cache = prefill.copy()
+        logits = first.data[-1]
         new: list[int] = []
         for _ in range(cfg.max_new_tokens):
-            logits = model.forward(ids, soft_prompt, use_adapters=use_adapters)
-            token = sample_token(logits.data[-1], cfg.temperature, cfg.top_p, rng)
+            if new:
+                step = model.forward([new[-1]], None, use_adapters=use_adapters, cache=cache)
+                logits = step.data[-1]
+            token = sample_token(logits, cfg.temperature, cfg.top_p, rng)
             new.append(token)
-            ids.append(token)
             if token == EOS:
                 break
         results.append(new)

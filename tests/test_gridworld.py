@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,27 @@ class TestDemos:
             for (oa, pa, aa), (ob, pb, ab) in zip(a.steps, b.steps):
                 assert oa.tobytes() == ob.tobytes()
                 assert pa == pb and aa == ab
+
+    @pytest.mark.parametrize("ref", [10_000, -2, 1.5])
+    def test_load_rejects_obs_ref_outside_blob(self, tmp_path, ref):
+        config = EnvConfig()
+        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1, 2]))
+        jsonl = tmp_path / "demos.jsonl"
+        rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        rows[1]["steps"][2]["obs_ref"] = ref
+        jsonl.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(ValidationError, match=r"demos\.jsonl: demo seed 2 step 2") as err:
+            load_demos(tmp_path / "demos", config)
+        assert "demos.bin" in str(err.value)
+
+    @pytest.mark.parametrize("cut", [8, 3])
+    def test_load_rejects_partial_observation_blob(self, tmp_path, cut):
+        config = EnvConfig()
+        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1]))
+        blob = tmp_path / "demos.bin"
+        blob.write_bytes(blob.read_bytes()[:-cut])
+        with pytest.raises(ValidationError, match=r"demos\.bin: \d+ bytes"):
+            load_demos(tmp_path / "demos", config)
 
     def test_validation_rejects_failure(self):
         demo = Demonstration(seed=0, steps=[(np.zeros((4, 9, 9)), "plan", 0)], success=False)

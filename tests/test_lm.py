@@ -128,3 +128,104 @@ class TestSampler:
             GenerationConfig(top_p=0.0)
         with pytest.raises(ContractError):
             GenerationConfig(top_p=1.2)
+        with pytest.raises(ContractError):
+            GenerationConfig(max_new_tokens=0)
+
+
+def reference_generate(model, prompt_ids, soft_prompt, cfg, use_adapters=True):
+    """Uncached decoding: every step re-runs the prompt and all tokens so far."""
+    rng = np.random.default_rng(cfg.seed)
+    results = []
+    for _ in range(cfg.samples_per_prompt):
+        ids = list(prompt_ids)
+        new = []
+        for _ in range(cfg.max_new_tokens):
+            logits = model.forward(ids, soft_prompt, use_adapters=use_adapters)
+            token = sample_token(logits.data[-1], cfg.temperature, cfg.top_p, rng)
+            new.append(token)
+            ids.append(token)
+            if token == EOS:
+                break
+        results.append(new)
+    return results
+
+
+class TestKvCache:
+    IDS = [4, 5, 6, 7, 8, 9, 10, 11]
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("use_adapters", [False, True])
+    def test_prefill_then_single_steps_match_full_forward(self, model, rng, soft, use_adapters):
+        prompt = Tensor(rng.standard_normal((3, 16))) if soft else None
+        full = model.forward(self.IDS, prompt, use_adapters=use_adapters).data
+        cache = model.new_cache()
+        rows = [model.forward(self.IDS[:3], prompt, use_adapters=use_adapters, cache=cache).data]
+        for token in self.IDS[3:]:
+            rows.append(model.forward([token], None, use_adapters=use_adapters, cache=cache).data)
+        assert [r.shape[0] for r in rows] == [3] + [1] * (len(self.IDS) - 3)
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0.0, atol=1e-12)
+        assert len(cache) == len(self.IDS) + (3 if soft else 0)
+
+    def test_multi_token_steps_match_full_forward(self, model, rng):
+        prompt = Tensor(rng.standard_normal((2, 16)))
+        full = model.forward(self.IDS, prompt).data
+        cache = model.new_cache()
+        rows = [model.forward(self.IDS[:2], prompt, cache=cache).data,
+                model.forward(self.IDS[2:5], None, cache=cache).data,
+                model.forward(self.IDS[5:], None, cache=cache).data]
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0.0, atol=1e-12)
+
+    def test_copies_decode_independently(self, model):
+        cache = model.new_cache()
+        model.forward(self.IDS[:4], cache=cache)
+        twin = cache.copy()
+        model.forward([9, 9], cache=cache)
+        step = model.forward(self.IDS[4:5], cache=twin).data
+        assert len(twin) == 5 and len(cache) == 6
+        np.testing.assert_allclose(step, model.forward(self.IDS[:5]).data[-1:], rtol=0.0,
+                                   atol=1e-12)
+
+    def test_cached_rows_carry_no_graph(self, model):
+        cache = model.new_cache()
+        logits = model.forward(self.IDS[:3], cache=cache)
+        assert logits.requires_grad
+        for block_cache in cache.blocks:
+            for t in (block_cache.k, block_cache.v):
+                assert not t.requires_grad and t._parents == ()
+
+    def test_step_past_context_rejected(self, model):
+        # context 64 holds 3 adapter rows + 61 positions
+        cache = model.new_cache()
+        model.forward([4] * 60, cache=cache)
+        model.forward([5], cache=cache)
+        with pytest.raises(ContractError, match="61 cached rows"):
+            model.forward([6], cache=cache)
+        assert len(cache) == 61
+
+    def test_soft_prompt_after_first_call_rejected(self, model):
+        cache = model.new_cache()
+        model.forward([4, 5], cache=cache)
+        with pytest.raises(ContractError):
+            model.forward([6], soft_prompt=Tensor(np.zeros((2, 16))), cache=cache)
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("use_adapters", [False, True])
+    def test_generate_matches_uncached_reference(self, model, rng, soft, use_adapters):
+        prompt = Tensor(rng.standard_normal((2, 16))) if soft else None
+        cfg = GenerationConfig(samples_per_prompt=3, max_new_tokens=12, seed=11)
+        expected = reference_generate(model, self.IDS, prompt, cfg, use_adapters)
+        assert generate(model, self.IDS, prompt, cfg, use_adapters=use_adapters) == expected
+
+    def test_generate_prefills_once_then_one_position_per_token(self, model, monkeypatch):
+        lengths = []
+        forward = model.forward
+
+        def counted(ids, *args, **kwargs):
+            lengths.append(len(ids))
+            return forward(ids, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        cfg = GenerationConfig(samples_per_prompt=3, max_new_tokens=10, seed=2)
+        samples = generate(model, self.IDS, None, cfg)
+        steps = sum(len(s) - 1 for s in samples)
+        assert lengths == [len(self.IDS)] + [1] * steps

@@ -6,8 +6,10 @@ import pytest
 
 from planact.embedder import MockEmbedder
 from planact.errors import ContractError, IngestError, PipelineError, ValidationError
+from planact.lm import LmConfig, MicroLm
 from planact.pipeline import (
     ClipRecord,
+    LmPlanGenerator,
     NarrationRecord,
     PipelineConfig,
     SyntheticPlanGenerator,
@@ -23,6 +25,8 @@ from planact.pipeline import (
     stage1_filter,
     stage2_filter,
 )
+from planact.prompts import ANNOTATION_TEMPLATE, assemble_prompt
+from planact.vocab import Vocabulary
 
 
 def write_jsonl(path, rows):
@@ -443,3 +447,26 @@ class TestCandidateParsing:
     def test_programming_errors_propagate(self, fixture_paths, tmp_path):
         with pytest.raises(TypeError):
             self.run(fixture_paths, tmp_path / "out", [None])
+
+
+class TestLmPlanGenerator:
+    CAPTION = "pick up the red cup"
+
+    @pytest.fixture(scope="class")
+    def generator(self):
+        vocab = Vocabulary.build(ANNOTATION_TEMPLATE.splitlines() + [self.CAPTION])
+        cfg = LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2, context=160)
+        model = MicroLm(np.random.default_rng(0), cfg)
+        return LmPlanGenerator(model, vocab, max_new_tokens=6)
+
+    def test_candidates_carry_task_and_plans_prefix(self, generator):
+        prompt = assemble_prompt("egocot_annotation", self.CAPTION)
+        candidates = generator.generate(prompt, 3, "clip-0")
+        assert len(candidates) == 3
+        for text in candidates:
+            assert text.startswith(f"Task: {self.CAPTION}\nplans:")
+
+    def test_same_seed_key_same_candidates(self, generator):
+        prompt = assemble_prompt("egocot_annotation", self.CAPTION)
+        first = generator.generate(prompt, 3, "clip-0")
+        assert generator.generate(prompt, 3, "clip-0") == first

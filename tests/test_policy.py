@@ -8,6 +8,8 @@ from planact.policy import (
     PolicyConfig,
     _batch_loss,
     _dataset_from_demos,
+    bc_train,
+    dataset_loss,
     evaluate_policy,
     model_policy,
     wilson_interval,
@@ -119,6 +121,27 @@ class TestTrainableParameters:
         params = model.trainable_parameters()
         _batch_loss(model, data).backward()
         assert [name for name, p in params.items() if p.grad is None] == []
+
+
+class TestBcTrain:
+    def test_logged_losses_reuse_frozen_features(self, vocab, monkeypatch):
+        demos = collect_demos(EnvConfig(), [0])
+        model = make_model(vocab)
+        initial = dataset_loss(make_model(vocab), demos)
+        keys = []
+        original = model.instance_features
+
+        def recorded(obs, plan_text):
+            keys.append((obs.data.tobytes(), plan_text))
+            return original(obs, plan_text)
+
+        monkeypatch.setattr(model, "instance_features", recorded)
+        calls = count_extract_calls(model, monkeypatch)
+        log = bc_train(model, demos, seed=0, epochs=1)
+        assert keys and len(keys) == len(set(keys)) == len(calls)
+        monkeypatch.undo()
+        assert log.initial_loss == initial
+        assert log.final_loss == dataset_loss(model, demos)
 
 
 class TestEvaluation:
