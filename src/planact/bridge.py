@@ -11,12 +11,13 @@ the language model's embedding space as soft prompt rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nn import Linear, Mask, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
-from .tensor import Tensor, concat, parameter, take_rows
+from .tensor import Tensor, broadcast_to, concat, parameter, take_rows
 from .vision import VisualTokens
 from .vocab import Vocabulary, tokenize
 
@@ -52,27 +53,38 @@ class QueryBridge(Module):
         self.ln_out = LayerNorm(config.dim)
         self.proj = Linear(rng, config.dim, config.lm_dim)
 
-    def extract(self, visual: VisualTokens, text_ids: list[int] | None = None) -> Tensor:
-        """Summarise visual tokens (optionally conditioned on text) into N x D."""
-        if visual.tokens.shape[0] == 0:
+    def extract(
+        self,
+        visual: VisualTokens,
+        text_ids: Sequence[int] | Sequence[Sequence[int]] | None = None,
+    ) -> Tensor:
+        """Summarise visual tokens (optionally conditioned on text) into (..., N, D).
+
+        ``visual.tokens`` is (..., P, D).  ``text_ids`` is one id sequence shared
+        by every leading index, or one row of equally many ids per leading index.
+        """
+        tokens = visual.tokens
+        if tokens.shape[-2] == 0:
             raise ContractError("visual token set is empty")
-        if visual.tokens.shape[1] != self.config.dim:
+        if tokens.shape[-1] != self.config.dim:
             raise DimensionError(
-                f"visual token width {visual.tokens.shape[1]} does not match bridge dim "
+                f"visual token width {tokens.shape[-1]} does not match bridge dim "
                 f"{self.config.dim}"
             )
         n = self.config.query_count
-        if text_ids:
-            text = take_rows(self.text_embed, text_ids) + self.text_pos[: len(text_ids), :]
-            x = concat([self.queries, text], axis=0)
-        else:
-            x = self.queries
+        lead = tokens.shape[:-2]
+        rows = [self.queries]
+        ids = np.asarray([] if text_ids is None else text_ids, dtype=np.int64)
+        if ids.size:
+            rows.append(take_rows(self.text_embed, ids) + self.text_pos[: ids.shape[-1], :])
+        rows = [broadcast_to(r, (*lead, *r.shape[-2:])) for r in rows]
+        x = rows[0] if len(rows) == 1 else concat(rows, axis=-2)
         for block in self.blocks:
             if block.has_cross:
-                x = block(x, Mask.full(), cross_kv=visual.tokens, cross_rows=n)
+                x = block(x, Mask.full(), cross_kv=tokens, cross_rows=n)
             else:
                 x = block(x, Mask.full())
-        return self.ln_out(x)[:n, :]
+        return self.ln_out(x)[..., :n, :]
 
     def project_to_lm(self, summary: Tensor) -> Tensor:
         """Affine map from the N x D summary to N x D' soft prompt rows; no nonlinearity."""
@@ -83,9 +95,28 @@ class QueryBridge(Module):
         return self.proj(summary)
 
     def instance_features(
-        self, visual: VisualTokens, plan_text: str, vocab: Vocabulary
+        self, visual: VisualTokens, plan_texts: Sequence[str], vocab: Vocabulary
     ) -> Tensor:
-        """Re-query the visual tokens with a plan as the text input; feeds the policy."""
-        if not plan_text.strip():
-            raise ContractError("plan text must be non-empty")
-        return self.extract(visual, tokenize(plan_text, vocab))
+        """Re-query each image's tokens (B, P, D) with its own plan as the text input.
+
+        Feeds the policy.  Rows whose plans tokenise to the same length share
+        one ``extract`` call; the result is (B, N, D) in the order of the rows.
+        """
+        tokens = visual.tokens
+        if tokens.ndim != 3 or tokens.shape[0] != len(plan_texts):
+            raise DimensionError(f"{len(plan_texts)} plans for visual tokens {tokens.shape}")
+        ids: list[list[int]] = []
+        by_length: dict[int, list[int]] = {}
+        for i, plan_text in enumerate(plan_texts):
+            if not plan_text.strip():
+                raise ContractError("plan text must be non-empty")
+            ids.append(tokenize(plan_text, vocab))
+            by_length.setdefault(len(ids[-1]), []).append(i)
+        if len(by_length) == 1:
+            return self.extract(visual, ids)
+        parts, order = [], []
+        for rows in by_length.values():
+            part = VisualTokens(tokens[rows], visual.frame_count, visual.patches_per_frame)
+            parts.append(self.extract(part, [ids[i] for i in rows]))
+            order += rows
+        return take_rows(concat(parts, axis=0), np.argsort(order))

@@ -102,20 +102,31 @@ def _allowed_matrix(mask, n_q: int, n_k: int) -> np.ndarray:
     return allowed
 
 
+def _swapaxes(x: Tensor, a: int, b: int) -> Tensor:
+    axes = list(range(x.ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return x.transpose(axes)
+
+
 def attention_probs(q: Tensor, k: Tensor, mask) -> Tensor:
-    """Row-stochastic attention weights softmax(q k^T / sqrt(d)) under the mask."""
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
+    """Row-stochastic attention weights softmax(q k^T / sqrt(d)) under the mask.
+
+    ``q`` is (..., n_q, d) and ``k`` is (..., n_k, d); the (n_q, n_k) mask is
+    shared by every leading index.
+    """
+    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"attention operands disagree: q {q.shape}, k {k.shape}")
-    allowed = _allowed_matrix(mask, q.shape[0], k.shape[0])
+    allowed = _allowed_matrix(mask, q.shape[-2], k.shape[-2])
     if not allowed.any(axis=1).all():
         raise ContractError("attention row has no attendable key (fully masked)")
-    scores = (q @ k.T) * (1.0 / math.sqrt(q.shape[1]))
-    scores = masked_fill(scores, allowed, MASK_BIAS)
+    scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ _swapaxes(k, -1, -2)
+    if not allowed.all():
+        scores = masked_fill(scores, allowed, MASK_BIAS)
     return softmax(scores, axis=-1)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
     return attention_probs(q, k, mask) @ v
 
@@ -143,12 +154,12 @@ class KVCache:
         self.v = v
 
     def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[0]
+        return 0 if self.k is None else self.k.shape[-2]
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         if self.k is not None:
-            k = concat([self.k, k], axis=0)
-            v = concat([self.v, v], axis=0)
+            k = concat([self.k, k], axis=-2)
+            v = concat([self.v, v], axis=-2)
         self.k, self.v = Tensor(k.data), Tensor(v.data)
         return k, v
 
@@ -157,11 +168,12 @@ class KVCache:
 
 
 class MultiHeadAttention(Module):
-    """Per-head projections, concatenation, and output projection.
+    """Multi-head attention over (..., n, dim) inputs, heads split by reshape.
 
     Keys and values are laid out as [prefix_kv rows][cached rows][new rows];
     prefix and cached rows are visible to every query, and ``mask`` covers
-    the new rows only.
+    the new rows only.  Every head runs in one product of queries and keys,
+    one softmax and one product with the values.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
@@ -174,6 +186,11 @@ class MultiHeadAttention(Module):
         self.w_v = Linear(rng, dim, dim)
         self.w_o = Linear(rng, dim, dim)
 
+    def _split_heads(self, x: Tensor) -> Tensor:
+        """(..., n, dim) -> (..., heads, n, dim / heads)."""
+        x = x.reshape(*x.shape[:-1], self.heads, self.dim // self.heads)
+        return _swapaxes(x, -3, -2)
+
     def __call__(
         self,
         x_q: Tensor,
@@ -182,14 +199,14 @@ class MultiHeadAttention(Module):
         prefix_kv: tuple[Tensor, Tensor] | None = None,
         cache: KVCache | None = None,
     ) -> Tensor:
-        if x_q.shape[1] != self.dim or x_kv.shape[1] != self.dim:
+        if x_q.shape[-1] != self.dim or x_kv.shape[-1] != self.dim:
             raise DimensionError(
                 f"inputs {x_q.shape}/{x_kv.shape} do not match model dim {self.dim}"
             )
         q = self.w_q(x_q)
         k = self.w_k(x_kv)
         v = self.w_v(x_kv)
-        n_q, n_k = x_q.shape[0], x_kv.shape[0]
+        n_q, n_k = x_q.shape[-2], x_kv.shape[-2]
         allowed = _allowed_matrix(mask, n_q, n_k)
         visible = 0
         if cache is not None:
@@ -197,17 +214,15 @@ class MultiHeadAttention(Module):
             k, v = cache.extend(k, v)
         if prefix_kv is not None:
             kp, vp = prefix_kv
-            k = concat([kp, k], axis=0)
-            v = concat([vp, v], axis=0)
-            visible += kp.shape[0]
+            k = concat([kp, k], axis=-2)
+            v = concat([vp, v], axis=-2)
+            visible += kp.shape[-2]
         if visible:
             allowed = np.concatenate([np.ones((n_q, visible), dtype=bool), allowed], axis=1)
-        dh = self.dim // self.heads
-        outs = []
-        for h in range(self.heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            outs.append(scaled_dot_attention(q[:, sl], k[:, sl], v[:, sl], allowed))
-        return self.w_o(concat(outs, axis=1))
+        heads = scaled_dot_attention(
+            self._split_heads(q), self._split_heads(k), self._split_heads(v), allowed
+        )
+        return self.w_o(_swapaxes(heads, -3, -2).reshape(q.shape))
 
 
 class FeedForward(Module):
@@ -233,8 +248,9 @@ class LayerNorm(Module):
 class TransformerBlock(Module):
     """Pre-norm residual block: self-attention, optional cross-attention, feed-forward.
 
-    ``cross_rows`` limits cross-attention (and its residual update) to the
-    leading rows of the sequence; remaining rows pass through unchanged.
+    ``x`` is (..., n, dim).  ``cross_rows`` limits cross-attention (and its
+    residual update) to the leading rows of the sequence; remaining rows pass
+    through unchanged.
     ``self_cache`` holds the self-attention keys and values of earlier rows;
     ``x`` then carries only the new rows, and their keys and values are
     appended to it.
@@ -276,14 +292,14 @@ class TransformerBlock(Module):
             normed, normed, self_mask, prefix_kv=self_prefix_kv, cache=self_cache
         )
         if self.has_cross:
-            if cross_rows is None or cross_rows >= h.shape[0]:
+            if cross_rows is None or cross_rows >= h.shape[-2]:
                 h = h + self.cross_attn(self.ln_cross(h), cross_kv, Mask.full())
             else:
-                head_rows = h[:cross_rows, :]
+                head_rows = h[..., :cross_rows, :]
                 attended = self.cross_attn(
                     self.ln_cross(head_rows), cross_kv, Mask.full()
                 )
-                h = concat([head_rows + attended, h[cross_rows:, :]], axis=0)
+                h = concat([head_rows + attended, h[..., cross_rows:, :]], axis=-2)
         return h + self.ffn(self.ln_ffn(h))
 
 

@@ -377,6 +377,8 @@ def build_dataset(
     alpha = compute_alpha(list(betas.values()))
 
     clips: list[ClipRecord] = []
+    # why a clip got no plan: the generator raised, or none of its candidates parsed
+    failure_reasons = {"generator_raised": 0, "no_candidate_parsed": 0}
     counters = {
         "degenerate_spans": 0,
         "generator_failures": 0,
@@ -399,7 +401,7 @@ def build_dataset(
             try:
                 raw = generate_candidates(prompt, generator, cfg, seed_key)
             except (ContractError, ValueError):
-                counters["generator_failures"] += 1
+                failure_reasons["generator_raised"] += 1
                 continue
             parsed: list[tuple[str, PlanDocument]] = []
             for cand in raw:
@@ -408,7 +410,7 @@ def build_dataset(
                 except ParseError:
                     continue
             if not parsed:
-                counters["generator_failures"] += 1
+                failure_reasons["no_candidate_parsed"] += 1
                 continue
             clip.candidates = [text for text, _ in parsed]
             frames = [
@@ -443,6 +445,7 @@ def build_dataset(
             )
     atomic_write_text(out_dir / "vqa.jsonl", "\n".join(vqa_lines) + ("\n" if vqa_lines else ""))
 
+    counters["generator_failures"] = sum(failure_reasons.values())
     summary = {
         "drop_fractions": stats.fractions(),
         "alpha": alpha,
@@ -450,6 +453,7 @@ def build_dataset(
         "narrations_total": stats.total,
         "orphans": orphans,
         **counters,
+        "generator_failure_reasons": failure_reasons,
     }
     atomic_write_text(out_dir / "stats.json", json.dumps(summary, indent=1) + "\n")
     return summary

@@ -20,9 +20,9 @@ from .gridworld import (
     symmetry_views,
 )
 from .seeding import stable_seed
-from .nn import Linear, Module, gelu
+from .nn import Linear, Module, gelu, set_trainable
 from .optim import AdamW, AdamWConfig, LrSchedule
-from .tensor import Tensor, concat, cross_entropy, unfold_windows, zeros
+from .tensor import Tensor, concat, cross_entropy, take_rows, unfold_windows, zeros
 from .vision import VisionConfig, VisualEncoder
 from .vocab import Vocabulary
 
@@ -48,6 +48,8 @@ class PolicyConfig:
     bc_warmup_ratio: float = 0.05
 
     def __post_init__(self):
+        if self.bc_batch < 1:
+            raise ContractError(f"bc_batch must be at least 1, got {self.bc_batch}")
         if self.instance_pooling not in ("flat", "mean"):
             raise ContractError(f"unknown pooling {self.instance_pooling!r}")
         if self.conv_depth < 1:
@@ -72,16 +74,17 @@ class GlobalEncoder(Module):
         ]
 
     def __call__(self, obs: Tensor) -> Tensor:
-        if obs.ndim != 3 or obs.shape[0] != self.channels:
+        """Pooled context (B, global_dim) of observations (B, channels, H, W)."""
+        if obs.ndim != 4 or obs.shape[1] != self.channels:
             raise DimensionError(
-                f"observation shape {obs.shape} does not match {self.channels} channels"
+                f"observation shape {obs.shape} does not match (B, {self.channels}, H, W)"
             )
         x = obs
-        for conv in self.convs:
-            _, h, w = x.shape
+        for conv in self.convs[:-1]:
+            b, _, h, w = x.shape
             x = gelu(conv(unfold_windows(x, 3)))
-            x = x.reshape(h - 2, w - 2, -1).transpose(2, 0, 1)
-        return x.reshape(x.shape[0], -1).mean(axis=1)
+            x = x.reshape(b, h - 2, w - 2, -1).transpose(0, 3, 1, 2)
+        return gelu(self.convs[-1](unfold_windows(x, 3))).mean(axis=1)
 
 
 class PolicyHead(Module):
@@ -157,53 +160,74 @@ class ControlModel(Module):
         self.head = PolicyHead(
             rng, instance_dim + config.global_dim, config.hidden_dim, len(ACTIONS)
         )
+        # the bridge's language-model projection and the encoder's frame table
+        # are never read by the policy; the whole bridge side trains only when
+        # train_bridge is set and the plan is not ablated
+        frozen = ("bridge.proj.", "grid_vision.temporal")
+        if ablate_plan or not config.train_bridge:
+            frozen = ("bridge.", "grid_vision.")
+        set_trainable(
+            {k: v for k, v in self.named_parameters().items() if k.startswith(frozen)}, False
+        )
 
-    def instance_features(self, obs: Tensor, plan_text: str) -> Tensor:
-        visual = self.grid_vision.encode_image(obs)
-        return self.bridge.instance_features(visual, plan_text, self.vocab)
+    def instance_features(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
+        """Bridge features (B, N, D) of observations (B, c, H, W) under one plan each."""
+        visual = self.grid_vision.encode_image(Tensor(obs))
+        return self.bridge.instance_features(visual, plan_texts, self.vocab)
 
     def _pooled(self, z_instance: Tensor) -> Tensor:
         if self.config.instance_pooling == "mean":
-            return z_instance.mean(axis=0)
-        return z_instance.reshape(-1)
+            return z_instance.mean(axis=-2)
+        return z_instance.reshape(z_instance.shape[0], -1)
 
     def policy_logits(self, z_instance: Tensor, z_global: Tensor) -> Tensor:
-        fused = concat([self._pooled(z_instance), z_global], axis=0).reshape(1, -1)
+        fused = concat([self._pooled(z_instance), z_global], axis=-1)
         return self.head(fused)
 
-    def forward(self, obs: np.ndarray, plan_text: str | None, cache: dict | None = None) -> Tensor:
-        """Action logits (1 x actions) for one observation and plan.
+    def forward(
+        self, obs: np.ndarray, plan_texts: list[str | None], cache: dict | None = None
+    ) -> Tensor:
+        """Action logits (B x actions) for observations (B, c, H, W) and one plan each.
 
-        With a ``cache`` the bridge is treated as frozen: instance features are
-        computed once per distinct (observation, plan) pair and reused as
-        constants.  An ablated or plan-less call uses zero features.
+        Rows that are ablated or have no plan use zero instance features.  With
+        a ``cache`` the bridge is treated as frozen: instance features are
+        computed once per distinct (observation, plan) pair, the batch's misses
+        in one ``instance_features`` call, and reused as constants.
         """
-        obs_t = Tensor(obs)
-        if self.ablate_plan or plan_text is None:
-            z_instance = zeros(self.config.query_count, self.config.bridge_dim)
+        obs = np.asarray(obs, dtype=np.float64)
+        if obs.ndim != 4 or obs.shape[0] != len(plan_texts):
+            raise DimensionError(
+                f"{len(plan_texts)} plans for observations of shape {obs.shape}"
+            )
+        batch = obs.shape[0]
+        features = (batch, self.config.query_count, self.config.bridge_dim)
+        live = [] if self.ablate_plan else [i for i, p in enumerate(plan_texts) if p is not None]
+        if not live:
+            z_instance = zeros(*features)
         elif cache is None:
-            z_instance = self.instance_features(obs_t, plan_text)
+            z_instance = self.instance_features(obs[live], [plan_texts[i] for i in live])
+            if len(live) < batch:
+                index = np.full(batch, len(live))
+                index[live] = np.arange(len(live))
+                z_instance = take_rows(concat([z_instance, zeros(1, *features[1:])]), index)
         else:
-            key = (obs.tobytes(), plan_text)
-            z_instance = cache.get(key)
-            if z_instance is None:
-                z_instance = Tensor(self.instance_features(obs_t, plan_text).data)
-                cache[key] = z_instance
-        return self.policy_logits(z_instance, self.global_enc(obs_t))
+            keys = [(obs[i].tobytes(), plan_texts[i]) for i in live]
+            misses = {key: i for i, key in zip(live, keys) if key not in cache}
+            if misses:
+                rows = list(misses.values())
+                computed = self.instance_features(obs[rows], [plan_texts[i] for i in rows])
+                cache.update(zip(misses, map(Tensor, computed.data)))
+            z = np.zeros(features)
+            z[live] = [cache[key].data for key in keys]
+            z_instance = Tensor(z)
+        return self.policy_logits(z_instance, self.global_enc(Tensor(obs)))
 
     def act(self, obs: np.ndarray, plan_text: str | None) -> int:
-        return int(np.argmax(self.forward(obs, plan_text).data[0]))
+        return int(np.argmax(self.forward(obs[None], [plan_text]).data[0]))
 
     def trainable_parameters(self) -> dict[str, Tensor]:
-        """Parameters the policy's logits depend on; the bridge side only when it trains.
-
-        The bridge's language-model projection and the encoder's frame table
-        are never read by the policy, so they are never trained here.
-        """
-        frozen = ("bridge.proj.", "grid_vision.temporal")
-        if self.ablate_plan or not self.config.train_bridge:
-            frozen = ("bridge.", "grid_vision.")
-        return {k: v for k, v in self.named_parameters().items() if not k.startswith(frozen)}
+        """Parameters that require grad; ``__init__`` freezes the rest."""
+        return {k: v for k, v in self.named_parameters().items() if v.requires_grad}
 
 
 @dataclass
@@ -231,7 +255,8 @@ def _batch_loss(
     batch: list[tuple[np.ndarray, str, int]],
     cache: dict | None = None,
 ) -> Tensor:
-    logits = concat([model.forward(obs, plan, cache) for obs, plan, _ in batch], axis=0)
+    obs = np.stack([obs for obs, _, _ in batch])
+    logits = model.forward(obs, [plan for _, plan, _ in batch], cache)
     return cross_entropy(logits, [action for _, _, action in batch])
 
 

@@ -155,33 +155,30 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return Tensor._result(-self.data, (self,), lambda g: (-g,))
 
-    def power(self, exponent: float) -> "Tensor":
-        """Elementwise power with a constant exponent."""
-        out = self.data**exponent
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"power({exponent}) produced non-finite values")
-        return Tensor._result(
-            out, (self,), lambda g: (g * exponent * self.data ** (exponent - 1),)
-        )
-
     # -- matrix product ------------------------------------------------------
 
     def __matmul__(self, other) -> "Tensor":
+        """Matrix product over the last two axes; leading axes broadcast as in numpy."""
         other = as_tensor(other)
-        if self.ndim != 2 or other.ndim != 2:
+        if self.ndim < 2 or other.ndim < 2:
             raise DimensionError(
-                f"matmul expects 2-d operands, got {self.shape} and {other.shape}"
+                f"matmul expects operands of rank >= 2, got {self.shape} and {other.shape}"
             )
-        if self.shape[1] != other.shape[0]:
+        a, b = self.data, other.data
+        try:
+            out = a @ b
+        except ValueError:  # inner extents disagree or batch axes do not broadcast
             raise DimensionError(
-                f"matmul inner extents disagree: {self.shape} x {other.shape}"
+                f"matmul operands do not fit: {self.shape} x {other.shape}"
+            ) from None
+
+        def grad_fn(g: np.ndarray):
+            return (
+                _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape),
             )
-        out = self.data @ other.data
-        return Tensor._result(
-            out,
-            (self, other),
-            lambda g: (g @ other.data.T, self.data.T @ g),
-        )
+
+        return Tensor._result(out, (self, other), grad_fn)
 
     # -- shape manipulation ----------------------------------------------------
 
@@ -200,10 +197,6 @@ class Tensor:
         inverse = tuple(np.argsort(axes))
         out = self.data.transpose(axes)
         return Tensor._result(out, (self,), lambda g: (g.transpose(inverse),))
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __getitem__(self, key) -> "Tensor":
         out = self.data[key]
@@ -327,20 +320,35 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def masked_fill(x: Tensor, keep: np.ndarray, fill: float) -> Tensor:
-    """Replace entries where ``keep`` is False by ``fill``; gradient flows only to kept entries."""
+    """Replace entries where ``keep`` is False by ``fill``; gradient flows only to kept entries.
+
+    ``keep`` covers the trailing axes of ``x`` and broadcasts over its leading ones.
+    """
     keep = np.asarray(keep, dtype=bool)
-    if keep.shape != x.shape:
+    if keep.ndim > x.ndim or keep.shape != x.shape[x.ndim - keep.ndim :]:
         raise DimensionError(f"mask shape {keep.shape} does not match tensor {x.shape}")
     out = np.where(keep, x.data, fill)
     return Tensor._result(out, (x,), lambda g: (g * keep,))
 
 
+def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``x`` repeated along broadcast axes; gradients are summed back to ``x``'s shape."""
+    shape = tuple(shape)
+    if x.shape == shape:
+        return x
+    try:
+        out = np.broadcast_to(x.data, shape).copy()
+    except ValueError:
+        raise DimensionError(f"cannot broadcast {x.shape} to {shape}") from None
+    return Tensor._result(out, (x,), lambda g: (_unbroadcast(g, x.shape),))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if np.any(np.isnan(x.data)):
         raise NumericError("softmax received NaN input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def grad_fn(g: np.ndarray):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -390,29 +398,43 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
 
 
 def unfold_windows(x: Tensor, k: int) -> Tensor:
-    """All k-by-k windows of a (c, H, W) tensor as rows of a ((H-k+1)*(W-k+1), c*k*k) matrix."""
-    if x.ndim != 3:
-        raise DimensionError(f"unfold_windows expects (c, H, W), got {x.shape}")
-    c, h, w = x.shape
+    """All k-by-k windows of each image of a (B, c, H, W) tensor.
+
+    The result is (B, (H-k+1)*(W-k+1), c*k*k): one row per window position.
+    """
+    if x.ndim != 4:
+        raise DimensionError(f"unfold_windows expects (B, c, H, W), got {x.shape}")
+    b, c, h, w = x.shape
     if h < k or w < k:
         raise DimensionError(f"window {k} exceeds spatial extents of {x.shape}")
     hh, ww = h - k + 1, w - k + 1
-    view = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(1, 2))
-    # view: (c, hh, ww, k, k) -> rows (hh*ww, c*k*k)
-    out = view.transpose(1, 2, 0, 3, 4).reshape(hh * ww, c * k * k)
+    view = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
+    # view: (B, c, hh, ww, k, k) -> rows (B, hh*ww, c*k*k)
+    out = view.transpose(0, 2, 3, 1, 4, 5).reshape(b, hh * ww, c * k * k)
 
     def grad_fn(g: np.ndarray):
-        gw = g.reshape(hh, ww, c, k, k).transpose(2, 0, 1, 3, 4)
+        gw = g.reshape(b, hh, ww, c, k, k).transpose(0, 3, 1, 2, 4, 5)
         full = np.zeros_like(x.data)
         for ki in range(k):
             for kj in range(k):
-                full[:, ki : ki + hh, kj : kj + ww] += gw[:, :, :, ki, kj]
+                full[:, :, ki : ki + hh, kj : kj + ww] += gw[..., ki, kj]
         return (full,)
 
     return Tensor._result(out, (x,), grad_fn)
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Smooth tanh-form gaussian error linear unit."""
-    c = math.sqrt(2.0 / math.pi)
-    return x * 0.5 * ((c * (x + x.power(3.0) * 0.044715)).tanh() + 1.0)
+    """Smooth tanh-form gaussian error linear unit, one node with an analytic derivative."""
+    d = x.data
+    t = np.tanh((d + d * d * d * _GELU_A) * _GELU_C)
+    out = d * 0.5 * (t + 1.0)
+
+    def grad_fn(g: np.ndarray):
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * d * d)
+        return (g * 0.5 * ((t + 1.0) + d * (1.0 - t * t) * du),)
+
+    return Tensor._result(out, (x,), grad_fn)

@@ -45,14 +45,16 @@ def sinusoidal_grid_embedding(side: int, dim: int) -> Tensor:
 
 @dataclass
 class VisualTokens:
+    """Tokens (..., frames * patches, dim); leading axes index independent images."""
+
     tokens: Tensor
     frame_count: int
     patches_per_frame: int
 
     def __post_init__(self):
-        if self.tokens.shape[0] != self.frame_count * self.patches_per_frame:
+        if self.tokens.shape[-2] != self.frame_count * self.patches_per_frame:
             raise DimensionError(
-                f"{self.tokens.shape[0]} tokens inconsistent with "
+                f"{self.tokens.shape[-2]} tokens inconsistent with "
                 f"{self.frame_count} frames of {self.patches_per_frame} patches"
             )
 
@@ -81,19 +83,22 @@ class VisualEncoder(Module):
         ]
 
     def _patchify(self, image: Tensor) -> Tensor:
-        c, h, w = image.shape
+        """(..., c, H, W) -> (..., patches, c * p * p)."""
+        if image.ndim < 3:
+            raise DimensionError(f"expected (..., c, H, W) pixels, got {image.shape}")
+        *lead, c, h, w = image.shape
         p = self.config.patch_size
         if c != self.config.channels:
             raise DimensionError(f"expected {self.config.channels} channels, got {c}")
         if h % p != 0 or w % p != 0:
             raise DimensionError(f"spatial extents {h}x{w} not divisible by patch {p}")
         gh, gw = h // p, w // p
-        patches = (
-            image.reshape(c, gh, p, gw, p)
-            .transpose(1, 3, 0, 2, 4)
-            .reshape(gh * gw, c * p * p)
+        n = len(lead)
+        return (
+            image.reshape(*lead, c, gh, p, gw, p)
+            .transpose(*range(n), n + 1, n + 3, n, n + 2, n + 4)
+            .reshape(*lead, gh * gw, c * p * p)
         )
-        return patches
 
     def _encode_tokens(self, image: Tensor) -> Tensor:
         x = self.patch_embed(self._patchify(as_tensor(image))) + self.pos
@@ -102,6 +107,7 @@ class VisualEncoder(Module):
         return x
 
     def encode_image(self, image) -> VisualTokens:
+        """Tokens (..., patches, dim) of an image or a batch of images (..., c, H, W)."""
         tokens = self._encode_tokens(image)
         return VisualTokens(tokens, frame_count=1, patches_per_frame=self.patches_per_frame)
 
@@ -116,5 +122,5 @@ class VisualEncoder(Module):
             for f, frame in enumerate(frames)
         ]
         return VisualTokens(
-            concat(per_frame, axis=0), frame_count=n, patches_per_frame=self.patches_per_frame
+            concat(per_frame, axis=-2), frame_count=n, patches_per_frame=self.patches_per_frame
         )

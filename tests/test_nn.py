@@ -6,6 +6,7 @@ import pytest
 from planact.errors import ContractError, DimensionError
 from planact.gradcheck import check_gradients
 from planact.nn import (
+    KVCache,
     Mask,
     MultiHeadAttention,
     TransformerBlock,
@@ -132,6 +133,84 @@ class TestMultiHeadAttention:
             MultiHeadAttention(rng, dim=6, heads=4)
 
 
+def per_head_reference(mha, x_q, x_kv, allowed, prefix=None, past=None):
+    """Multi-head attention as one loop over heads on 2-d numpy arrays.
+
+    ``prefix`` and ``past`` are (keys, values) rows placed before the new
+    keys and values, visible to every query.
+    """
+    def project(lin, x):
+        return x @ lin.w.data + lin.b.data
+
+    q, k, v = project(mha.w_q, x_q), project(mha.w_k, x_kv), project(mha.w_v, x_kv)
+    for rows in (past, prefix):
+        if rows is not None:
+            k = np.concatenate([rows[0], k])
+            v = np.concatenate([rows[1], v])
+    visible = k.shape[0] - allowed.shape[1]
+    allowed = np.concatenate([np.ones((len(q), visible), dtype=bool), allowed], axis=1)
+    dh = mha.dim // mha.heads
+    outs = []
+    for h in range(mha.heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        scores = np.where(allowed, q[:, sl] @ k[:, sl].T / math.sqrt(dh), -np.inf)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append((e / e.sum(axis=1, keepdims=True)) @ v[:, sl])
+    return project(mha.w_o, np.concatenate(outs, axis=1))
+
+
+class TestHeadsByReshape:
+    """Heads split by reshape agree with a per-head loop."""
+
+    def test_masked_self_attention(self, rng):
+        mha = MultiHeadAttention(rng, dim=8, heads=4)
+        x = rng.standard_normal((5, 8))
+        out = mha(Tensor(x), Tensor(x), Mask.causal())
+        ref = per_head_reference(mha, x, x, Mask.causal().allowed(5, 5))
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+
+    def test_cross_attention_with_explicit_mask(self, rng):
+        mha = MultiHeadAttention(rng, dim=8, heads=2)
+        x_q, x_kv = rng.standard_normal((3, 8)), rng.standard_normal((4, 8))
+        allowed = np.array([[1, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
+        out = mha(Tensor(x_q), Tensor(x_kv), allowed)
+        ref = per_head_reference(mha, x_q, x_kv, allowed)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
+
+    def test_prefix_kv_and_cache_step(self, rng):
+        mha = MultiHeadAttention(rng, dim=8, heads=4)
+        prefix = (rng.standard_normal((2, 8)), rng.standard_normal((2, 8)))
+        prefix_t = (Tensor(prefix[0]), Tensor(prefix[1]))
+        x = rng.standard_normal((6, 8))
+        cache = KVCache()
+        first = mha(Tensor(x[:4]), Tensor(x[:4]), Mask.causal(), prefix_kv=prefix_t, cache=cache)
+        ref = per_head_reference(mha, x[:4], x[:4], Mask.causal().allowed(4, 4), prefix)
+        np.testing.assert_allclose(first.data, ref, rtol=0, atol=1e-12)
+        past = (cache.k.data.copy(), cache.v.data.copy())
+        step = mha(Tensor(x[4:]), Tensor(x[4:]), Mask.causal(), prefix_kv=prefix_t, cache=cache)
+        ref = per_head_reference(
+            mha, x[4:], x[4:], Mask.causal().allowed(2, 2), prefix, past
+        )
+        np.testing.assert_allclose(step.data, ref, rtol=0, atol=1e-12)
+        assert len(cache) == 6
+
+    def test_batched_rows_match_unbatched(self, rng):
+        mha = MultiHeadAttention(rng, dim=8, heads=2)
+        x = rng.standard_normal((3, 4, 8))
+        out = mha(Tensor(x), Tensor(x), Mask.causal())
+        assert out.shape == (3, 4, 8)
+        for b in range(3):
+            one = mha(Tensor(x[b]), Tensor(x[b]), Mask.causal())
+            np.testing.assert_allclose(out.data[b], one.data, rtol=0, atol=1e-12)
+
+    def test_batched_gradient(self, rng):
+        mha = MultiHeadAttention(rng, dim=4, heads=2)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        kv = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
+        params = list(mha.named_parameters().values())
+        check_gradients(lambda inp: mha(inp[0], inp[1], Mask.full()).tanh().sum(), [x, kv] + params)
+
+
 class TestTransformerBlock:
     def test_all_zero_weights_pass_input_through(self, rng):
         block = TransformerBlock(rng, dim=4, heads=2)
@@ -170,6 +249,19 @@ class TestTransformerBlock:
         tampered[3:] += 100.0
         out_b = block(Tensor(tampered), Mask.causal())
         assert out_a.data[:3].tobytes() == out_b.data[:3].tobytes()
+
+    def test_batched_cross_rows_match_unbatched(self, rng):
+        block = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)
+        x = rng.standard_normal((3, 5, 4))
+        kv = rng.standard_normal((3, 2, 4))
+        out = block(Tensor(x), Mask.full(), cross_kv=Tensor(kv), cross_rows=2)
+        for b in range(3):
+            one = block(Tensor(x[b]), Mask.full(), cross_kv=Tensor(kv[b]), cross_rows=2)
+            np.testing.assert_allclose(out.data[b], one.data, rtol=0, atol=1e-12)
+        # rows past cross_rows skip cross-attention
+        every = block(Tensor(x), Mask.full(), cross_kv=Tensor(kv), cross_rows=5)
+        np.testing.assert_array_equal(out.data[:, :2], every.data[:, :2])
+        assert not np.allclose(out.data[:, 2:], every.data[:, 2:])
 
     def test_gradient_full_block(self, rng):
         block = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)

@@ -443,6 +443,28 @@ class TestCandidateParsing:
     def test_unparseable_candidates_count_as_generator_failures(self, fixture_paths, tmp_path):
         summary = self.run(fixture_paths, tmp_path / "out", ["no plan here"])
         assert summary["kept_count"] == 0 and summary["generator_failures"] > 0
+        assert summary["generator_failure_reasons"] == {
+            "generator_raised": 0,
+            "no_candidate_parsed": summary["generator_failures"],
+        }
+
+    def test_generator_errors_counted_apart_from_parse_failures(self, fixture_paths, tmp_path):
+        class Raising:
+            name = "raising"
+
+            def generate(self, prompt, count, seed_key):
+                raise ValueError("no plan for this caption")
+
+        paths = fixture_paths
+        summary = build_dataset(
+            paths[0], paths[1], PipelineConfig(similarity_threshold=-1.0),
+            MockEmbedder(dim=16), Raising(), tmp_path / "out",
+        )
+        reasons = summary["generator_failure_reasons"]
+        assert reasons["no_candidate_parsed"] == 0
+        assert reasons["generator_raised"] == summary["generator_failures"] > 0
+        stats = json.loads((tmp_path / "out" / "stats.json").read_text())
+        assert stats["generator_failure_reasons"] == reasons
 
     def test_programming_errors_propagate(self, fixture_paths, tmp_path):
         with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ from planact.errors import ContractError, DimensionError, NumericError
 from planact.gradcheck import check_gradients
 from planact.tensor import (
     Tensor,
+    broadcast_to,
     concat,
     cross_entropy,
     gelu,
@@ -37,6 +38,30 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         check_gradients(lambda inp: (inp[0] @ inp[1]).sum(), [a, b])
+
+    def test_batched_times_matrix_gradient(self, rng):
+        a = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        check_gradients(lambda inp: (inp[0] @ inp[1]).tanh().sum(), [a, w])
+
+    def test_broadcast_batch_gradient(self, rng):
+        a = Tensor(rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+        assert (a @ b).shape == (2, 3, 3, 2)
+        check_gradients(lambda inp: (inp[0] @ inp[1]).tanh().sum(), [a, b])
+
+    def test_batched_rows_match_two_d_products(self, rng):
+        a = rng.standard_normal((3, 5, 4))
+        w = rng.standard_normal((4, 2))
+        out = (Tensor(a) @ Tensor(w)).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a[i] @ w, rtol=0, atol=1e-12)
+
+    def test_rank_one_and_batch_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            Tensor(np.zeros(3)) @ Tensor(np.zeros((3, 2)))
+        with pytest.raises(DimensionError, match=r"\(2, 2, 3\).*\(3, 3, 2\)"):
+            Tensor(np.zeros((2, 2, 3))) @ Tensor(np.zeros((3, 3, 2)))
 
 
 class TestSoftmax:
@@ -228,13 +253,55 @@ class TestShapeOps:
         keep = np.eye(3, dtype=bool)
         check_gradients(lambda inp: masked_fill(inp[0], keep, -5.0).tanh().sum(), [x])
 
+    def test_masked_fill_broadcasts_over_leading_axes(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
+        keep = rng.random((3, 4)) > 0.5
+        out = masked_fill(x, keep, -5.0)
+        np.testing.assert_array_equal(out.data[1, 2], np.where(keep, x.data[1, 2], -5.0))
+        check_gradients(lambda inp: masked_fill(inp[0], keep, -5.0).tanh().sum(), [x])
+
+    def test_masked_fill_rejects_mismatched_mask(self):
+        with pytest.raises(DimensionError):
+            masked_fill(Tensor(np.zeros((2, 3, 4))), np.ones((4, 3), dtype=bool), 0.0)
+
+    def test_broadcast_to_gradient(self, rng):
+        x = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
+        assert broadcast_to(x, (2, 3, 4)).shape == (2, 3, 4)
+        check_gradients(lambda inp: broadcast_to(inp[0], (2, 3, 4)).tanh().sum(), [x])
+        with pytest.raises(DimensionError):
+            broadcast_to(x, (2, 4))
+
     def test_unfold_windows_gradient(self, rng):
-        x = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 2, 4, 5)), requires_grad=True)
         check_gradients(lambda inp: (unfold_windows(inp[0], 3) * 0.3).tanh().sum(), [x])
 
     def test_unfold_windows_shape(self, rng):
-        out = unfold_windows(Tensor(rng.standard_normal((3, 6, 6))), 3)
-        assert out.shape == (16, 27)
+        out = unfold_windows(Tensor(rng.standard_normal((2, 3, 6, 6))), 3)
+        assert out.shape == (2, 16, 27)
+
+    def test_unfold_windows_rows_per_image(self, rng):
+        images = rng.standard_normal((3, 2, 5, 4))
+        out = unfold_windows(Tensor(images), 3).data
+        # window (i, j) of image b, channel-major then row-major inside the window
+        for b, i, j in [(0, 0, 0), (2, 1, 1), (1, 2, 0)]:
+            expected = images[b, :, i : i + 3, j : j + 3].reshape(-1)
+            np.testing.assert_array_equal(out[b, i * 2 + j], expected)
+        with pytest.raises(DimensionError):
+            unfold_windows(Tensor(images[0]), 3)
+
+
+class TestGelu:
+    def test_gradient(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4)) * 2.0, requires_grad=True)
+        check_gradients(lambda inp: gelu(inp[0]).sum(), [x])
+
+    def test_one_node_matches_composite_form(self, rng):
+        x = rng.standard_normal((4, 5)) * 3.0
+        out = gelu(Tensor(x, requires_grad=True))
+        assert all(p.requires_grad and p._grad_fn is None for p in out._parents)
+        c = np.sqrt(2.0 / np.pi)
+        composite = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+        np.testing.assert_allclose(out.data, composite, rtol=0, atol=1e-12)
 
 
 class TestRandomGraphGradients:

@@ -134,26 +134,52 @@ class TestQueryBridge:
             bridge.project_to_lm(Tensor(rng.standard_normal((4, 9))))
 
     def test_instance_features_match_extract(self, encoder, bridge, vocab, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((3, 32, 32))))
+        visual = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
         plan = "go to the red block and activate it"
-        a = bridge.instance_features(visual, plan, vocab)
+        a = bridge.instance_features(visual, [plan], vocab)
         b = bridge.extract(visual, tokenize(plan, vocab))
+        assert a.shape == (1, 4, 16)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_empty_plan_rejected(self, encoder, bridge, vocab, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((3, 32, 32))))
+        visual = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
         with pytest.raises(ContractError):
-            bridge.instance_features(visual, "   ", vocab)
+            bridge.instance_features(visual, ["   "], vocab)
 
     def test_different_plans_distinguishable(self, encoder, bridge, vocab, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((3, 32, 32))))
-        a = bridge.instance_features(visual, "go to the red block", vocab)
-        b = bridge.instance_features(visual, "go to the video", vocab)
-        repeat = bridge.instance_features(visual, "go to the red block", vocab)
+        visual = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
+        a = bridge.instance_features(visual, ["go to the red block"], vocab)
+        b = bridge.instance_features(visual, ["go to the video"], vocab)
+        repeat = bridge.instance_features(visual, ["go to the red block"], vocab)
         d_cross = np.linalg.norm(a.data - b.data)
         d_repeat = np.linalg.norm(a.data - repeat.data)
         assert d_repeat == 0.0
         assert d_cross > 1e-6
+
+    def test_instance_features_rows_match_single_images(self, encoder, bridge, vocab, rng):
+        # two token lengths, interleaved: one extract per length, rows in input order
+        images = rng.standard_normal((3, 3, 32, 32))
+        plans = ["go to the video", "go to the red block", "describe this video ."]
+        batched = bridge.instance_features(encoder.encode_image(Tensor(images)), plans, vocab)
+        for i, plan in enumerate(plans):
+            one = bridge.instance_features(
+                encoder.encode_image(Tensor(images[i : i + 1])), [plan], vocab
+            )
+            np.testing.assert_allclose(batched.data[i], one.data[0], rtol=0, atol=1e-12)
+
+    def test_instance_features_plan_count_must_match(self, encoder, bridge, vocab, rng):
+        visual = encoder.encode_image(Tensor(rng.standard_normal((2, 3, 32, 32))))
+        with pytest.raises(DimensionError):
+            bridge.instance_features(visual, ["go to the video"], vocab)
+
+    def test_extract_rows_match_single_images(self, encoder, bridge, vocab, rng):
+        images = rng.standard_normal((2, 3, 32, 32))
+        ids = tokenize("go to the red block", vocab)
+        batched = bridge.extract(encoder.encode_image(Tensor(images)), ids)
+        assert batched.shape == (2, 4, 16)
+        for i in range(2):
+            one = bridge.extract(encoder.encode_image(Tensor(images[i])), ids)
+            np.testing.assert_allclose(batched.data[i], one.data, rtol=0, atol=1e-12)
 
     def test_gradients_reach_trainables_not_frozen_encoder(self, encoder, bridge, vocab, rng):
         set_trainable(encoder.named_parameters(), False)
