@@ -1,8 +1,9 @@
 """Embedding providers: a pure seeded mock, an HTTP client, and a mock server.
 
 Wire protocol: POST /embed with body {"kind": "text"|"frame", "items": [...]}
-returns {"vectors": [[...], ...]}.  Clients normalise vectors to unit length
-unless the service already guarantees it.
+returns {"vectors": [[...], ...]}.  Every provider mirrors it as
+``embed(kind, items) -> list of vectors``.  Clients normalise vectors to unit
+length unless the service already guarantees it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 from .errors import ContractError, PipelineError
 from .seeding import rng_for
 
+KINDS = ("text", "frame")
+
 
 class MockEmbedder:
     """Seeded hash -> pseudo-random unit vector; pure and stable across runs."""
@@ -33,11 +36,10 @@ class MockEmbedder:
         v = rng_for(self.salt, kind, item).standard_normal(self.dim)
         return v / np.linalg.norm(v)
 
-    def text_embed(self, text: str) -> np.ndarray:
-        return self._vector("text", text)
-
-    def frame_embed(self, frame_ref: str) -> np.ndarray:
-        return self._vector("frame", frame_ref)
+    def embed(self, kind: str, items: list[str]) -> list[np.ndarray]:
+        if kind not in KINDS:
+            raise ContractError(f"embedding kind must be one of {KINDS}, got {kind!r}")
+        return [self._vector(kind, item) for item in items]
 
 
 class RemoteEmbedder:
@@ -66,29 +68,50 @@ class RemoteEmbedder:
             try:
                 # urlopen raises HTTPError, an OSError, on 4xx/5xx responses
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    body = json.loads(resp.read())
-                vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
+                    rows = json.loads(resp.read())["vectors"]
             except (OSError, http.client.HTTPException, KeyError, ValueError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an error response still holds its connection
                 last_error = exc
                 continue
-            if len(vectors) != len(items):
-                raise PipelineError("embedding service returned a short batch")
-            if self.normalize:
-                norms = [np.linalg.norm(v) for v in vectors]
-                if 0.0 in norms:
-                    item = items[norms.index(0.0)]
-                    raise PipelineError(f"embedding service returned a zero {kind} vector for {item!r}")
-                vectors = [v / n for v, n in zip(vectors, norms)]
-            return vectors
+            return self._vectors(kind, items, rows)
         raise PipelineError(f"embedding service unreachable after retries: {last_error}")
 
-    def text_embed(self, text: str) -> np.ndarray:
-        return self._post("text", [text])[0]
+    def _vectors(self, kind: str, items: list[str], rows: list) -> list[np.ndarray]:
+        """One finite 1-D row of a common width per item, else an error naming the item.
 
-    def frame_embed(self, frame_ref: str) -> np.ndarray:
-        return self._post("frame", [frame_ref])[0]
+        A malformed answer is not retried: the service would give it again.
+        """
+        if len(rows) != len(items):
+            raise PipelineError("embedding service returned a short batch")
+        vectors = []
+        for item, row in zip(items, rows):
+            try:
+                v = np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise PipelineError(
+                    f"embedding service returned a non-numeric {kind} vector for {item!r}"
+                ) from None
+            if v.ndim != 1 or (vectors and v.shape != vectors[0].shape):
+                raise PipelineError(
+                    f"embedding service returned a {kind} vector of shape {v.shape} for "
+                    f"{item!r}; each must be a 1-D row of the batch's common width"
+                )
+            if not np.isfinite(v).all():
+                raise PipelineError(
+                    f"embedding service returned a non-finite {kind} vector for {item!r}"
+                )
+            vectors.append(v)
+        if self.normalize:
+            norms = [np.linalg.norm(v) for v in vectors]
+            if 0.0 in norms:
+                item = items[norms.index(0.0)]
+                raise PipelineError(f"embedding service returned a zero {kind} vector for {item!r}")
+            vectors = [v / n for v, n in zip(vectors, norms)]
+        return vectors
+
+    def embed(self, kind: str, items: list[str]) -> list[np.ndarray]:
+        return self._post(kind, items)
 
 
 def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPServer:
@@ -105,16 +128,14 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
             try:
                 length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length))
-                kind = body["kind"]
                 items = body["items"]
-                if kind not in ("text", "frame") or not isinstance(items, list):
-                    raise ValueError("bad request")
-                embed = embedder.text_embed if kind == "text" else embedder.frame_embed
-                vectors = [embed(str(item)).tolist() for item in items]
-            except (ValueError, KeyError, json.JSONDecodeError):
+                if not isinstance(items, list):
+                    raise ValueError("items must be a list")
+                vectors = embedder.embed(body["kind"], [str(item) for item in items])
+            except (ValueError, KeyError, ContractError):
                 self.send_error(400, "expected {kind: text|frame, items: [...]}")
                 return
-            payload = json.dumps({"vectors": vectors}).encode("utf-8")
+            payload = json.dumps({"vectors": [v.tolist() for v in vectors]}).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))

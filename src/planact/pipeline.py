@@ -259,25 +259,32 @@ def ensemble_similarity(frame_embeds: list[np.ndarray], text_embed: np.ndarray) 
 
 
 def select_best_candidate(
-    frame_embeds: list[np.ndarray], candidates: list[str], provider
-) -> tuple[int, str, float]:
-    """Argmax of ensemble similarity over candidates; ties go to the lowest index."""
-    if not candidates:
+    frame_embeds: list[np.ndarray], candidate_embeds: list[np.ndarray]
+) -> tuple[int, float]:
+    """Index and score of the candidate with the highest ensemble similarity; ties go to
+    the lowest index."""
+    if not candidate_embeds:
         raise ContractError("candidate list is empty")
     best_idx, best_score = 0, -math.inf
-    for i, cand in enumerate(candidates):
-        score = ensemble_similarity(frame_embeds, provider.text_embed(cand))
+    for i, cand in enumerate(candidate_embeds):
+        score = ensemble_similarity(frame_embeds, cand)
         if score > best_score:
             best_idx, best_score = i, score
-    return best_idx, candidates[best_idx], best_score
+    return best_idx, best_score
 
 
-def stage2_filter(clip: ClipRecord, tau: float, frame_embeds: list[np.ndarray], provider) -> bool:
+def stage2_filter(
+    clip: ClipRecord,
+    tau: float,
+    frame_embeds: list[np.ndarray],
+    caption_embed: np.ndarray,
+    plan_embed: np.ndarray,
+) -> bool:
     """Keep the clip iff both caption and chosen plan clear the similarity threshold."""
     if not clip.chosen_plan:
         raise ContractError("stage-2 filtering requires a chosen plan")
-    clip.sim_caption = ensemble_similarity(frame_embeds, provider.text_embed(clip.caption))
-    clip.sim_plan = ensemble_similarity(frame_embeds, provider.text_embed(clip.chosen_plan))
+    clip.sim_caption = ensemble_similarity(frame_embeds, caption_embed)
+    clip.sim_plan = ensemble_similarity(frame_embeds, plan_embed)
     clip.kept = clip.sim_caption >= tau and clip.sim_plan >= tau
     return clip.kept
 
@@ -367,7 +374,8 @@ def build_dataset(
     """Run both cleaning stages end to end; writes dataset, question and stats files.
 
     Output rows are merged in sorted (video_id, start_sec) order so the result
-    does not depend on per-video processing order.
+    does not depend on per-video processing order.  ``provider.embed(kind, items)``
+    is called twice for each clip that reaches selection.
     """
     out_dir = Path(out_dir)
     metas, grouped, orphans = ingest(narrations_path, meta_path)
@@ -413,14 +421,17 @@ def build_dataset(
                 failure_reasons["no_candidate_parsed"] += 1
                 continue
             clip.candidates = [text for text, _ in parsed]
-            frames = [
-                provider.frame_embed(frame_ref(vid, t))
-                for t in keyframe_times(start, end, cfg.keyframes_per_clip)
-            ]
-            idx, chosen, _ = select_best_candidate(frames, clip.candidates, provider)
-            clip.chosen_plan = chosen
+            # two requests per clip: its keyframes, then its distinct texts (the
+            # candidates and the caption; the chosen plan is one of the candidates)
+            refs = [frame_ref(vid, t) for t in keyframe_times(start, end, cfg.keyframes_per_clip)]
+            frames = provider.embed("frame", refs)
+            texts = list(dict.fromkeys([*clip.candidates, caption]))
+            text_embeds = dict(zip(texts, provider.embed("text", texts)))
+            idx, _ = select_best_candidate(frames, [text_embeds[c] for c in clip.candidates])
+            clip.chosen_plan = clip.candidates[idx]
             clip.chosen_doc = parsed[idx][1]
-            if stage2_filter(clip, cfg.similarity_threshold, frames, provider):
+            if stage2_filter(clip, cfg.similarity_threshold, frames,
+                             text_embeds[caption], text_embeds[clip.chosen_plan]):
                 clips.append(clip)
             else:
                 counters["stage2_dropped"] += 1

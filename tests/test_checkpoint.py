@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from planact.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from planact.errors import ValidationError
@@ -67,3 +71,20 @@ def test_truncated_blob_names_file_and_tensor(tmp_path, rng):
     blob.write_bytes(blob.read_bytes()[:-8])
     with pytest.raises(ValidationError, match=r"ckpt\.bin.*tensor b\.w"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple), min_size=1, max_size=4),
+    st.data(),
+)
+def test_any_truncated_blob_rejected(shapes, data):
+    tensors = {f"t{i}": Tensor(np.ones(shape)) for i, shape in enumerate(shapes)}
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "ckpt"
+        save_checkpoint(prefix, tensors)
+        blob = prefix.with_suffix(".bin")
+        full = blob.read_bytes()
+        assume(full)
+        blob.write_bytes(full[: data.draw(st.integers(0, len(full) - 1), label="kept bytes")])
+        with pytest.raises(ValidationError, match=r"ckpt\.bin"):
+            load_checkpoint(prefix)

@@ -1,10 +1,15 @@
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from planact.embedder import MockEmbedder
+from planact.embedder import MockEmbedder, RemoteEmbedder
 from planact.errors import ContractError, IngestError, PipelineError, ValidationError
 from planact.lm import LmConfig, MicroLm
 from planact.pipeline import (
@@ -14,6 +19,7 @@ from planact.pipeline import (
     PipelineConfig,
     SyntheticPlanGenerator,
     build_dataset,
+    caption_from_prompt,
     compute_alpha,
     compute_beta,
     cosine_similarity,
@@ -85,6 +91,37 @@ class TestIngest:
         write_jsonl(tmp_path / "m.jsonl", [meta("v", 10.0), meta("w", 5.0), meta("v", 2.0)])
         with pytest.raises(ValidationError, match=r"m\.jsonl.*duplicate.*video v"):
             ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+
+
+def _non_json_line(text):
+    if text.splitlines() != [text] or not text.strip():
+        return False
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+@given(
+    st.sampled_from(["narrations", "meta"]),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.text(min_size=1).filter(_non_json_line),
+)
+def test_non_json_line_at_any_position_names_path_and_line(corrupt, rows, position, garbage):
+    position = min(position, rows)
+    lines = {
+        "narrations": [json.dumps(narr(f"v{i}", 1.0, "C opens a drawer")) for i in range(rows)],
+        "meta": [json.dumps(meta(f"v{i}", 10.0)) for i in range(rows)],
+    }
+    lines[corrupt].insert(position, garbage)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.jsonl" for name in lines}
+        for name, path in paths.items():
+            path.write_text("\n".join(lines[name]) + "\n")
+        with pytest.raises(IngestError, match=re.escape(f"{paths[corrupt]}:{position + 1}:")):
+            ingest(paths["narrations"], paths["meta"])
 
 
 class TestStage1Filter:
@@ -255,25 +292,23 @@ class TestSimilarity:
 
 
 class FixedProvider:
-    """Maps specific texts to fixed vectors; everything else is orthogonal filler."""
+    """Maps specific items to fixed vectors; everything else is orthogonal filler."""
 
     def __init__(self, mapping, dim=4):
         self.mapping = mapping
         self.dim = dim
 
-    def text_embed(self, text):
-        return np.asarray(self.mapping.get(text, [1.0] + [0.0] * (self.dim - 1)))
-
-    def frame_embed(self, ref):
-        return np.asarray(self.mapping.get(ref, [1.0] + [0.0] * (self.dim - 1)))
+    def embed(self, kind, items):
+        filler = [1.0] + [0.0] * (self.dim - 1)
+        return [np.asarray(self.mapping.get(item, filler)) for item in items]
 
 
 class TestSelection:
     def test_single_candidate(self):
         frames = [np.array([1.0, 0.0])]
         provider = FixedProvider({}, dim=2)
-        idx, chosen, _ = select_best_candidate(frames, ["only"], provider)
-        assert idx == 0 and chosen == "only"
+        idx, _ = select_best_candidate(frames, provider.embed("text", ["only"]))
+        assert idx == 0
 
     def test_engineered_third_candidate_wins(self):
         frames = [np.array([0.0, 0.0, 1.0, 0.0])]
@@ -286,26 +321,29 @@ class TestSelection:
         }
         provider = FixedProvider(mapping)
         cands = ["c0", "c1", "c2", "c3", "c4"]
-        idx, chosen, score = select_best_candidate(frames, cands, provider)
-        assert idx == 2 and chosen == "c2" and score == pytest.approx(1.0)
+        idx, score = select_best_candidate(frames, provider.embed("text", cands))
+        assert idx == 2 and score == pytest.approx(1.0)
 
     def test_tie_breaks_to_lowest_index(self):
         frames = [np.array([1.0, 0.0])]
         provider = FixedProvider({"a": [1.0, 0.0], "b": [1.0, 0.0]}, dim=2)
-        idx, chosen, _ = select_best_candidate(frames, ["a", "b"], provider)
-        assert idx == 0 and chosen == "a"
+        idx, _ = select_best_candidate(frames, provider.embed("text", ["a", "b"]))
+        assert idx == 0
 
     def test_matches_exhaustive_argmax_all_sizes(self):
-        rng = np.random.default_rng(2)
         mock = MockEmbedder(dim=8)
-        frames = [mock.frame_embed(f"f{i}") for i in range(3)]
-        pool = [f"candidate text {i}" for i in range(5)]
+        frames = mock.embed("frame", [f"f{i}" for i in range(3)])
+        pool = mock.embed("text", [f"candidate text {i}" for i in range(5)])
         for size in range(1, 6):
             cands = pool[:size]
-            idx, _, score = select_best_candidate(frames, cands, mock)
-            scores = [ensemble_similarity(frames, mock.text_embed(c)) for c in cands]
+            idx, score = select_best_candidate(frames, cands)
+            scores = [ensemble_similarity(frames, c) for c in cands]
             assert idx == int(np.argmax(scores))
-            assert score == pytest.approx(max(scores))
+            assert score == max(scores)
+
+    def test_empty_candidates_rejected(self):
+        with pytest.raises(ContractError, match="empty"):
+            select_best_candidate([np.array([1.0, 0.0])], [])
 
 
 class TestStage2Filter:
@@ -313,11 +351,15 @@ class TestStage2Filter:
         return ClipRecord("v", 0.0, 1.0, "C opens a drawer",
                           chosen_plan="Task: t\nPlan: p\nActions:\n1. open(drawer)")
 
+    def embeds(self, provider, clip):
+        return provider.embed("text", [clip.caption, clip.chosen_plan])
+
     def test_threshold_extremes(self):
         mock = MockEmbedder(dim=8)
-        frames = [mock.frame_embed("f")]
-        assert stage2_filter(self.make_clip(), -1.0, frames, mock) is True
-        assert stage2_filter(self.make_clip(), 1.0 - 1e-12, frames, mock) is False
+        frames = mock.embed("frame", ["f"])
+        clip = self.make_clip()
+        assert stage2_filter(clip, -1.0, frames, *self.embeds(mock, clip)) is True
+        assert stage2_filter(clip, 1.0 - 1e-12, frames, *self.embeds(mock, clip)) is False
 
     def test_conjunction_semantics(self):
         clip = self.make_clip()
@@ -326,15 +368,16 @@ class TestStage2Filter:
             {clip.caption: [0.8, 0.6, 0.0],
              clip.chosen_plan: [0.3, math.sqrt(1 - 0.09), 0.0]}, dim=3
         )
-        kept = stage2_filter(clip, 0.5, frames, provider)
+        kept = stage2_filter(clip, 0.5, frames, *self.embeds(provider, clip))
         assert clip.sim_caption == pytest.approx(0.8)
         assert clip.sim_plan == pytest.approx(0.3)
         assert kept is False
 
     def test_missing_plan_rejected(self):
         clip = ClipRecord("v", 0.0, 1.0, "caption")
+        vector = np.array([1.0, 0.0])
         with pytest.raises(ContractError):
-            stage2_filter(clip, 0.0, [np.array([1.0, 0.0])], MockEmbedder(dim=2))
+            stage2_filter(clip, 0.0, [vector], vector, vector)
 
 
 FIXTURE_NARRATIONS = [
@@ -419,6 +462,74 @@ class TestBuildDataset:
         for row in map(json.loads, (out / "vqa.jsonl").read_text().splitlines()):
             assert (row["video_id"], row["start_sec"]) in dataset_keys
             assert row["question"] and row["answer"]
+
+
+    def test_http_provider_byte_identical(self, fixture_paths, tmp_path, serve):
+        cfg = PipelineConfig(similarity_threshold=0.0)
+        remote = RemoteEmbedder(serve(MockEmbedder(dim=16)), normalize=False)
+        outs = {"mock": MockEmbedder(dim=16), "http": remote}
+        summaries = {
+            name: build_dataset(*fixture_paths, cfg, provider, SyntheticPlanGenerator(),
+                                tmp_path / name, seed=3)
+            for name, provider in outs.items()
+        }
+        assert summaries["http"] == summaries["mock"]
+        assert summaries["mock"]["kept_count"] > 0 and summaries["mock"]["stage2_dropped"] > 0
+        for name in ["dataset.jsonl", "vqa.jsonl", "stats.json"]:
+            assert (tmp_path / "http" / name).read_bytes() == (tmp_path / "mock" / name).read_bytes()
+
+
+class TestEmbeddingRequests:
+    """Each clip that reaches selection costs one frame and one text request."""
+
+    class LoggingProvider:
+        def __init__(self, log):
+            self.log = log
+            self.inner = MockEmbedder(dim=16)
+
+        def embed(self, kind, items):
+            self.log[-1]["calls"].append((kind, list(items)))
+            return self.inner.embed(kind, items)
+
+    class LoggingGenerator:
+        """Synthetic plans with the first repeated; "cup" captions raise, "drawer" ones
+        give no parseable plan."""
+
+        name = "logging"
+
+        def __init__(self, log):
+            self.log = log
+
+        def generate(self, prompt, count, seed_key):
+            caption = caption_from_prompt(prompt)
+            entry = {"caption": caption, "candidates": [], "calls": []}
+            self.log.append(entry)
+            if "cup" in caption:
+                raise ValueError("no plan for this caption")
+            if "drawer" in caption:
+                return ["no plan here"]
+            plans = SyntheticPlanGenerator().generate(prompt, count, seed_key)
+            entry["candidates"] = plans + plans[:1]
+            return entry["candidates"]
+
+    def test_two_requests_per_selected_clip(self, fixture_paths, tmp_path):
+        log = []
+        summary = build_dataset(
+            *fixture_paths, PipelineConfig(similarity_threshold=0.0),
+            self.LoggingProvider(log), self.LoggingGenerator(log), tmp_path / "out",
+        )
+        selected = [entry for entry in log if entry["candidates"]]
+        assert len(selected) == summary["kept_count"] + summary["stage2_dropped"] > 0
+        assert len(log) - len(selected) == summary["generator_failures"] > 0
+        for entry in log:
+            if not entry["candidates"]:
+                assert entry["calls"] == []
+                continue
+            (frame_kind, frames), (text_kind, texts) = entry["calls"]
+            assert (frame_kind, text_kind) == ("frame", "text")
+            assert len(frames) == len(set(frames)) > 0
+            assert len(texts) == len(set(texts))
+            assert set(texts) == {*entry["candidates"], entry["caption"]}
 
 
 class FixedCandidates:
