@@ -128,6 +128,8 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
             try:
                 length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length))
+                if not isinstance(body, dict):
+                    raise ValueError("body must be a JSON object")
                 items = body["items"]
                 if not isinstance(items, list):
                     raise ValueError("items must be a list")

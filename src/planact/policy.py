@@ -22,7 +22,7 @@ from .gridworld import (
 from .seeding import stable_seed
 from .nn import Linear, Module, gelu, set_trainable
 from .optim import AdamW, AdamWConfig, LrSchedule
-from .tensor import Tensor, concat, cross_entropy, take_rows, unfold_windows, zeros
+from .tensor import Tensor, concat, cross_entropy, no_grad, take_rows, unfold_windows, zeros
 from .vision import VisionConfig, VisualEncoder
 from .vocab import Vocabulary
 
@@ -223,7 +223,9 @@ class ControlModel(Module):
         return self.policy_logits(z_instance, self.global_enc(Tensor(obs)))
 
     def act(self, obs: np.ndarray, plan_text: str | None) -> int:
-        return int(np.argmax(self.forward(obs[None], [plan_text]).data[0]))
+        """Greedy action for one observation; records no autodiff graph."""
+        with no_grad():
+            return int(np.argmax(self.forward(obs[None], [plan_text]).data[0]))
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         """Parameters that require grad; ``__init__`` freezes the rest."""
@@ -266,9 +268,13 @@ def dataset_loss(
     limit: int = 256,
     cache: dict | None = None,
 ) -> float:
-    """Mean NLL of the unaugmented expert actions; ``cache`` as in ``ControlModel.forward``."""
+    """Mean NLL of the unaugmented expert actions; ``cache`` as in ``ControlModel.forward``.
+
+    Only the value is returned, so no autodiff graph is recorded.
+    """
     data = _dataset_from_demos(demos, augment=False)[:limit]
-    return _batch_loss(model, data, cache).item()
+    with no_grad():
+        return _batch_loss(model, data, cache).item()
 
 
 def bc_train(

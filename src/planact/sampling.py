@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractError
 from .lm import MicroLm
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .vocab import EOS, Vocabulary, detokenize
 
 
@@ -66,25 +66,26 @@ def generate(
     the prefill's last logit row, and then feeds one token per step, so a
     step runs one position.  Samples are drawn sequentially from one seeded
     stream, stopping at EOS or after ``max_new_tokens`` new tokens; no forward
-    runs after a sample's last token.
+    runs after a sample's last token.  Decoding records no autodiff graph.
     """
-    rng = np.random.default_rng(cfg.seed)
-    prefill = model.new_cache()
-    first = model.forward(prompt_ids, soft_prompt, use_adapters=use_adapters, cache=prefill)
-    results = []
-    for _ in range(cfg.samples_per_prompt):
-        cache = prefill.copy()
-        logits = first.data[-1]
-        new: list[int] = []
-        for _ in range(cfg.max_new_tokens):
-            if new:
-                step = model.forward([new[-1]], None, use_adapters=use_adapters, cache=cache)
-                logits = step.data[-1]
-            token = sample_token(logits, cfg.temperature, cfg.top_p, rng)
-            new.append(token)
-            if token == EOS:
-                break
-        results.append(new)
-    if vocab is not None:
-        return [detokenize(sample, vocab) for sample in results]
-    return results
+    with no_grad():
+        rng = np.random.default_rng(cfg.seed)
+        results = []
+        prefill = model.new_cache()
+        first = model.forward(prompt_ids, soft_prompt, use_adapters=use_adapters, cache=prefill)
+        for _ in range(cfg.samples_per_prompt):
+            cache = prefill.copy()
+            logits = first.data[-1]
+            new: list[int] = []
+            for _ in range(cfg.max_new_tokens):
+                if new:
+                    step = model.forward([new[-1]], None, use_adapters=use_adapters, cache=cache)
+                    logits = step.data[-1]
+                token = sample_token(logits, cfg.temperature, cfg.top_p, rng)
+                new.append(token)
+                if token == EOS:
+                    break
+            results.append(new)
+        if vocab is not None:
+            return [detokenize(sample, vocab) for sample in results]
+        return results

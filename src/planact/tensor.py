@@ -5,16 +5,37 @@ gradients stores its parents and a closure computing parent gradients from the
 output gradient.  ``backward`` walks that record once, in reverse topological
 order, and accumulates gradients onto the participating leaves.  Everything is
 float64 throughout so finite-difference checks stay meaningful.
+
+Inside a ``with no_grad():`` block nothing is recorded: every operation
+returns a plain constant, without looking at its inputs' ``requires_grad``,
+so inference pays for the arithmetic only and a result computed there cannot
+be differentiated (``backward`` raises ``ContractError``).  Blocks nest and
+the previous state comes back when a block exits, also on an exception.  The
+switch is one module-level flag shared by every thread of the process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
+
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no autodiff graph inside the block (see the module docstring)."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -67,7 +88,7 @@ class Tensor:
         grad_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     ) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._grad_fn = grad_fn
@@ -194,9 +215,8 @@ class Tensor:
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        inverse = tuple(np.argsort(axes))
         out = self.data.transpose(axes)
-        return Tensor._result(out, (self,), lambda g: (g.transpose(inverse),))
+        return Tensor._result(out, (self,), lambda g: (g.transpose(np.argsort(axes)),))
 
     def __getitem__(self, key) -> "Tensor":
         out = self.data[key]
@@ -295,10 +315,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ContractError("concat requires at least one tensor")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def grad_fn(g: np.ndarray):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     return Tensor._result(out, tuple(tensors), grad_fn)
@@ -358,17 +377,36 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean / unit variance, then apply the affine map."""
+    """Normalise the last axis to zero mean / unit variance, then apply the affine map.
+
+    One node with an analytic backward.  The forward does the float64
+    operations of the composite ``mean``/``-``/``*``/``sqrt``/``/`` form in the
+    same order, so its output is bit-identical to composing those ops.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}"
         )
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered / (var + eps).sqrt()
-    return normed * gamma + beta
+    inv_d = 1.0 / d
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    std = np.sqrt(var + eps)
+    normed = centered / std
+    if not np.all(np.isfinite(normed)):
+        raise NumericError("layer_norm produced non-finite values")
+    out = normed * gamma.data + beta.data
+
+    def grad_fn(g: np.ndarray):
+        g_normed = g * gamma.data
+        g_x = (
+            g_normed
+            - g_normed.sum(axis=-1, keepdims=True) * inv_d
+            - normed * (g_normed * normed).sum(axis=-1, keepdims=True) * inv_d
+        ) / std
+        return (g_x, _unbroadcast(g * normed, (d,)), _unbroadcast(g, (d,)))
+
+    return Tensor._result(out, (x, gamma, beta), grad_fn)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:

@@ -79,6 +79,18 @@ class TestEmbedServer:
         assert info.value.code == 400
         info.value.close()
 
+    @pytest.mark.parametrize("body", [[1, 2], "x"])
+    def test_body_that_is_not_an_object_rejected(self, server_url, body):
+        request = urllib.request.Request(
+            f"{server_url}/embed",
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert info.value.code == 400
+        info.value.close()
+
     def test_error_status_retried_then_raises(self, server_url):
         remote = RemoteEmbedder(server_url, retries=1)
         with pytest.raises(PipelineError, match="retries.*400"):

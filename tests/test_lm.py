@@ -121,6 +121,17 @@ class TestSampler:
         seen = {sample_token(logits, 1.0, 0.65, rng) for _ in range(300)}
         assert seen == {0, 1}
 
+    def test_sampled_ids_pinned(self, model):
+        # ids as sampled when decoding still recorded an autodiff graph; a faster
+        # decode that moves any of them changes the model's output
+        cfg = GenerationConfig(temperature=1.0, top_p=0.95, samples_per_prompt=3,
+                               max_new_tokens=12, seed=5)
+        assert generate(model, [4, 5, 6, 7, 8, 9, 10, 11], None, cfg) == [
+            [6, 14, 14, 5, 8, 8, 10, 13, 5, 15, 10, 10],
+            [13, 7, 14, EOS],
+            [13, 8, 13, 5, 1, 1, 5, 8, 8, 4, 10, 9],
+        ]
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ContractError):
             GenerationConfig(temperature=-0.1)

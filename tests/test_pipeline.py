@@ -93,6 +93,24 @@ class TestIngest:
             ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
 
 
+@given(
+    st.lists(st.text(min_size=1), min_size=1, max_size=4, unique=True),
+    st.integers(0, 3),
+    st.integers(0, 4),
+)
+def test_repeated_meta_row_at_any_position_names_file_and_id(ids, repeated, position):
+    vid = ids[min(repeated, len(ids) - 1)]
+    rows = [meta(v, 10.0) for v in ids]
+    rows.insert(min(position, len(rows)), meta(vid, 3.0))
+    with tempfile.TemporaryDirectory() as tmp:
+        narrations, metas = Path(tmp) / "n.jsonl", Path(tmp) / "m.jsonl"
+        narrations.write_text("")
+        write_jsonl(metas, rows)
+        with pytest.raises(ValidationError) as info:
+            ingest(narrations, metas)
+    assert str(metas) in str(info.value) and f"video {vid}" in str(info.value)
+
+
 def _non_json_line(text):
     if text.splitlines() != [text] or not text.strip():
         return False

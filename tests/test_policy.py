@@ -104,6 +104,21 @@ class TestForward:
             forward_one(plain, obs, plan).data, forward_one(plain, obs, None).data
         )
 
+    def test_act_records_no_graph(self, vocab, data, monkeypatch):
+        model = make_model(vocab, train_bridge=True)
+        obs, plan, _ = data[0]
+        outputs = []
+        forward = model.forward
+
+        def recorded(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "forward", recorded)
+        action = model.act(obs, plan)
+        assert action == int(np.argmax(forward_one(model, obs, plan).data[0]))
+        assert not outputs[0].requires_grad and outputs[0]._parents == ()
+
     def test_same_seed_same_logits(self, vocab, data):
         obs, plan, _ = data[0]
         a = forward_one(make_model(vocab, seed=3), obs, plan).data
@@ -255,6 +270,23 @@ class TestBcTrain:
         monkeypatch.undo()
         assert log.initial_loss == initial
         assert log.final_loss == dataset_loss(model, demos)
+
+    def test_logged_losses_record_no_graph(self, vocab, monkeypatch):
+        demos = collect_demos(EnvConfig(), [0])
+        model = make_model(vocab)
+        losses = []
+
+        def recorded(*args, **kwargs):
+            losses.append(_batch_loss(*args, **kwargs))
+            return losses[-1]
+
+        monkeypatch.setattr("planact.policy._batch_loss", recorded)
+        log = bc_train(model, demos, seed=0, epochs=1)
+        logged, trained = [losses[0], losses[-1]], losses[1:-1]
+        assert trained and all(loss.requires_grad for loss in trained)
+        assert not any(loss.requires_grad or loss._parents for loss in logged)
+        # values recorded while the logged losses still built a graph
+        assert (log.initial_loss, log.final_loss) == (1.8079538055776252, 1.769793713070203)
 
 
 class TestEvaluation:

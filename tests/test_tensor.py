@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from planact.errors import ContractError, DimensionError, NumericError
 from planact.gradcheck import check_gradients
+from planact.gridworld import OBJECT_NAMES, EnvConfig, collect_demos, plan_for
+from planact.lm import LmConfig, MicroLm
+from planact.policy import ControlModel, PolicyConfig
 from planact.tensor import (
     Tensor,
     broadcast_to,
@@ -13,10 +16,13 @@ from planact.tensor import (
     gelu,
     layer_norm,
     masked_fill,
+    no_grad,
+    parameter,
     softmax,
     take_rows,
     unfold_windows,
 )
+from planact.vocab import Vocabulary
 
 
 class TestMatmul:
@@ -130,13 +136,37 @@ class TestLayerNorm:
         assert np.all(np.abs(out.data.mean(axis=-1)) <= 1e-10)
         assert np.all(np.abs(out.data.var(axis=-1) - 1.0) <= 1e-6)
 
-    def test_gradient(self, rng):
-        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-        g = Tensor(rng.standard_normal(4), requires_grad=True)
-        b = Tensor(rng.standard_normal(4), requires_grad=True)
+    @pytest.mark.parametrize("shape", [(2, 4), (2, 3, 5)])
+    def test_gradient(self, rng, shape):
+        # with leading axes the gamma and beta gradients sum over all of them
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        g = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        b = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        w = rng.standard_normal(shape)
         check_gradients(
-            lambda inp: (layer_norm(inp[0], inp[1], inp[2]) * 0.7).sum(), [x, g, b]
+            lambda inp: (layer_norm(inp[0], inp[1], inp[2]) * w).tanh().sum(), [x, g, b]
         )
+
+    def test_one_node_bit_equal_to_composite(self, rng):
+        def composite(x, gamma, beta, eps=1e-5):
+            mu = x.mean(axis=-1, keepdims=True)
+            centered = x - mu
+            var = (centered * centered).mean(axis=-1, keepdims=True)
+            return centered / (var + eps).sqrt() * gamma + beta
+
+        for shape in [(7,), (3, 16), (2, 3, 64)]:
+            data = rng.standard_normal(shape) * 4.0 + 1.5
+            gamma = rng.standard_normal(shape[-1])
+            beta = rng.standard_normal(shape[-1])
+            fused = [Tensor(a, requires_grad=True) for a in (data, gamma, beta)]
+            unfused = [Tensor(a, requires_grad=True) for a in (data, gamma, beta)]
+            out, reference = layer_norm(*fused), composite(*unfused)
+            assert out._parents == tuple(fused)
+            assert out.data.tobytes() == reference.data.tobytes()
+            (out * out).sum().backward()
+            (reference * reference).sum().backward()
+            for a, b in zip(fused, unfused):
+                np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12, atol=1e-12)
 
 
 class TestCrossEntropy:
@@ -222,6 +252,61 @@ class TestBackward:
             return loss.data.tobytes(), x.grad.tobytes()
 
         assert run() == run()
+
+
+class TestNoGrad:
+    def test_op_on_parameter_records_nothing(self, rng):
+        p = parameter(rng, (3, 4), scale=1.0)
+        with no_grad():
+            out = layer_norm(p @ Tensor(np.ones((4, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        assert not out.requires_grad
+        assert out._parents == () and out._grad_fn is None
+        assert p.requires_grad  # leaves keep their flag
+
+    def test_restored_after_nesting_and_exception(self, rng):
+        p = parameter(rng, (2,), scale=1.0)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (p * 2.0).requires_grad
+        assert (p * 2.0).requires_grad
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the block")
+        assert (p * 2.0).requires_grad
+
+    def test_backward_on_result_rejected(self, rng):
+        p = parameter(rng, (2,), scale=1.0)
+        with no_grad():
+            loss = (p * p).sum()
+        with pytest.raises(ContractError):
+            loss.backward()
+
+    def test_lm_logits_bit_equal(self, rng):
+        vocab = Vocabulary.build(["go to the red block", "open the drawer now"])
+        model = MicroLm(rng, LmConfig(vocab_size=len(vocab), dim=16, blocks=2, heads=2,
+                                      context=32, prefix_len=3))
+        prompt = Tensor(rng.standard_normal((2, 16)))
+        recorded = model.forward([4, 5, 6, 7], prompt)
+        with no_grad():
+            plain = model.forward([4, 5, 6, 7], prompt)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
+
+    @pytest.mark.parametrize("train_bridge", [False, True])
+    def test_policy_logits_bit_equal(self, train_bridge):
+        vocab = Vocabulary.build([plan_for(name) for name in OBJECT_NAMES])
+        config = PolicyConfig(bridge_dim=16, query_count=2, hidden_dim=16, global_dim=8,
+                              conv_channels=4, train_bridge=train_bridge)
+        model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
+        steps = collect_demos(EnvConfig(), [0])[0].steps[:3]
+        obs = np.stack([o for o, _, _ in steps])
+        plans = [p for _, p, _ in steps]
+        recorded = model.forward(obs, plans)
+        with no_grad():
+            plain = model.forward(obs, plans)
+        assert recorded.requires_grad and not plain.requires_grad
+        assert plain.data.tobytes() == recorded.data.tobytes()
 
 
 class TestShapeOps:
