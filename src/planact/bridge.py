@@ -2,7 +2,8 @@
 
 A fixed set of learnable query vectors is concatenated with embedded text,
 self-attends under a full mask, and cross-attends (query rows only, on every
-``cross_freq``-th block) to the visual tokens.  Only the query rows are
+``cross_freq``-th block) to the visual tokens, the ``(..., patches, dim)``
+tensor that ``VisualEncoder.encode_image`` returns.  Only the query rows are
 returned, so the output is a fixed-size bottleneck regardless of how many
 visual or text tokens went in.  A single affine map projects that summary into
 the language model's embedding space as soft prompt rows.
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .nn import Linear, Mask, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
 from .tensor import Tensor, broadcast_to, concat, parameter, take_rows
-from .vision import VisualTokens
 from .vocab import Vocabulary, tokenize
 
 
@@ -55,15 +55,14 @@ class QueryBridge(Module):
 
     def extract(
         self,
-        visual: VisualTokens,
+        tokens: Tensor,
         text_ids: Sequence[int] | Sequence[Sequence[int]] | None = None,
     ) -> Tensor:
         """Summarise visual tokens (optionally conditioned on text) into (..., N, D).
 
-        ``visual.tokens`` is (..., P, D).  ``text_ids`` is one id sequence shared
-        by every leading index, or one row of equally many ids per leading index.
+        ``tokens`` is (..., P, D).  ``text_ids`` is one id sequence shared by
+        every leading index, or one row of equally many ids per leading index.
         """
-        tokens = visual.tokens
         if tokens.shape[-2] == 0:
             raise ContractError("visual token set is empty")
         if tokens.shape[-1] != self.config.dim:
@@ -95,14 +94,13 @@ class QueryBridge(Module):
         return self.proj(summary)
 
     def instance_features(
-        self, visual: VisualTokens, plan_texts: Sequence[str], vocab: Vocabulary
+        self, tokens: Tensor, plan_texts: Sequence[str], vocab: Vocabulary
     ) -> Tensor:
         """Re-query each image's tokens (B, P, D) with its own plan as the text input.
 
         Feeds the policy.  Rows whose plans tokenise to the same length share
         one ``extract`` call; the result is (B, N, D) in the order of the rows.
         """
-        tokens = visual.tokens
         if tokens.ndim != 3 or tokens.shape[0] != len(plan_texts):
             raise DimensionError(f"{len(plan_texts)} plans for visual tokens {tokens.shape}")
         ids: list[list[int]] = []
@@ -113,10 +111,9 @@ class QueryBridge(Module):
             ids.append(tokenize(plan_text, vocab))
             by_length.setdefault(len(ids[-1]), []).append(i)
         if len(by_length) == 1:
-            return self.extract(visual, ids)
+            return self.extract(tokens, ids)
         parts, order = [], []
         for rows in by_length.values():
-            part = VisualTokens(tokens[rows], visual.frame_count, visual.patches_per_frame)
-            parts.append(self.extract(part, [ids[i] for i in rows]))
+            parts.append(self.extract(tokens[rows], [ids[i] for i in rows]))
             order += rows
         return take_rows(concat(parts, axis=0), np.argsort(order))

@@ -1,6 +1,7 @@
-"""Checkpoint serialisation: a JSON manifest plus one little-endian float64 blob.
+"""Checkpoint serialisation, plus the atomic writers and JSON-lines reader shared by all files.
 
-The manifest lists every tensor as ``{name, shape, dtype, byte_offset}`` in blob
+A checkpoint is a JSON manifest plus one little-endian float64 blob.  The
+manifest lists every tensor as ``{name, shape, dtype, byte_offset}`` in blob
 order, alongside free-form metadata.  Round-trips are bit-exact.
 """
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IngestError, ValidationError
 from .tensor import Tensor
 
 
@@ -33,6 +34,30 @@ def atomic_write_bytes(path: Path, payload: bytes) -> None:
 
 def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]:
+    """``(line number, row)`` of every non-blank line; each row must be an object
+    holding the ``required`` keys with values of the given types."""
+    rows = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{path}:{lineno}: malformed JSON line ({exc.msg})") from None
+        if not isinstance(row, dict):
+            raise IngestError(f"{path}:{lineno}: expected a JSON object, got {type(row)}")
+        for key, typ in required.items():
+            if key not in row:
+                raise IngestError(f"{path}:{lineno}: missing key {key!r}")
+            if not isinstance(row[key], typ):
+                raise IngestError(
+                    f"{path}:{lineno}: key {key!r} expected {typ}, got {type(row[key])}"
+                )
+        rows.append((lineno, row))
+    return rows
 
 
 def save_checkpoint(prefix: Path, tensors: dict[str, Tensor], meta: dict | None = None) -> None:
@@ -59,7 +84,12 @@ def load_checkpoint(prefix: Path) -> tuple[dict[str, np.ndarray], dict]:
     blob_path = prefix.with_suffix(".bin")
     if not manifest_path.exists() or not blob_path.exists():
         raise ValidationError(f"checkpoint not found at {prefix}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{manifest_path}: malformed JSON manifest ({exc.msg})") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise IngestError(f"{manifest_path}: manifest has no list of tensors")
     blob = blob_path.read_bytes()
     arrays: dict[str, np.ndarray] = {}
     for entry in manifest["tensors"]:

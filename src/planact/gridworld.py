@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write_bytes, atomic_write_text
-from .errors import ConfigError, ContractError, ValidationError
+from .checkpoint import atomic_write_bytes, atomic_write_text, read_jsonl
+from .errors import ConfigError, ContractError, IngestError, ValidationError
 from .plans import PlanDocument, PlanStep, render_plan
 
 ACTIONS = ("up", "down", "left", "right", "interact")
@@ -233,7 +233,8 @@ def save_demos(prefix: Path, demos: list[Demonstration]) -> None:
 
 
 def load_demos(prefix: Path, config: EnvConfig) -> list[Demonstration]:
-    """Read what ``save_demos`` wrote; a blob or ``obs_ref`` that does not fit raises."""
+    """Read what ``save_demos`` wrote; a malformed line, a blob or an ``obs_ref``
+    that does not fit raises."""
     prefix = Path(prefix)
     bin_path, jsonl_path = prefix.with_suffix(".bin"), prefix.with_suffix(".jsonl")
     obs_shape = (config.object_count + 1, config.height, config.width)
@@ -246,17 +247,26 @@ def load_demos(prefix: Path, config: EnvConfig) -> list[Demonstration]:
         )
     blob = np.frombuffer(raw, dtype="<f8").reshape(-1, *obs_shape)
     demos = []
-    for line in jsonl_path.read_text().splitlines():
-        row = json.loads(line)
+    for lineno, row in read_jsonl(jsonl_path, {"seed": int, "steps": list}):
         steps = []
         for i, step in enumerate(row["steps"]):
+            if not (
+                isinstance(step, dict)
+                and "obs_ref" in step
+                and isinstance(step.get("plan"), str)
+                and type(step.get("action")) is int
+            ):
+                raise IngestError(
+                    f"{jsonl_path}:{lineno}: step {i} needs an obs_ref, a plan string and "
+                    f"an integer action"
+                )
             ref = step["obs_ref"]
             if type(ref) is not int or not 0 <= ref < len(blob):
                 raise ValidationError(
                     f"{jsonl_path}: demo seed {row['seed']} step {i}: obs_ref {ref!r} is not "
                     f"one of the {len(blob)} observations in {bin_path}"
                 )
-            steps.append((blob[ref].copy(), step["plan"], int(step["action"])))
+            steps.append((blob[ref].copy(), step["plan"], step["action"]))
         demo = Demonstration(seed=int(row["seed"]), steps=steps, success=True)
         demo.validate(config)
         demos.append(demo)

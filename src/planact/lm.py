@@ -8,13 +8,17 @@ only LM-interior trainables when the base model is frozen.  Logits are emitted
 for text positions only, and text positions are numbered independently of the
 soft prompt so prompt rows never shift positional slots.
 
-``forward`` optionally takes an ``LmCache``.  The first (empty-cache) call
-runs the soft prompt and the first tokens; each later call passes only the
-new tokens, whose positions continue after the cached text.  New rows attend
-to every cached row and causally among themselves, so a prefill followed by
-one-token steps gives the logits of the full forward up to float64 round-off.
-The cache stores each block's projected keys and values as constants; it
-serves inference and carries no gradient across calls.
+Every ``forward`` runs on an ``LmCache``: one ``KVCache`` per block whose
+first rows are that block's adapter rows (prefix-tuning's layout), followed
+by the keys and values of the rows run so far.  Without a ``cache`` argument
+a fresh one is used, so the adapter rows keep their graph and receive
+gradients.  With one, the first call seeds it and runs the soft prompt and
+the first tokens; each later call passes only the new tokens, whose
+positions continue after the cached text, and must use adapters as the first
+call did.  New rows attend to every cached row and causally among
+themselves, so a prefill followed by one-token steps gives the logits of the
+full forward up to float64 round-off.  Cached rows are stored as constants;
+the cache serves inference and carries no gradient across calls.
 """
 
 from __future__ import annotations
@@ -41,16 +45,21 @@ class LmConfig:
 
 @dataclass
 class LmCache:
-    """One ``KVCache`` per block, and how many of the cached rows are soft prompt rows."""
+    """One ``KVCache`` per block: its adapter rows, then soft prompt and text rows.
+
+    ``adapter_rows`` is None until the first call seeds the blocks; ``len``
+    counts the soft prompt and text rows run, not the adapter rows.
+    """
 
     blocks: list[KVCache]
     soft_rows: int = 0
+    adapter_rows: int | None = None
 
     def __len__(self) -> int:
-        return len(self.blocks[0])
+        return len(self.blocks[0]) - (self.adapter_rows or 0)
 
     def copy(self) -> "LmCache":
-        return LmCache([c.copy() for c in self.blocks], self.soft_rows)
+        return LmCache([c.copy() for c in self.blocks], self.soft_rows, self.adapter_rows)
 
 
 class MicroLm(Module):
@@ -84,11 +93,18 @@ class MicroLm(Module):
         n = len(ids)
         if n == 0:
             raise ContractError("lm forward requires at least one token")
-        past = 0 if cache is None else len(cache)
-        if past and soft_prompt is not None:
+        cache = self.new_cache() if cache is None else cache
+        first = cache.adapter_rows is None
+        past = len(cache)
+        if not first and soft_prompt is not None:
             raise ContractError("the soft prompt enters only on the first (empty-cache) call")
         n_soft = 0 if soft_prompt is None else soft_prompt.shape[0]
         prefix = self.config.prefix_len if use_adapters else 0
+        if not first and prefix != cache.adapter_rows:
+            raise ContractError(
+                f"cache holds {cache.adapter_rows} adapter rows per block but this call "
+                f"uses {prefix}: use_adapters must match the first call"
+            )
         if past + n + n_soft + prefix > self.config.context:
             raise ContractError(
                 f"sequence of {past} cached rows + {n} tokens + {n_soft} prompt rows + "
@@ -99,20 +115,17 @@ class MicroLm(Module):
                 f"soft prompt width {soft_prompt.shape[1]} does not match model dim "
                 f"{self.config.dim}"
             )
-        start = 0
-        if cache is not None:
-            if past:
-                start = past - cache.soft_rows
-            else:
-                cache.soft_rows = n_soft
+        start = past - cache.soft_rows
+        if first:
+            cache.adapter_rows, cache.soft_rows = prefix, n_soft
+            if prefix:
+                cache.blocks = [KVCache(a[:, 0, :], a[:, 1, :]) for a in self.adapters]
         x = take_rows(self.embed, ids) + self.pos[start : start + n, :]
         if soft_prompt is not None:
             x = concat([soft_prompt, x], axis=0)
         mask = Mask.prefix_mask(n_soft) if n_soft else Mask.causal()
-        caches = [None] * len(self.blocks) if cache is None else cache.blocks
-        for block, adapter, block_cache in zip(self.blocks, self.adapters, caches):
-            kv = (adapter[:, 0, :], adapter[:, 1, :]) if use_adapters else None
-            x = block(x, mask, self_prefix_kv=kv, self_cache=block_cache)
+        for block, block_cache in zip(self.blocks, cache.blocks):
+            x = block(x, mask, self_cache=block_cache)
         h = self.ln_f(x)
         if n_soft:
             h = h[n_soft:, :]

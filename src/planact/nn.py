@@ -141,12 +141,15 @@ class Linear(Module):
 
 
 class KVCache:
-    """Projected self-attention keys and values of the rows run so far, held as constants.
+    """Projected self-attention keys and values that every later query sees.
 
-    ``extend`` appends new rows and returns every cached row followed by the
-    new ones.  The stored copies carry no autodiff graph, so nothing links one
-    call to the next.  ``extend`` rebinds rather than mutates the stored
-    tensors, so a copy shares them safely.
+    The cache may be seeded with rows at construction (a language model's
+    prefix adapter rows); the rows run so far follow them.  ``extend``
+    appends new rows and returns every cached row followed by the new ones.
+    Seeded rows keep their autodiff graph through the first ``extend``; the
+    stored copies carry none, so nothing links one call to the next.
+    ``extend`` rebinds rather than mutates the stored tensors, so a copy
+    shares them safely.
     """
 
     def __init__(self, k: Tensor | None = None, v: Tensor | None = None):
@@ -170,9 +173,9 @@ class KVCache:
 class MultiHeadAttention(Module):
     """Multi-head attention over (..., n, dim) inputs, heads split by reshape.
 
-    Keys and values are laid out as [prefix_kv rows][cached rows][new rows];
-    prefix and cached rows are visible to every query, and ``mask`` covers
-    the new rows only.  Every head runs in one product of queries and keys,
+    With a ``cache``, keys and values are laid out as [cached rows][new rows];
+    cached rows are visible to every query, and ``mask`` covers the new rows
+    only.  Every head runs in one product of queries and keys,
     one softmax and one product with the values.
     """
 
@@ -196,7 +199,6 @@ class MultiHeadAttention(Module):
         x_q: Tensor,
         x_kv: Tensor,
         mask,
-        prefix_kv: tuple[Tensor, Tensor] | None = None,
         cache: KVCache | None = None,
     ) -> Tensor:
         if x_q.shape[-1] != self.dim or x_kv.shape[-1] != self.dim:
@@ -212,11 +214,6 @@ class MultiHeadAttention(Module):
         if cache is not None:
             visible = len(cache)
             k, v = cache.extend(k, v)
-        if prefix_kv is not None:
-            kp, vp = prefix_kv
-            k = concat([kp, k], axis=-2)
-            v = concat([vp, v], axis=-2)
-            visible += kp.shape[-2]
         if visible:
             allowed = np.concatenate([np.ones((n_q, visible), dtype=bool), allowed], axis=1)
         heads = scaled_dot_attention(
@@ -251,9 +248,9 @@ class TransformerBlock(Module):
     ``x`` is (..., n, dim).  ``cross_rows`` limits cross-attention (and its
     residual update) to the leading rows of the sequence; remaining rows pass
     through unchanged.
-    ``self_cache`` holds the self-attention keys and values of earlier rows;
-    ``x`` then carries only the new rows, and their keys and values are
-    appended to it.
+    ``self_cache`` holds the self-attention keys and values of rows every
+    query sees (seeded rows, then earlier rows); ``x`` then carries only the
+    new rows, and their keys and values are appended to it.
     """
 
     def __init__(
@@ -279,7 +276,6 @@ class TransformerBlock(Module):
         self_mask,
         cross_kv: Tensor | None = None,
         cross_rows: int | None = None,
-        self_prefix_kv: tuple[Tensor, Tensor] | None = None,
         self_cache: KVCache | None = None,
     ) -> Tensor:
         if (cross_kv is not None) != self.has_cross:
@@ -288,9 +284,7 @@ class TransformerBlock(Module):
                 f"(has_cross={self.has_cross})"
             )
         normed = self.ln_self(x)
-        h = x + self.self_attn(
-            normed, normed, self_mask, prefix_kv=self_prefix_kv, cache=self_cache
-        )
+        h = x + self.self_attn(normed, normed, self_mask, cache=self_cache)
         if self.has_cross:
             if cross_rows is None or cross_rows >= h.shape[-2]:
                 h = h + self.cross_attn(self.ln_cross(h), cross_kv, Mask.full())
@@ -312,9 +306,3 @@ def sinusoidal_embedding(n: int, d: int) -> Tensor:
     angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / d)
     table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
     return Tensor(table)
-
-
-def learned_embedding(rng: np.random.Generator, n: int, d: int, scale: float = 0.02) -> Tensor:
-    if n <= 0 or d <= 0:
-        raise ContractError(f"positional table needs positive extents, got {n}x{d}")
-    return parameter(rng, (n, d), scale=scale)

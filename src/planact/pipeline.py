@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .annotate import build_vqa_pairs, synthetic_candidates
-from .checkpoint import atomic_write_text
-from .errors import ContractError, IngestError, ParseError, PipelineError, ValidationError
+from .checkpoint import atomic_write_text, read_jsonl
+from .errors import ContractError, ParseError, PipelineError, ValidationError
 from .plans import PlanDocument, parse_plan
 from .prompts import assemble_prompt
 from .seeding import stable_seed
@@ -96,36 +96,18 @@ class FilterStats:
 # -- ingestion ---------------------------------------------------------------
 
 
-def _read_jsonl(path: Path, required: dict[str, type]) -> list[dict]:
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"{path}:{lineno}: malformed JSON line ({exc.msg})") from None
-        for key, typ in required.items():
-            if key not in row:
-                raise IngestError(f"{path}:{lineno}: missing key {key!r}")
-            if not isinstance(row[key], typ):
-                raise IngestError(
-                    f"{path}:{lineno}: key {key!r} expected {typ}, got {type(row[key])}"
-                )
-        rows.append(row)
-    return rows
-
-
 def ingest(
     narrations_path: Path, meta_path: Path
 ) -> tuple[dict[str, VideoMeta], dict[str, list[NarrationRecord]], int]:
     """Group narrations per video, sorted by timestamp; orphans (no meta) are dropped.
 
-    Returns (meta by video, sorted records by video, orphan count).
+    A narration row is keyed by ``(video_id, timestamp_sec)``; a key that
+    repeats an earlier row's raises.  Returns (meta by video, sorted records by
+    video, orphan count).
     """
-    meta_rows = _read_jsonl(meta_path, {"video_id": str, "duration_sec": (int, float), "scenario": str})
+    meta_rows = read_jsonl(meta_path, {"video_id": str, "duration_sec": (int, float), "scenario": str})
     metas: dict[str, VideoMeta] = {}
-    for row in meta_rows:
+    for _, row in meta_rows:
         vid = row["video_id"]
         if vid in metas:
             raise ValidationError(f"{meta_path}: duplicate meta row for video {vid}")
@@ -134,18 +116,25 @@ def ingest(
             raise ValidationError(f"video {vid} has non-positive duration")
         metas[vid] = VideoMeta(vid, duration, row["scenario"])
 
-    narr_rows = _read_jsonl(
+    narr_rows = read_jsonl(
         narrations_path, {"video_id": str, "timestamp_sec": (int, float), "narration": str}
     )
     grouped: dict[str, list[NarrationRecord]] = {}
+    first_line: dict[tuple[str, float], int] = {}
     orphans = 0
-    for row in narr_rows:
+    for lineno, row in narr_rows:
         vid = row["video_id"]
+        t = float(row["timestamp_sec"])
+        earlier = first_line.setdefault((vid, t), lineno)
+        if earlier != lineno:
+            raise ValidationError(
+                f"{narrations_path}:{lineno}: narration of video {vid} at {t} s repeats "
+                f"line {earlier}"
+            )
         meta = metas.get(vid)
         if meta is None:
             orphans += 1
             continue
-        t = float(row["timestamp_sec"])
         if t < 0:
             raise ValidationError(f"video {vid}: negative timestamp {t}")
         if t > meta.duration_sec:

@@ -38,8 +38,6 @@ class PolicyConfig:
     bridge_blocks: int = 2
     bridge_heads: int = 4
     ff_mult: int = 2
-    grid_patch_size: int = 1
-    instance_pooling: str = "flat"  # or "mean" over the query axis
     train_bridge: bool = False
     augment_symmetry: bool = True
     bc_epochs: int = 40
@@ -50,8 +48,6 @@ class PolicyConfig:
     def __post_init__(self):
         if self.bc_batch < 1:
             raise ContractError(f"bc_batch must be at least 1, got {self.bc_batch}")
-        if self.instance_pooling not in ("flat", "mean"):
-            raise ContractError(f"unknown pooling {self.instance_pooling!r}")
         if self.conv_depth < 1:
             raise ContractError("conv_depth must be at least 1")
 
@@ -113,10 +109,6 @@ class ControlModel(Module):
         config = config or PolicyConfig()
         if env_config.height != env_config.width:
             raise ContractError("control model expects a square grid")
-        if env_config.height % config.grid_patch_size != 0:
-            raise ContractError(
-                f"grid side {env_config.height} not divisible by patch {config.grid_patch_size}"
-            )
         self.config = config
         self.env_config = env_config
         self.ablate_plan = ablate_plan
@@ -130,13 +122,11 @@ class ControlModel(Module):
             VisionConfig(
                 channels=channels,
                 image_size=env_config.height,
-                patch_size=config.grid_patch_size,
+                patch_size=1,
                 dim=config.bridge_dim,
                 blocks=1,
                 heads=config.bridge_heads,
                 ff_mult=config.ff_mult,
-                max_frames=1,
-                positional="sinusoidal_2d",
             ),
         )
         self.bridge = QueryBridge(
@@ -152,18 +142,14 @@ class ControlModel(Module):
             ),
         )
         self.global_enc = GlobalEncoder(rng, channels, config)
-        instance_dim = (
-            config.query_count * config.bridge_dim
-            if config.instance_pooling == "flat"
-            else config.bridge_dim
-        )
+        instance_dim = config.query_count * config.bridge_dim  # flattened query rows
         self.head = PolicyHead(
             rng, instance_dim + config.global_dim, config.hidden_dim, len(ACTIONS)
         )
-        # the bridge's language-model projection and the encoder's frame table
-        # are never read by the policy; the whole bridge side trains only when
-        # train_bridge is set and the plan is not ablated
-        frozen = ("bridge.proj.", "grid_vision.temporal")
+        # the bridge's language-model projection is never read by the policy; the
+        # whole bridge side trains only when train_bridge is set and the plan is
+        # not ablated
+        frozen = ("bridge.proj.",)
         if ablate_plan or not config.train_bridge:
             frozen = ("bridge.", "grid_vision.")
         set_trainable(
@@ -172,16 +158,12 @@ class ControlModel(Module):
 
     def instance_features(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
         """Bridge features (B, N, D) of observations (B, c, H, W) under one plan each."""
-        visual = self.grid_vision.encode_image(Tensor(obs))
-        return self.bridge.instance_features(visual, plan_texts, self.vocab)
-
-    def _pooled(self, z_instance: Tensor) -> Tensor:
-        if self.config.instance_pooling == "mean":
-            return z_instance.mean(axis=-2)
-        return z_instance.reshape(z_instance.shape[0], -1)
+        tokens = self.grid_vision.encode_image(Tensor(obs))
+        return self.bridge.instance_features(tokens, plan_texts, self.vocab)
 
     def policy_logits(self, z_instance: Tensor, z_global: Tensor) -> Tensor:
-        fused = concat([self._pooled(z_instance), z_global], axis=-1)
+        """Head over the flattened N x D query rows (B, N * D) and the context (B, G)."""
+        fused = concat([z_instance.reshape(z_instance.shape[0], -1), z_global], axis=-1)
         return self.head(fused)
 
     def forward(

@@ -1,23 +1,21 @@
-"""Patch-based visual encoder for single images and stacked video frames.
+"""Patch-based visual encoder for single images or batches of images.
 
-Images are cut into non-overlapping patches, linearly embedded, position-tagged
-and passed through self-attention blocks.  Features are read from the
+Images are cut into non-overlapping patches, linearly embedded, tagged with
+fixed 2-D sinusoidal position codes (half the width for the row, half for the
+column) and passed through self-attention blocks.  Features are read from the
 penultimate layer of a ``blocks``-deep encoder, so the last block is never
 allocated (as BLIP-2 removes the last ViT layer): ``blocks - 1`` blocks run.
-Video frames are encoded independently and concatenated frame-major with a
-per-frame temporal embedding added.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nn import Linear, Mask, Module, TransformerBlock, learned_embedding, sinusoidal_embedding
-from .tensor import Tensor, as_tensor, concat
+from .nn import Linear, Mask, Module, TransformerBlock, sinusoidal_embedding
+from .tensor import Tensor, as_tensor
 
 
 @dataclass
@@ -29,8 +27,6 @@ class VisionConfig:
     blocks: int = 3  # full encoder depth; features come from its penultimate layer
     heads: int = 4
     ff_mult: int = 4
-    max_frames: int = 8
-    positional: str = "learned"  # or "sinusoidal_2d": fixed row/column codes
 
 
 def sinusoidal_grid_embedding(side: int, dim: int) -> Tensor:
@@ -43,22 +39,6 @@ def sinusoidal_grid_embedding(side: int, dim: int) -> Tensor:
     return Tensor(np.concatenate([rows, cols], axis=1))
 
 
-@dataclass
-class VisualTokens:
-    """Tokens (..., frames * patches, dim); leading axes index independent images."""
-
-    tokens: Tensor
-    frame_count: int
-    patches_per_frame: int
-
-    def __post_init__(self):
-        if self.tokens.shape[-2] != self.frame_count * self.patches_per_frame:
-            raise DimensionError(
-                f"{self.tokens.shape[-2]} tokens inconsistent with "
-                f"{self.frame_count} frames of {self.patches_per_frame} patches"
-            )
-
-
 class VisualEncoder(Module):
     def __init__(self, rng: np.random.Generator, config: VisionConfig):
         if config.blocks < 1:
@@ -69,14 +49,9 @@ class VisualEncoder(Module):
             )
         self.config = config
         side = config.image_size // config.patch_size
-        self.patches_per_frame = side * side
         patch_dim = config.channels * config.patch_size**2
         self.patch_embed = Linear(rng, patch_dim, config.dim)
-        self.temporal = learned_embedding(rng, config.max_frames, config.dim)
-        if config.positional == "sinusoidal_2d":
-            self.pos = sinusoidal_grid_embedding(side, config.dim)
-        else:
-            self.pos = learned_embedding(rng, self.patches_per_frame, config.dim)
+        self.pos = sinusoidal_grid_embedding(side, config.dim)
         self.blocks = [
             TransformerBlock(rng, config.dim, config.heads, ff_mult=config.ff_mult)
             for _ in range(config.blocks - 1)
@@ -100,27 +75,9 @@ class VisualEncoder(Module):
             .reshape(*lead, gh * gw, c * p * p)
         )
 
-    def _encode_tokens(self, image: Tensor) -> Tensor:
+    def encode_image(self, image) -> Tensor:
+        """Tokens (..., patches, dim) of an image or a batch of images (..., c, H, W)."""
         x = self.patch_embed(self._patchify(as_tensor(image))) + self.pos
         for block in self.blocks:
             x = block(x, Mask.full())
         return x
-
-    def encode_image(self, image) -> VisualTokens:
-        """Tokens (..., patches, dim) of an image or a batch of images (..., c, H, W)."""
-        tokens = self._encode_tokens(image)
-        return VisualTokens(tokens, frame_count=1, patches_per_frame=self.patches_per_frame)
-
-    def encode_frames(self, frames: list) -> VisualTokens:
-        n = len(frames)
-        if not 1 <= n <= self.config.max_frames:
-            raise ContractError(
-                f"frame count {n} outside [1, {self.config.max_frames}]"
-            )
-        per_frame = [
-            self._encode_tokens(frame) + self.temporal[f : f + 1, :]
-            for f, frame in enumerate(frames)
-        ]
-        return VisualTokens(
-            concat(per_frame, axis=-2), frame_count=n, patches_per_frame=self.patches_per_frame
-        )

@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .checkpoint import atomic_write_text
+from .errors import ValidationError
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -53,8 +54,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Path) -> "Vocabulary":
-        lines = Path(path).read_text().splitlines()
-        return cls([ln for ln in lines if ln])
+        words = [ln for ln in Path(path).read_text().splitlines() if ln]
+        seen = set(SPECIAL_TOKENS)
+        for word in words:
+            if word in seen:
+                raise ValidationError(f"{path}: token {word!r} appears more than once")
+            seen.add(word)
+        return cls(words)
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = MAX_SEQUENCE_LENGTH) -> list[int]:

@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from planact.checkpoint import load_checkpoint, restore_into, save_checkpoint
-from planact.errors import ValidationError
+from planact.errors import IngestError, ValidationError
 from planact.tensor import Tensor
 
 
@@ -62,6 +62,14 @@ def test_restore_rejects_shape_mismatch(tmp_path):
 def test_missing_checkpoint(tmp_path):
     with pytest.raises(ValidationError):
         load_checkpoint(tmp_path / "nothing")
+
+
+@pytest.mark.parametrize("manifest", ['{"tensors": [', '[1, 2]', '{"meta": {}}'])
+def test_malformed_manifest_names_file(tmp_path, manifest):
+    save_checkpoint(tmp_path / "ckpt", {"w": Tensor(np.zeros(2))})
+    (tmp_path / "ckpt.json").write_text(manifest)
+    with pytest.raises(IngestError, match=r"ckpt\.json: "):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_truncated_blob_names_file_and_tensor(tmp_path, rng):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from planact.errors import ConfigError, ContractError, ValidationError
+from planact.errors import ConfigError, ContractError, IngestError, ValidationError
 from planact.gridworld import (
     ACTIONS,
     INTERACT,
@@ -179,6 +179,28 @@ class TestDemos:
         with pytest.raises(ValidationError, match=r"demos\.jsonl: demo seed 2 step 2") as err:
             load_demos(tmp_path / "demos", config)
         assert "demos.bin" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda line: line[:-1],
+            lambda line: json.dumps({"seed": 2}),
+            lambda line: line.replace('"action"', '"act"', 1),
+            lambda line: line.replace('"action": ', '"action": "x", "_": ', 1),
+            lambda line: line.replace('"plan": ', '"plan": 5, "_": ', 1),
+        ],
+        ids=["malformed-json", "missing-steps", "step-missing-action", "action-not-int",
+             "plan-not-text"],
+    )
+    def test_load_rejects_malformed_line_naming_file_and_line(self, tmp_path, corrupt):
+        config = EnvConfig()
+        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1, 2, 3]))
+        jsonl = tmp_path / "demos.jsonl"
+        lines = jsonl.read_text().splitlines()
+        lines[1] = corrupt(lines[1])
+        jsonl.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError, match=r"demos\.jsonl:2: "):
+            load_demos(tmp_path / "demos", config)
 
     @pytest.mark.parametrize("cut", [8, 3])
     def test_load_rejects_partial_observation_blob(self, tmp_path, cut):

@@ -219,6 +219,23 @@ class TestKvCache:
         with pytest.raises(ContractError):
             model.forward([6], soft_prompt=Tensor(np.zeros((2, 16))), cache=cache)
 
+    @pytest.mark.parametrize("first", [False, True])
+    def test_adapter_setting_fixed_by_first_call(self, model, first):
+        cache = model.new_cache()
+        model.forward([4, 5], use_adapters=first, cache=cache)
+        with pytest.raises(ContractError, match="use_adapters"):
+            model.forward([6], use_adapters=not first, cache=cache)
+        assert len(cache) == 2
+
+    def test_adapter_rows_lead_each_block_cache(self, model):
+        cache = model.new_cache()
+        model.forward(self.IDS[:3], cache=cache)
+        assert len(cache) == 3
+        for adapter, block_cache in zip(model.adapters, cache.blocks):
+            assert len(block_cache) == 3 + 3
+            np.testing.assert_array_equal(block_cache.k.data[:3], adapter.data[:, 0, :])
+            np.testing.assert_array_equal(block_cache.v.data[:3], adapter.data[:, 1, :])
+
     @pytest.mark.parametrize("soft", [False, True])
     @pytest.mark.parametrize("use_adapters", [False, True])
     def test_generate_matches_uncached_reference(self, model, rng, soft, use_adapters):

@@ -11,7 +11,6 @@ from planact.nn import (
     MultiHeadAttention,
     TransformerBlock,
     attention_probs,
-    learned_embedding,
     scaled_dot_attention,
     sinusoidal_embedding,
 )
@@ -133,20 +132,19 @@ class TestMultiHeadAttention:
             MultiHeadAttention(rng, dim=6, heads=4)
 
 
-def per_head_reference(mha, x_q, x_kv, allowed, prefix=None, past=None):
+def per_head_reference(mha, x_q, x_kv, allowed, past=None):
     """Multi-head attention as one loop over heads on 2-d numpy arrays.
 
-    ``prefix`` and ``past`` are (keys, values) rows placed before the new
-    keys and values, visible to every query.
+    ``past`` is (keys, values) rows placed before the new keys and values,
+    visible to every query.
     """
     def project(lin, x):
         return x @ lin.w.data + lin.b.data
 
     q, k, v = project(mha.w_q, x_q), project(mha.w_k, x_kv), project(mha.w_v, x_kv)
-    for rows in (past, prefix):
-        if rows is not None:
-            k = np.concatenate([rows[0], k])
-            v = np.concatenate([rows[1], v])
+    if past is not None:
+        k = np.concatenate([past[0], k])
+        v = np.concatenate([past[1], v])
     visible = k.shape[0] - allowed.shape[1]
     allowed = np.concatenate([np.ones((len(q), visible), dtype=bool), allowed], axis=1)
     dh = mha.dim // mha.heads
@@ -178,21 +176,35 @@ class TestHeadsByReshape:
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
     def test_prefix_kv_and_cache_step(self, rng):
+        # prefix rows seed the cache; the rows run so far follow them
         mha = MultiHeadAttention(rng, dim=8, heads=4)
         prefix = (rng.standard_normal((2, 8)), rng.standard_normal((2, 8)))
-        prefix_t = (Tensor(prefix[0]), Tensor(prefix[1]))
         x = rng.standard_normal((6, 8))
-        cache = KVCache()
-        first = mha(Tensor(x[:4]), Tensor(x[:4]), Mask.causal(), prefix_kv=prefix_t, cache=cache)
+        cache = KVCache(Tensor(prefix[0]), Tensor(prefix[1]))
+        first = mha(Tensor(x[:4]), Tensor(x[:4]), Mask.causal(), cache=cache)
         ref = per_head_reference(mha, x[:4], x[:4], Mask.causal().allowed(4, 4), prefix)
         np.testing.assert_allclose(first.data, ref, rtol=0, atol=1e-12)
         past = (cache.k.data.copy(), cache.v.data.copy())
-        step = mha(Tensor(x[4:]), Tensor(x[4:]), Mask.causal(), prefix_kv=prefix_t, cache=cache)
-        ref = per_head_reference(
-            mha, x[4:], x[4:], Mask.causal().allowed(2, 2), prefix, past
-        )
+        np.testing.assert_array_equal(past[0][:2], prefix[0])
+        step = mha(Tensor(x[4:]), Tensor(x[4:]), Mask.causal(), cache=cache)
+        ref = per_head_reference(mha, x[4:], x[4:], Mask.causal().allowed(2, 2), past)
         np.testing.assert_allclose(step.data, ref, rtol=0, atol=1e-12)
-        assert len(cache) == 6
+        assert len(cache) == 8
+
+    def test_seeded_rows_keep_graph_on_first_call(self, rng):
+        mha = MultiHeadAttention(rng, dim=4, heads=2)
+        seed = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4)))
+        cache = KVCache(seed[:, 0, :], seed[:, 1, :])
+        mha(x, x, Mask.causal(), cache=cache).tanh().sum().backward()
+        assert seed.grad is not None and np.all(seed.grad != 0.0)
+        assert not cache.k.requires_grad and cache.k._parents == ()
+        check_gradients(
+            lambda inp: mha(x, x, Mask.causal(), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
+            .tanh()
+            .sum(),
+            [seed],
+        )
 
     def test_batched_rows_match_unbatched(self, rng):
         mha = MultiHeadAttention(rng, dim=8, heads=2)
@@ -279,10 +291,6 @@ class TestPositionalEmbedding:
     def test_position_zero_alternates(self):
         table = sinusoidal_embedding(3, 6)
         np.testing.assert_allclose(table.data[0], [0, 1, 0, 1, 0, 1], atol=1e-12)
-
-    def test_learned_requires_grad(self, rng):
-        table = learned_embedding(rng, 4, 8)
-        assert table.requires_grad and table.is_param
 
     def test_sinusoidal_bounded(self):
         table = sinusoidal_embedding(50, 16)

@@ -111,6 +111,29 @@ def test_repeated_meta_row_at_any_position_names_file_and_id(ids, repeated, posi
     assert str(metas) in str(info.value) and f"video {vid}" in str(info.value)
 
 
+@given(
+    st.lists(st.sampled_from(["v", "w"]), min_size=1, max_size=5),
+    st.integers(0, 4),
+    st.integers(0, 5),
+)
+def test_repeated_narration_key_at_any_position_names_line_video_and_time(vids, repeated, position):
+    # distinct (video, time) keys, then one row that repeats an earlier key
+    rows = [narr(vid, float(i), "C opens a drawer") for i, vid in enumerate(vids)]
+    earlier = rows[min(repeated, len(rows) - 1)]
+    position = min(position, len(rows))
+    position = max(position, rows.index(earlier) + 1)
+    rows.insert(position, narr(earlier["video_id"], earlier["timestamp_sec"], "C opens a door"))
+    with tempfile.TemporaryDirectory() as tmp:
+        narrations, metas = Path(tmp) / "n.jsonl", Path(tmp) / "m.jsonl"
+        write_jsonl(narrations, rows)
+        write_jsonl(metas, [meta("v", 10.0), meta("w", 10.0)])
+        with pytest.raises(ValidationError) as info:
+            ingest(narrations, metas)
+    message = str(info.value)
+    assert message.startswith(f"{narrations}:{position + 1}: ")
+    assert f"video {earlier['video_id']} at {earlier['timestamp_sec']} s" in message
+
+
 def _non_json_line(text):
     if text.splitlines() != [text] or not text.strip():
         return False

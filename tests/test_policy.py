@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -56,10 +58,9 @@ def forward_rows(model, rows, cache=None):
 
 
 class TestForward:
-    @pytest.mark.parametrize("pooling", ["flat", "mean"])
-    def test_logit_shape(self, vocab, data, pooling):
+    def test_logit_shape(self, vocab, data):
         obs, plan, _ = data[0]
-        model = make_model(vocab, instance_pooling=pooling)
+        model = make_model(vocab)
         assert forward_one(model, obs, plan).shape == (1, len(ACTIONS))
         assert forward_rows(model, [(o, p) for o, p, _ in data]).shape == (len(data), len(ACTIONS))
         assert 0 <= model.act(obs, plan) < len(ACTIONS)
@@ -150,12 +151,7 @@ class TestBatchedForward:
 
     @pytest.mark.parametrize(
         "overrides",
-        [
-            {},
-            {"instance_pooling": "mean"},
-            {"train_bridge": True},
-            {"train_bridge": True, "instance_pooling": "mean"},
-        ],
+        [{}, {"query_count": 3}, {"train_bridge": True}, {"train_bridge": True, "query_count": 3}],
     )
     @pytest.mark.parametrize("cached", [False, True])
     def test_rows_match_single_calls(self, vocab, data, overrides, cached):
@@ -218,11 +214,8 @@ class TestFreezing:
 
     def test_unread_parameters_always_frozen(self, vocab):
         params = make_model(vocab, train_bridge=True).named_parameters()
-        assert not any(
-            p.requires_grad
-            for name, p in params.items()
-            if name.startswith(("bridge.proj.", "grid_vision.temporal"))
-        )
+        frozen = {name for name, p in params.items() if not p.requires_grad}
+        assert frozen == {"bridge.proj.w", "bridge.proj.b"}
 
 
 class TestConfig:
@@ -273,20 +266,29 @@ class TestBcTrain:
 
     def test_logged_losses_record_no_graph(self, vocab, monkeypatch):
         demos = collect_demos(EnvConfig(), [0])
-        model = make_model(vocab)
-        losses = []
 
-        def recorded(*args, **kwargs):
-            losses.append(_batch_loss(*args, **kwargs))
-            return losses[-1]
+        def train(graph_on_logged):
+            losses = []
 
-        monkeypatch.setattr("planact.policy._batch_loss", recorded)
-        log = bc_train(model, demos, seed=0, epochs=1)
-        logged, trained = [losses[0], losses[-1]], losses[1:-1]
+            def recorded(*args, **kwargs):
+                losses.append(_batch_loss(*args, **kwargs))
+                return losses[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr("planact.policy._batch_loss", recorded)
+                if graph_on_logged:
+                    patch.setattr("planact.policy.no_grad", contextlib.nullcontext)
+                log = bc_train(make_model(vocab), demos, seed=0, epochs=1)
+            return log, [losses[0], losses[-1]], losses[1:-1]
+
+        log, logged, trained = train(graph_on_logged=False)
         assert trained and all(loss.requires_grad for loss in trained)
         assert not any(loss.requires_grad or loss._parents for loss in logged)
-        # values recorded while the logged losses still built a graph
-        assert (log.initial_loss, log.final_loss) == (1.8079538055776252, 1.769793713070203)
+        # the same losses computed with graph recording on are bit-equal
+        graph_log, graph_logged, _ = train(graph_on_logged=True)
+        assert all(loss.requires_grad for loss in graph_logged)
+        assert (log.initial_loss, log.final_loss) == (graph_log.initial_loss, graph_log.final_loss)
+        assert log.losses == graph_log.losses
 
 
 class TestEvaluation:

@@ -6,7 +6,7 @@ from planact.errors import ContractError, DimensionError
 from planact.gradcheck import check_gradients
 from planact.nn import set_trainable
 from planact.tensor import Tensor
-from planact.vision import VisionConfig, VisualEncoder, VisualTokens
+from planact.vision import VisionConfig, VisualEncoder, sinusoidal_grid_embedding
 from planact.vocab import Vocabulary, tokenize
 
 SMALL_VISION = VisionConfig(channels=3, image_size=32, patch_size=8, dim=16, blocks=3, heads=2)
@@ -31,26 +31,7 @@ def bridge(rng, vocab):
 class TestVisualEncoder:
     def test_single_frame_token_count(self, encoder, rng):
         out = encoder.encode_image(Tensor(rng.standard_normal((3, 32, 32))))
-        assert out.tokens.shape == (16, 16)
-        assert out.frame_count == 1 and out.patches_per_frame == 16
-
-    def test_eight_frames_concatenate_frame_major(self, encoder, rng):
-        frames = [Tensor(rng.standard_normal((3, 32, 32))) for _ in range(8)]
-        out = encoder.encode_frames(frames)
-        assert out.tokens.shape == (128, 16)
-        assert out.frame_count == 8
-
-    def test_identical_frames_differ_only_by_temporal_offset(self, encoder, rng):
-        frame = Tensor(rng.standard_normal((3, 32, 32)))
-        out = encoder.encode_frames([frame, frame])
-        block_a = out.tokens.data[:16] - encoder.temporal.data[0]
-        block_b = out.tokens.data[16:] - encoder.temporal.data[1]
-        np.testing.assert_allclose(block_a, block_b, atol=1e-12)
-
-    def test_too_many_frames_rejected(self, encoder, rng):
-        frames = [Tensor(rng.standard_normal((3, 32, 32)))] * 9
-        with pytest.raises(ContractError):
-            encoder.encode_frames(frames)
+        assert out.shape == (16, 16)
 
     def test_indivisible_extent_rejected(self, encoder, rng):
         with pytest.raises(DimensionError):
@@ -65,10 +46,17 @@ class TestVisualEncoder:
 
     def test_allocates_only_the_blocks_it_runs(self, encoder, rng):
         assert len(encoder.blocks) == SMALL_VISION.blocks - 1
-        frames = [Tensor(rng.standard_normal((3, 32, 32))) for _ in range(2)]
-        encoder.encode_frames(frames).tokens.sum().backward()
+        images = Tensor(rng.standard_normal((2, 3, 32, 32)))
+        encoder.encode_image(images).sum().backward()
         missing = [name for name, p in encoder.named_parameters().items() if p.grad is None]
         assert missing == []
+
+    def test_position_code_is_fixed_2d_table(self, encoder):
+        np.testing.assert_array_equal(encoder.pos.data, sinusoidal_grid_embedding(4, 16).data)
+        assert not encoder.pos.requires_grad
+        assert {name.split(".")[0] for name in encoder.named_parameters()} == {
+            "patch_embed", "blocks"
+        }
 
     def test_zero_blocks_rejected(self, rng):
         with pytest.raises(ContractError):
@@ -76,28 +64,24 @@ class TestVisualEncoder:
 
 
 class TestQueryBridge:
-    def test_bottleneck_shape_fixed(self, encoder, bridge, vocab, rng):
-        for n_frames, text in [(1, None), (2, "go to the red block"), (4, "describe this video .")]:
-            frames = [Tensor(rng.standard_normal((3, 32, 32))) for _ in range(n_frames)]
-            visual = encoder.encode_frames(frames)
+    def test_bottleneck_shape_fixed(self, bridge, vocab, rng):
+        for rows, text in [(16, None), (32, "go to the red block"), (64, "describe this video .")]:
+            tokens = Tensor(rng.standard_normal((rows, 16)))
             ids = tokenize(text, vocab) if text else None
-            out = bridge.extract(visual, ids)
-            assert out.shape == (4, 16)
+            assert bridge.extract(tokens, ids).shape == (4, 16)
 
     def test_empty_visual_rejected(self, bridge):
         with pytest.raises((ContractError, DimensionError)):
-            bridge.extract(VisualTokens(Tensor(np.zeros((0, 16))), 0, 0), None)
+            bridge.extract(Tensor(np.zeros((0, 16))), None)
 
     def test_empty_text_allowed(self, encoder, bridge, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((3, 32, 32))))
-        assert bridge.extract(visual, None).shape == (4, 16)
+        tokens = encoder.encode_image(Tensor(rng.standard_normal((3, 32, 32))))
+        assert bridge.extract(tokens, None).shape == (4, 16)
 
     def test_visual_permutation_invariance(self, bridge, rng):
         tokens = rng.standard_normal((10, 16))
-        v1 = VisualTokens(Tensor(tokens), 1, 10)
-        v2 = VisualTokens(Tensor(tokens[rng.permutation(10)]), 1, 10)
-        out1 = bridge.extract(v1, None)
-        out2 = bridge.extract(v2, None)
+        out1 = bridge.extract(Tensor(tokens), None)
+        out2 = bridge.extract(Tensor(tokens[rng.permutation(10)]), None)
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-10)
 
     def test_deterministic(self, encoder, bridge, vocab, rng):
@@ -134,23 +118,23 @@ class TestQueryBridge:
             bridge.project_to_lm(Tensor(rng.standard_normal((4, 9))))
 
     def test_instance_features_match_extract(self, encoder, bridge, vocab, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
+        tokens = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
         plan = "go to the red block and activate it"
-        a = bridge.instance_features(visual, [plan], vocab)
-        b = bridge.extract(visual, tokenize(plan, vocab))
+        a = bridge.instance_features(tokens, [plan], vocab)
+        b = bridge.extract(tokens, tokenize(plan, vocab))
         assert a.shape == (1, 4, 16)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_empty_plan_rejected(self, encoder, bridge, vocab, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
+        tokens = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
         with pytest.raises(ContractError):
-            bridge.instance_features(visual, ["   "], vocab)
+            bridge.instance_features(tokens, ["   "], vocab)
 
     def test_different_plans_distinguishable(self, encoder, bridge, vocab, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
-        a = bridge.instance_features(visual, ["go to the red block"], vocab)
-        b = bridge.instance_features(visual, ["go to the video"], vocab)
-        repeat = bridge.instance_features(visual, ["go to the red block"], vocab)
+        tokens = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
+        a = bridge.instance_features(tokens, ["go to the red block"], vocab)
+        b = bridge.instance_features(tokens, ["go to the video"], vocab)
+        repeat = bridge.instance_features(tokens, ["go to the red block"], vocab)
         d_cross = np.linalg.norm(a.data - b.data)
         d_repeat = np.linalg.norm(a.data - repeat.data)
         assert d_repeat == 0.0
@@ -168,9 +152,9 @@ class TestQueryBridge:
             np.testing.assert_allclose(batched.data[i], one.data[0], rtol=0, atol=1e-12)
 
     def test_instance_features_plan_count_must_match(self, encoder, bridge, vocab, rng):
-        visual = encoder.encode_image(Tensor(rng.standard_normal((2, 3, 32, 32))))
+        tokens = encoder.encode_image(Tensor(rng.standard_normal((2, 3, 32, 32))))
         with pytest.raises(DimensionError):
-            bridge.instance_features(visual, ["go to the video"], vocab)
+            bridge.instance_features(tokens, ["go to the video"], vocab)
 
     def test_extract_rows_match_single_images(self, encoder, bridge, vocab, rng):
         images = rng.standard_normal((2, 3, 32, 32))
@@ -184,8 +168,8 @@ class TestQueryBridge:
     def test_gradients_reach_trainables_not_frozen_encoder(self, encoder, bridge, vocab, rng):
         set_trainable(encoder.named_parameters(), False)
         img = Tensor(rng.standard_normal((3, 32, 32)))
-        visual = encoder.encode_image(img)
-        z = bridge.extract(visual, tokenize("go to the red block", vocab))
+        tokens = encoder.encode_image(img)
+        z = bridge.extract(tokens, tokenize("go to the red block", vocab))
         loss = (bridge.project_to_lm(z) * 0.3).tanh().sum()
         loss.backward()
         assert bridge.queries.grad is not None and np.any(bridge.queries.grad != 0)
@@ -203,8 +187,7 @@ class TestQueryBridge:
         tokens = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
 
         def fn(inp):
-            visual = VisualTokens(inp[0], 1, 3)
-            z = bridge.extract(visual, [1, 4, 2])
+            z = bridge.extract(inp[0], [1, 4, 2])
             return bridge.project_to_lm(z).tanh().mean()
 
         params = [tokens, bridge.queries, bridge.proj.w, bridge.proj.b]

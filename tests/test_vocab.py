@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from planact.errors import ValidationError
 from planact.vocab import (
     BOS,
     EOS,
@@ -36,6 +37,14 @@ class TestVocabulary:
         vocab.save(tmp_path / "vocab.txt")
         loaded = Vocabulary.load(tmp_path / "vocab.txt")
         assert loaded.tokens == vocab.tokens
+
+    @pytest.mark.parametrize("repeated", ["cup", "<eos>"])
+    def test_load_rejects_repeated_token(self, vocab, tmp_path, repeated):
+        vocab.save(tmp_path / "vocab.txt")
+        with (tmp_path / "vocab.txt").open("a") as fh:
+            fh.write(f"{repeated}\n")
+        with pytest.raises(ValidationError, match=rf"vocab\.txt: token '{repeated}'"):
+            Vocabulary.load(tmp_path / "vocab.txt")
 
     def test_file_line_number_is_offset_id(self, vocab, tmp_path):
         vocab.save(tmp_path / "vocab.txt")
