@@ -1,11 +1,12 @@
 """Query-token bridge between visual tokens and the language model.
 
 A fixed set of learnable query vectors is concatenated with embedded text,
-self-attends under a full mask, and cross-attends (query rows only, on every
-``cross_freq``-th block) to the visual tokens, the ``(..., patches, dim)``
-tensor that ``VisualEncoder.encode_image`` returns.  Only the query rows are
-returned, so the output is a fixed-size bottleneck regardless of how many
-visual or text tokens went in.  A single affine map projects that summary into
+self-attends with every row visible, and cross-attends (query rows only, on
+every even-numbered block) to the visual tokens, the ``(..., patches, dim)``
+tensor that ``VisualEncoder.encode_image`` returns.  Text positions use a
+fixed table of ``MAX_SEQUENCE_LENGTH`` rows, the length ``tokenize``
+truncates to.  Only the query rows are returned, so the output is a
+fixed-size bottleneck regardless of how many visual or text tokens went in.  A single affine map projects that summary into
 the language model's embedding space as soft prompt rows.
 """
 
@@ -17,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nn import Linear, Mask, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
+from .nn import Linear, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
 from .tensor import Tensor, broadcast_to, concat, parameter, take_rows
-from .vocab import Vocabulary, tokenize
+from .vocab import MAX_SEQUENCE_LENGTH, Vocabulary, tokenize
 
 
 @dataclass
@@ -29,9 +30,7 @@ class BridgeConfig:
     lm_dim: int = 64           # language model embedding width
     blocks: int = 2
     heads: int = 4
-    cross_freq: int = 2        # cross-attention on every cross_freq-th block
     ff_mult: int = 4
-    max_text_len: int = 256
 
 
 class QueryBridge(Module):
@@ -39,14 +38,14 @@ class QueryBridge(Module):
         self.config = config
         self.queries = parameter(rng, (config.query_count, config.dim), scale=0.1)
         self.text_embed = parameter(rng, (vocab_size, config.dim), scale=0.1)
-        self.text_pos = sinusoidal_embedding(config.max_text_len, config.dim)
+        self.text_pos = sinusoidal_embedding(MAX_SEQUENCE_LENGTH, config.dim)
         self.blocks = [
             TransformerBlock(
                 rng,
                 config.dim,
                 config.heads,
                 ff_mult=config.ff_mult,
-                cross_attention=(i % config.cross_freq == 0),
+                cross_attention=(i % 2 == 0),
             )
             for i in range(config.blocks)
         ]
@@ -80,9 +79,9 @@ class QueryBridge(Module):
         x = rows[0] if len(rows) == 1 else concat(rows, axis=-2)
         for block in self.blocks:
             if block.has_cross:
-                x = block(x, Mask.full(), cross_kv=tokens, cross_rows=n)
+                x = block(x, cross_kv=tokens, cross_rows=n)
             else:
-                x = block(x, Mask.full())
+                x = block(x)
         return self.ln_out(x)[..., :n, :]
 
     def project_to_lm(self, summary: Tensor) -> Tensor:

@@ -78,6 +78,26 @@ def save_checkpoint(prefix: Path, tensors: dict[str, Tensor], meta: dict | None 
     atomic_write_bytes(prefix.with_suffix(".bin"), b"".join(chunks))
 
 
+def _check_entry(manifest_path: Path, i: int, entry) -> None:
+    """An entry is ``{name: str, shape: [int >= 0, ...], dtype: "f64", byte_offset: int}``."""
+    if not isinstance(entry, dict):
+        problem = f"is {type(entry)}, not an object"
+    elif not isinstance(entry.get("name"), str):
+        problem = "has no string name"
+    elif not (
+        isinstance(entry.get("shape"), list)
+        and all(type(n) is int and n >= 0 for n in entry["shape"])
+    ):
+        problem = f"shape {entry.get('shape')!r} is not a list of non-negative ints"
+    elif type(entry.get("byte_offset")) is not int:
+        problem = f"byte_offset {entry.get('byte_offset')!r} is not an int"
+    elif entry.get("dtype") != "f64":
+        problem = f"dtype {entry.get('dtype')!r} is not 'f64'"
+    else:
+        return
+    raise IngestError(f"{manifest_path}: tensor entry {i} {problem}")
+
+
 def load_checkpoint(prefix: Path) -> tuple[dict[str, np.ndarray], dict]:
     prefix = Path(prefix)
     manifest_path = prefix.with_suffix(".json")
@@ -92,7 +112,10 @@ def load_checkpoint(prefix: Path) -> tuple[dict[str, np.ndarray], dict]:
         raise IngestError(f"{manifest_path}: manifest has no list of tensors")
     blob = blob_path.read_bytes()
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
+    for i, entry in enumerate(manifest["tensors"]):
+        _check_entry(manifest_path, i, entry)
+        if entry["name"] in arrays:
+            raise ValidationError(f"{manifest_path}: entry {i} repeats tensor {entry['name']}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["byte_offset"]

@@ -2,11 +2,12 @@
 
 The input sequence is laid out as [soft prompt rows][text embeddings].  Text
 positions attend causally among themselves and fully to the soft prompt rows
-(a prefix mask over the sequence).  Each block additionally owns P trainable
-key/value rows that every position may attend to; these adapter rows are the
-only LM-interior trainables when the base model is frozen.  Logits are emitted
-for text positions only, and text positions are numbered independently of the
-soft prompt so prompt rows never shift positional slots.
+(``causal_mask`` with the soft prompt as its always-visible prefix).  Each
+block additionally owns P trainable key/value rows that every position may
+attend to; these adapter rows are the only LM-interior trainables when the
+base model is frozen.  Logits are emitted for text positions only, and text
+positions are numbered independently of the soft prompt so prompt rows never
+shift positional slots.
 
 Every ``forward`` runs on an ``LmCache``: one ``KVCache`` per block whose
 first rows are that block's adapter rows (prefix-tuning's layout), followed
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nn import KVCache, LayerNorm, Linear, Mask, Module, TransformerBlock
+from .nn import KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask
 from .tensor import Tensor, concat, parameter, take_rows
 
 
@@ -123,7 +124,7 @@ class MicroLm(Module):
         x = take_rows(self.embed, ids) + self.pos[start : start + n, :]
         if soft_prompt is not None:
             x = concat([soft_prompt, x], axis=0)
-        mask = Mask.prefix_mask(n_soft) if n_soft else Mask.causal()
+        mask = causal_mask(n_soft + n, prefix=n_soft)
         for block, block_cache in zip(self.blocks, cache.blocks):
             x = block(x, mask, self_cache=block_cache)
         h = self.ln_f(x)

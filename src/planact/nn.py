@@ -1,9 +1,13 @@
-"""Attention, transformer blocks, masks and embeddings shared by the bridge and the LM."""
+"""Attention, transformer blocks and embeddings shared by the vision encoder, bridge and LM.
+
+An attention mask is None (every key visible) or a boolean (queries, keys)
+array; ``causal_mask`` builds the language model's causal pattern with an
+optional always-visible prefix.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,51 +59,19 @@ def set_trainable(params: dict[str, Tensor], trainable: bool) -> None:
             p.grad = None
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Attention visibility pattern: full, causal, or causal with an always-visible prefix."""
-
-    kind: str
-    prefix: int = 0
-
-    @staticmethod
-    def full() -> "Mask":
-        return Mask("full")
-
-    @staticmethod
-    def causal() -> "Mask":
-        return Mask("causal")
-
-    @staticmethod
-    def prefix_mask(p: int) -> "Mask":
-        if p < 0:
-            raise ContractError(f"prefix length must be non-negative, got {p}")
-        return Mask("prefix", p)
-
-    def allowed(self, n_q: int, n_k: int) -> np.ndarray:
-        if self.kind == "full":
-            return np.ones((n_q, n_k), dtype=bool)
-        if n_q != n_k:
-            raise DimensionError(
-                f"{self.kind} mask requires square attention, got {n_q} queries and {n_k} keys"
-            )
-        rows = np.arange(n_q)[:, None]
-        cols = np.arange(n_k)[None, :]
-        causal = cols <= rows
-        if self.kind == "causal":
-            return causal
-        if self.kind == "prefix":
-            return causal | (cols < self.prefix)
-        raise ContractError(f"unknown mask kind {self.kind!r}")
+def causal_mask(n: int, prefix: int = 0) -> np.ndarray:
+    """(n, n) visibility: row i sees columns up to i and the first ``prefix`` columns."""
+    if prefix < 0:
+        raise ContractError(f"prefix length must be non-negative, got {prefix}")
+    cols = np.arange(n)
+    return (cols[None, :] <= cols[:, None]) | (cols < prefix)
 
 
-def _allowed_matrix(mask, n_q: int, n_k: int) -> np.ndarray:
-    allowed = mask.allowed(n_q, n_k) if isinstance(mask, Mask) else np.asarray(mask, dtype=bool)
-    if allowed.shape != (n_q, n_k):
+def _check_mask(mask: np.ndarray | None, n_q: int, n_k: int) -> None:
+    if mask is not None and np.shape(mask) != (n_q, n_k):
         raise DimensionError(
-            f"mask shape {allowed.shape} does not fit {n_q} queries and {n_k} keys"
+            f"mask shape {np.shape(mask)} does not fit {n_q} queries and {n_k} keys"
         )
-    return allowed
 
 
 def _swapaxes(x: Tensor, a: int, b: int) -> Tensor:
@@ -108,24 +80,26 @@ def _swapaxes(x: Tensor, a: int, b: int) -> Tensor:
     return x.transpose(axes)
 
 
-def attention_probs(q: Tensor, k: Tensor, mask) -> Tensor:
+def attention_probs(q: Tensor, k: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Row-stochastic attention weights softmax(q k^T / sqrt(d)) under the mask.
 
-    ``q`` is (..., n_q, d) and ``k`` is (..., n_k, d); the (n_q, n_k) mask is
-    shared by every leading index.
+    ``q`` is (..., n_q, d) and ``k`` is (..., n_k, d).  ``mask`` is None (every
+    key visible) or a boolean (n_q, n_k) array shared by every leading index.
     """
     if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"attention operands disagree: q {q.shape}, k {k.shape}")
-    allowed = _allowed_matrix(mask, q.shape[-2], k.shape[-2])
-    if not allowed.any(axis=1).all():
+    _check_mask(mask, q.shape[-2], k.shape[-2])
+    if k.shape[-2] == 0 or (mask is not None and not mask.any(axis=1).all()):
         raise ContractError("attention row has no attendable key (fully masked)")
     scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ _swapaxes(k, -1, -2)
-    if not allowed.all():
-        scores = masked_fill(scores, allowed, MASK_BIAS)
+    if mask is not None and not mask.all():
+        scores = masked_fill(scores, mask, MASK_BIAS)
     return softmax(scores, axis=-1)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
+def scaled_dot_attention(
+    q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None
+) -> Tensor:
     if k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
     return attention_probs(q, k, mask) @ v
@@ -173,10 +147,12 @@ class KVCache:
 class MultiHeadAttention(Module):
     """Multi-head attention over (..., n, dim) inputs, heads split by reshape.
 
+    ``mask`` is None (every key visible) or a boolean (n_q, new rows) array.
     With a ``cache``, keys and values are laid out as [cached rows][new rows];
     cached rows are visible to every query, and ``mask`` covers the new rows
-    only.  Every head runs in one product of queries and keys,
-    one softmax and one product with the values.
+    only; a mask that does not fit raises before the cache grows.  Every head
+    runs in one product of queries and keys, one softmax and one product with
+    the values.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
@@ -198,26 +174,25 @@ class MultiHeadAttention(Module):
         self,
         x_q: Tensor,
         x_kv: Tensor,
-        mask,
+        mask: np.ndarray | None = None,
         cache: KVCache | None = None,
     ) -> Tensor:
         if x_q.shape[-1] != self.dim or x_kv.shape[-1] != self.dim:
             raise DimensionError(
                 f"inputs {x_q.shape}/{x_kv.shape} do not match model dim {self.dim}"
             )
+        n_q = x_q.shape[-2]
+        _check_mask(mask, n_q, x_kv.shape[-2])
         q = self.w_q(x_q)
         k = self.w_k(x_kv)
         v = self.w_v(x_kv)
-        n_q, n_k = x_q.shape[-2], x_kv.shape[-2]
-        allowed = _allowed_matrix(mask, n_q, n_k)
-        visible = 0
         if cache is not None:
             visible = len(cache)
             k, v = cache.extend(k, v)
-        if visible:
-            allowed = np.concatenate([np.ones((n_q, visible), dtype=bool), allowed], axis=1)
+            if mask is not None and visible:
+                mask = np.concatenate([np.ones((n_q, visible), dtype=bool), mask], axis=1)
         heads = scaled_dot_attention(
-            self._split_heads(q), self._split_heads(k), self._split_heads(v), allowed
+            self._split_heads(q), self._split_heads(k), self._split_heads(v), mask
         )
         return self.w_o(_swapaxes(heads, -3, -2).reshape(q.shape))
 
@@ -245,9 +220,10 @@ class LayerNorm(Module):
 class TransformerBlock(Module):
     """Pre-norm residual block: self-attention, optional cross-attention, feed-forward.
 
-    ``x`` is (..., n, dim).  ``cross_rows`` limits cross-attention (and its
-    residual update) to the leading rows of the sequence; remaining rows pass
-    through unchanged.
+    ``x`` is (..., n, dim) and ``self_mask`` is None (every row visible) or a
+    boolean (n, n) array.  Cross-attention (and its residual update) covers the
+    leading ``cross_rows`` rows of the sequence, all rows when None; remaining
+    rows pass through unchanged.
     ``self_cache`` holds the self-attention keys and values of rows every
     query sees (seeded rows, then earlier rows); ``x`` then carries only the
     new rows, and their keys and values are appended to it.
@@ -273,7 +249,7 @@ class TransformerBlock(Module):
     def __call__(
         self,
         x: Tensor,
-        self_mask,
+        self_mask: np.ndarray | None = None,
         cross_kv: Tensor | None = None,
         cross_rows: int | None = None,
         self_cache: KVCache | None = None,
@@ -286,14 +262,10 @@ class TransformerBlock(Module):
         normed = self.ln_self(x)
         h = x + self.self_attn(normed, normed, self_mask, cache=self_cache)
         if self.has_cross:
-            if cross_rows is None or cross_rows >= h.shape[-2]:
-                h = h + self.cross_attn(self.ln_cross(h), cross_kv, Mask.full())
-            else:
-                head_rows = h[..., :cross_rows, :]
-                attended = self.cross_attn(
-                    self.ln_cross(head_rows), cross_kv, Mask.full()
-                )
-                h = concat([head_rows + attended, h[..., cross_rows:, :]], axis=-2)
+            rows = h.shape[-2] if cross_rows is None else cross_rows
+            head = h[..., :rows, :]
+            attended = self.cross_attn(self.ln_cross(head), cross_kv)
+            h = concat([head + attended, h[..., rows:, :]], axis=-2)
         return h + self.ffn(self.ln_ffn(h))
 
 

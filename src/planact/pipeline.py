@@ -102,18 +102,22 @@ def ingest(
     """Group narrations per video, sorted by timestamp; orphans (no meta) are dropped.
 
     A narration row is keyed by ``(video_id, timestamp_sec)``; a key that
-    repeats an earlier row's raises.  Returns (meta by video, sorted records by
+    repeats an earlier row's raises, as does a time or duration that is not
+    finite or lies outside its video.  Returns (meta by video, sorted records by
     video, orphan count).
     """
     meta_rows = read_jsonl(meta_path, {"video_id": str, "duration_sec": (int, float), "scenario": str})
     metas: dict[str, VideoMeta] = {}
-    for _, row in meta_rows:
+    for lineno, row in meta_rows:
         vid = row["video_id"]
+        where = f"{meta_path}:{lineno}: video {vid}"
         if vid in metas:
-            raise ValidationError(f"{meta_path}: duplicate meta row for video {vid}")
+            raise ValidationError(f"{meta_path}:{lineno}: duplicate meta row for video {vid}")
         duration = float(row["duration_sec"])
+        if not math.isfinite(duration):
+            raise ValidationError(f"{where}: non-finite duration {duration}")
         if duration <= 0:
-            raise ValidationError(f"video {vid} has non-positive duration")
+            raise ValidationError(f"{where}: non-positive duration {duration}")
         metas[vid] = VideoMeta(vid, duration, row["scenario"])
 
     narr_rows = read_jsonl(
@@ -125,6 +129,9 @@ def ingest(
     for lineno, row in narr_rows:
         vid = row["video_id"]
         t = float(row["timestamp_sec"])
+        where = f"{narrations_path}:{lineno}: video {vid}"
+        if not math.isfinite(t):
+            raise ValidationError(f"{where}: non-finite timestamp {t}")
         earlier = first_line.setdefault((vid, t), lineno)
         if earlier != lineno:
             raise ValidationError(
@@ -136,11 +143,9 @@ def ingest(
             orphans += 1
             continue
         if t < 0:
-            raise ValidationError(f"video {vid}: negative timestamp {t}")
+            raise ValidationError(f"{where}: negative timestamp {t}")
         if t > meta.duration_sec:
-            raise ValidationError(
-                f"video {vid}: timestamp {t} exceeds duration {meta.duration_sec}"
-            )
+            raise ValidationError(f"{where}: timestamp {t} exceeds duration {meta.duration_sec}")
         grouped.setdefault(vid, []).append(
             NarrationRecord(vid, t, row["narration"], meta.scenario)
         )

@@ -22,7 +22,7 @@ from .gridworld import (
 from .seeding import stable_seed
 from .nn import Linear, Module, gelu, set_trainable
 from .optim import AdamW, AdamWConfig, LrSchedule
-from .tensor import Tensor, concat, cross_entropy, no_grad, take_rows, unfold_windows, zeros
+from .tensor import Tensor, concat, cross_entropy, no_grad, unfold_windows, zeros
 from .vision import VisionConfig, VisualEncoder
 from .vocab import Vocabulary
 
@@ -40,7 +40,6 @@ class PolicyConfig:
     ff_mult: int = 2
     train_bridge: bool = False
     augment_symmetry: bool = True
-    bc_epochs: int = 40
     bc_batch: int = 32
     bc_peak_lr: float = 2e-3
     bc_warmup_ratio: float = 0.05
@@ -167,11 +166,11 @@ class ControlModel(Module):
         return self.head(fused)
 
     def forward(
-        self, obs: np.ndarray, plan_texts: list[str | None], cache: dict | None = None
+        self, obs: np.ndarray, plan_texts: list[str], cache: dict | None = None
     ) -> Tensor:
         """Action logits (B x actions) for observations (B, c, H, W) and one plan each.
 
-        Rows that are ablated or have no plan use zero instance features.  With
+        An ablated model reads no plan and uses zero instance features.  With
         a ``cache`` the bridge is treated as frozen: instance features are
         computed once per distinct (observation, plan) pair, the batch's misses
         in one ``instance_features`` call, and reused as constants.
@@ -181,30 +180,23 @@ class ControlModel(Module):
             raise DimensionError(
                 f"{len(plan_texts)} plans for observations of shape {obs.shape}"
             )
-        batch = obs.shape[0]
-        features = (batch, self.config.query_count, self.config.bridge_dim)
-        live = [] if self.ablate_plan else [i for i, p in enumerate(plan_texts) if p is not None]
-        if not live:
-            z_instance = zeros(*features)
+        if not all(isinstance(p, str) and p.strip() for p in plan_texts):
+            raise ContractError("every plan must be a non-empty string")
+        if self.ablate_plan:
+            z_instance = zeros(obs.shape[0], self.config.query_count, self.config.bridge_dim)
         elif cache is None:
-            z_instance = self.instance_features(obs[live], [plan_texts[i] for i in live])
-            if len(live) < batch:
-                index = np.full(batch, len(live))
-                index[live] = np.arange(len(live))
-                z_instance = take_rows(concat([z_instance, zeros(1, *features[1:])]), index)
+            z_instance = self.instance_features(obs, plan_texts)
         else:
-            keys = [(obs[i].tobytes(), plan_texts[i]) for i in live]
-            misses = {key: i for i, key in zip(live, keys) if key not in cache}
+            keys = [(o.tobytes(), p) for o, p in zip(obs, plan_texts)]
+            misses = {key: i for i, key in enumerate(keys) if key not in cache}
             if misses:
                 rows = list(misses.values())
                 computed = self.instance_features(obs[rows], [plan_texts[i] for i in rows])
                 cache.update(zip(misses, map(Tensor, computed.data)))
-            z = np.zeros(features)
-            z[live] = [cache[key].data for key in keys]
-            z_instance = Tensor(z)
+            z_instance = Tensor(np.stack([cache[key].data for key in keys]))
         return self.policy_logits(z_instance, self.global_enc(Tensor(obs)))
 
-    def act(self, obs: np.ndarray, plan_text: str | None) -> int:
+    def act(self, obs: np.ndarray, plan_text: str) -> int:
         """Greedy action for one observation; records no autodiff graph."""
         with no_grad():
             return int(np.argmax(self.forward(obs[None], [plan_text]).data[0]))
@@ -263,7 +255,7 @@ def bc_train(
     model: ControlModel,
     demos: list[Demonstration],
     seed: int = 0,
-    epochs: int | None = None,
+    epochs: int = 40,
 ) -> TrainLog:
     """Minimise the negative log-likelihood of expert actions under the policy.
 
@@ -278,7 +270,6 @@ def bc_train(
     cfg = model.config
     data = _dataset_from_demos(demos, augment=cfg.augment_symmetry)
     rng = np.random.default_rng(seed)
-    epochs = cfg.bc_epochs if epochs is None else epochs
     batches_per_epoch = max(1, math.ceil(len(data) / cfg.bc_batch))
     schedule = LrSchedule(
         peak_lr=cfg.bc_peak_lr,
@@ -350,7 +341,7 @@ def evaluate_policy(
 
 def model_policy(model: ControlModel):
     def policy_fn(env: GoalGridEnv, obs: np.ndarray, plan_text: str) -> int:
-        return model.act(obs, None if model.ablate_plan else plan_text)
+        return model.act(obs, plan_text)
 
     return policy_fn
 

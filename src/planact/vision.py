@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nn import Linear, Mask, Module, TransformerBlock, sinusoidal_embedding
+from .nn import Linear, Module, TransformerBlock, sinusoidal_embedding
 from .tensor import Tensor, as_tensor
 
 
@@ -79,5 +79,5 @@ class VisualEncoder(Module):
         """Tokens (..., patches, dim) of an image or a batch of images (..., c, H, W)."""
         x = self.patch_embed(self._patchify(as_tensor(image))) + self.pos
         for block in self.blocks:
-            x = block(x, Mask.full())
+            x = block(x)
         return x

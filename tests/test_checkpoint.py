@@ -72,6 +72,48 @@ def test_malformed_manifest_names_file(tmp_path, manifest):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def _corrupt(entry):
+    return {"name": "w", "shape": [2], "dtype": "f64", "byte_offset": 0, **entry}
+
+
+def _without(key):
+    entry = _corrupt({})
+    del entry[key]
+    return entry
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(["w", [2]], id="not-an-object"),
+        pytest.param(_without("name"), id="missing-name"),
+        pytest.param(_corrupt({"name": 3}), id="name-not-text"),
+        pytest.param(_corrupt({"shape": "2"}), id="shape-not-a-list"),
+        pytest.param(_corrupt({"shape": [-1]}), id="negative-extent"),
+        pytest.param(_corrupt({"shape": [2.0]}), id="float-extent"),
+        pytest.param(_without("byte_offset"), id="missing-offset"),
+        pytest.param(_corrupt({"byte_offset": 0.5}), id="float-offset"),
+        pytest.param(_corrupt({"dtype": "f32"}), id="dtype-not-f64"),
+    ],
+)
+def test_malformed_entry_names_manifest_and_index(tmp_path, entry):
+    save_checkpoint(tmp_path / "ckpt", {"v": Tensor(np.zeros(2)), "w": Tensor(np.zeros(2))})
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    manifest["tensors"][1] = entry
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    with pytest.raises(IngestError, match=r"ckpt\.json: tensor entry 1 "):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_repeated_name_rejected(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", {"w": Tensor(np.zeros(2)), "v": Tensor(np.ones(2))})
+    manifest = json.loads((tmp_path / "ckpt.json").read_text())
+    manifest["tensors"][1]["name"] = "w"
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match=r"ckpt\.json: entry 1 repeats tensor w"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_truncated_blob_names_file_and_tensor(tmp_path, rng):
     tensors = {"a": Tensor(rng.standard_normal(4)), "b.w": Tensor(rng.standard_normal((2, 3)))}
     save_checkpoint(tmp_path / "ckpt", tensors)

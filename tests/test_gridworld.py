@@ -10,7 +10,6 @@ from planact.gridworld import (
     Demonstration,
     EnvConfig,
     GoalGridEnv,
-    bfs_distances,
     caption_for,
     collect_demos,
     load_demos,
@@ -99,11 +98,12 @@ class TestExpert:
         env.agent_pos = env.object_pos[env.target_idx]
         assert scripted_expert(env) == INTERACT
 
-    def test_trajectory_length_matches_bfs_oracle(self):
+    def test_trajectory_length_matches_manhattan_oracle(self):
         for seed in range(20):
             env = GoalGridEnv()
             env.reset(seed)
-            expected = int(bfs_distances(env, env.object_pos[env.target_idx])[env.agent_pos])
+            (r, c), (goal_r, goal_c) = env.agent_pos, env.object_pos[env.target_idx]
+            expected = abs(goal_r - r) + abs(goal_c - c)
             steps = 0
             done = False
             while not done:

@@ -7,10 +7,10 @@ from planact.errors import ContractError, DimensionError
 from planact.gradcheck import check_gradients
 from planact.nn import (
     KVCache,
-    Mask,
     MultiHeadAttention,
     TransformerBlock,
     attention_probs,
+    causal_mask,
     scaled_dot_attention,
     sinusoidal_embedding,
 )
@@ -19,26 +19,41 @@ from planact.tensor import Tensor
 
 class TestMask:
     def test_causal_pattern(self):
-        allowed = Mask.causal().allowed(3, 3)
         np.testing.assert_array_equal(
-            allowed, [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+            causal_mask(3), [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
         )
 
     def test_prefix_pattern(self):
-        allowed = Mask.prefix_mask(2).allowed(4, 4)
+        allowed = causal_mask(4, prefix=2)
         # everyone sees the first two positions; causal beyond
         assert allowed[:, :2].all()
         assert not allowed[2, 3]
         assert allowed[3, 3]
 
     def test_prefix_zero_equals_causal(self):
-        np.testing.assert_array_equal(
-            Mask.prefix_mask(0).allowed(5, 5), Mask.causal().allowed(5, 5)
-        )
+        np.testing.assert_array_equal(causal_mask(5, prefix=0), causal_mask(5))
 
-    def test_causal_requires_square(self):
+    def test_negative_prefix_rejected(self):
+        with pytest.raises(ContractError, match="prefix"):
+            causal_mask(3, prefix=-1)
+
+    def test_mask_that_does_not_fit_rejected(self, rng):
+        mha = MultiHeadAttention(rng, dim=4, heads=2)
+        x_q, x_kv = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((3, 4)))
+        with pytest.raises(DimensionError, match="does not fit"):
+            mha(x_q, x_kv, causal_mask(2))
+        with pytest.raises(DimensionError, match="does not fit"):
+            attention_probs(x_q, x_kv, causal_mask(3))
+
+    def test_bad_mask_leaves_cache_unchanged(self, rng):
+        mha = MultiHeadAttention(rng, dim=4, heads=2)
+        x = Tensor(rng.standard_normal((3, 4)))
+        cache = KVCache()
+        mha(x, x, causal_mask(3), cache=cache)
+        k, v = cache.k, cache.v
         with pytest.raises(DimensionError):
-            Mask.causal().allowed(2, 3)
+            mha(x[:2], x[:2], causal_mask(3), cache=cache)
+        assert len(cache) == 3 and cache.k is k and cache.v is v
 
 
 class TestScaledDotAttention:
@@ -46,14 +61,14 @@ class TestScaledDotAttention:
         q = Tensor(rng.standard_normal((3, 4)))
         k = Tensor(rng.standard_normal((1, 4)))
         v = Tensor(rng.standard_normal((1, 4)))
-        out = scaled_dot_attention(q, k, v, Mask.full())
+        out = scaled_dot_attention(q, k, v)
         np.testing.assert_allclose(out.data, np.tile(v.data, (3, 1)), atol=1e-12)
 
     def test_identical_keys_average_values(self, rng):
         q = Tensor(rng.standard_normal((2, 4)))
         k = Tensor(np.tile(rng.standard_normal(4), (3, 1)))
         v = Tensor(rng.standard_normal((3, 4)))
-        out = scaled_dot_attention(q, k, v, Mask.full())
+        out = scaled_dot_attention(q, k, v)
         np.testing.assert_allclose(
             out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12
         )
@@ -62,7 +77,7 @@ class TestScaledDotAttention:
         q = Tensor(rng.standard_normal((2, 4)))
         k = Tensor(rng.standard_normal((3, 4)))
         v = Tensor(rng.standard_normal((3, 4)))
-        out = scaled_dot_attention(q, k, v, Mask.full())
+        out = scaled_dot_attention(q, k, v)
         # independent dense evaluation
         scores = q.data @ k.data.T / math.sqrt(4)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -79,7 +94,7 @@ class TestScaledDotAttention:
     def test_rows_are_stochastic(self, rng):
         q = Tensor(rng.standard_normal((4, 8)) * 3)
         k = Tensor(rng.standard_normal((5, 8)) * 3)
-        probs = attention_probs(q, k, Mask.full())
+        probs = attention_probs(q, k)
         assert np.all(probs.data >= 0.0)
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-10)
 
@@ -88,7 +103,7 @@ class TestScaledDotAttention:
         k = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         v = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         check_gradients(
-            lambda inp: scaled_dot_attention(inp[0], inp[1], inp[2], Mask.full())
+            lambda inp: scaled_dot_attention(inp[0], inp[1], inp[2])
             .tanh()
             .sum(),
             [q, k, v],
@@ -100,9 +115,9 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(rng, dim=6, heads=1)
         x_q = Tensor(rng.standard_normal((3, 6)))
         x_kv = Tensor(rng.standard_normal((4, 6)))
-        out = mha(x_q, x_kv, Mask.full())
+        out = mha(x_q, x_kv)
         manual = scaled_dot_attention(
-            mha.w_q(x_q), mha.w_k(x_kv), mha.w_v(x_kv), Mask.full()
+            mha.w_q(x_q), mha.w_k(x_kv), mha.w_v(x_kv)
         )
         np.testing.assert_allclose(out.data, mha.w_o(manual).data, atol=1e-12)
 
@@ -110,22 +125,22 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(rng, dim=8, heads=2)
         x_q = Tensor(rng.standard_normal((3, 8)))
         kv = rng.standard_normal((5, 8))
-        out = mha(x_q, Tensor(kv), Mask.full())
+        out = mha(x_q, Tensor(kv))
         perm = np.random.default_rng(9).permutation(5)
-        out_p = mha(x_q, Tensor(kv[perm]), Mask.full())
+        out_p = mha(x_q, Tensor(kv[perm]))
         np.testing.assert_allclose(out.data, out_p.data, atol=1e-10)
 
     def test_zero_output_projection_gives_zero(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         mha.w_o.w.data[...] = 0.0
         mha.w_o.b.data[...] = 0.0
-        out = mha(Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((3, 4))), Mask.full())
+        out = mha(Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((3, 4))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_dim_mismatch(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         with pytest.raises(DimensionError):
-            mha(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 4))), Mask.full())
+            mha(Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 4))))
 
     def test_indivisible_heads_rejected(self, rng):
         with pytest.raises(ContractError):
@@ -163,8 +178,8 @@ class TestHeadsByReshape:
     def test_masked_self_attention(self, rng):
         mha = MultiHeadAttention(rng, dim=8, heads=4)
         x = rng.standard_normal((5, 8))
-        out = mha(Tensor(x), Tensor(x), Mask.causal())
-        ref = per_head_reference(mha, x, x, Mask.causal().allowed(5, 5))
+        out = mha(Tensor(x), Tensor(x), causal_mask(5))
+        ref = per_head_reference(mha, x, x, causal_mask(5))
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
     def test_cross_attention_with_explicit_mask(self, rng):
@@ -181,13 +196,13 @@ class TestHeadsByReshape:
         prefix = (rng.standard_normal((2, 8)), rng.standard_normal((2, 8)))
         x = rng.standard_normal((6, 8))
         cache = KVCache(Tensor(prefix[0]), Tensor(prefix[1]))
-        first = mha(Tensor(x[:4]), Tensor(x[:4]), Mask.causal(), cache=cache)
-        ref = per_head_reference(mha, x[:4], x[:4], Mask.causal().allowed(4, 4), prefix)
+        first = mha(Tensor(x[:4]), Tensor(x[:4]), causal_mask(4), cache=cache)
+        ref = per_head_reference(mha, x[:4], x[:4], causal_mask(4), prefix)
         np.testing.assert_allclose(first.data, ref, rtol=0, atol=1e-12)
         past = (cache.k.data.copy(), cache.v.data.copy())
         np.testing.assert_array_equal(past[0][:2], prefix[0])
-        step = mha(Tensor(x[4:]), Tensor(x[4:]), Mask.causal(), cache=cache)
-        ref = per_head_reference(mha, x[4:], x[4:], Mask.causal().allowed(2, 2), past)
+        step = mha(Tensor(x[4:]), Tensor(x[4:]), causal_mask(2), cache=cache)
+        ref = per_head_reference(mha, x[4:], x[4:], causal_mask(2), past)
         np.testing.assert_allclose(step.data, ref, rtol=0, atol=1e-12)
         assert len(cache) == 8
 
@@ -196,11 +211,11 @@ class TestHeadsByReshape:
         seed = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 4)))
         cache = KVCache(seed[:, 0, :], seed[:, 1, :])
-        mha(x, x, Mask.causal(), cache=cache).tanh().sum().backward()
+        mha(x, x, causal_mask(3), cache=cache).tanh().sum().backward()
         assert seed.grad is not None and np.all(seed.grad != 0.0)
         assert not cache.k.requires_grad and cache.k._parents == ()
         check_gradients(
-            lambda inp: mha(x, x, Mask.causal(), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
+            lambda inp: mha(x, x, causal_mask(3), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
             .tanh()
             .sum(),
             [seed],
@@ -209,10 +224,10 @@ class TestHeadsByReshape:
     def test_batched_rows_match_unbatched(self, rng):
         mha = MultiHeadAttention(rng, dim=8, heads=2)
         x = rng.standard_normal((3, 4, 8))
-        out = mha(Tensor(x), Tensor(x), Mask.causal())
+        out = mha(Tensor(x), Tensor(x), causal_mask(4))
         assert out.shape == (3, 4, 8)
         for b in range(3):
-            one = mha(Tensor(x[b]), Tensor(x[b]), Mask.causal())
+            one = mha(Tensor(x[b]), Tensor(x[b]), causal_mask(4))
             np.testing.assert_allclose(out.data[b], one.data, rtol=0, atol=1e-12)
 
     def test_batched_gradient(self, rng):
@@ -220,7 +235,7 @@ class TestHeadsByReshape:
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         kv = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
         params = list(mha.named_parameters().values())
-        check_gradients(lambda inp: mha(inp[0], inp[1], Mask.full()).tanh().sum(), [x, kv] + params)
+        check_gradients(lambda inp: mha(inp[0], inp[1]).tanh().sum(), [x, kv] + params)
 
 
 class TestTransformerBlock:
@@ -229,7 +244,7 @@ class TestTransformerBlock:
         for p in block.parameters():
             p.data[...] = 0.0
         x = rng.standard_normal((3, 4))
-        out = block(Tensor(x), Mask.full())
+        out = block(Tensor(x))
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     def test_single_cross_key_is_rank_limited(self, rng):
@@ -238,8 +253,8 @@ class TestTransformerBlock:
         block = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)
         kv = Tensor(rng.standard_normal((1, 4)))
         x = Tensor(rng.standard_normal((3, 4)))
-        h = x + block.self_attn(block.ln_self(x), block.ln_self(x), Mask.full())
-        contrib = block.cross_attn(block.ln_cross(h), kv, Mask.full())
+        h = x + block.self_attn(block.ln_self(x), block.ln_self(x))
+        contrib = block.cross_attn(block.ln_cross(h), kv)
         out_row = block.cross_attn.w_o(block.cross_attn.w_v(kv))
         np.testing.assert_allclose(
             contrib.data, np.tile(out_row.data, (3, 1)), atol=1e-10
@@ -248,30 +263,32 @@ class TestTransformerBlock:
     def test_cross_kv_contract(self, rng):
         plain = TransformerBlock(rng, dim=4, heads=2)
         with pytest.raises(ContractError):
-            plain(Tensor(np.zeros((2, 4))), Mask.full(), cross_kv=Tensor(np.zeros((2, 4))))
+            plain(Tensor(np.zeros((2, 4))), cross_kv=Tensor(np.zeros((2, 4))))
         crossed = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)
         with pytest.raises(ContractError):
-            crossed(Tensor(np.zeros((2, 4))), Mask.full())
+            crossed(Tensor(np.zeros((2, 4))))
 
     def test_causal_future_invariance_is_bitwise(self, rng):
         block = TransformerBlock(rng, dim=4, heads=2)
         x = rng.standard_normal((5, 4))
-        out_a = block(Tensor(x), Mask.causal())
+        out_a = block(Tensor(x), causal_mask(5))
         tampered = x.copy()
         tampered[3:] += 100.0
-        out_b = block(Tensor(tampered), Mask.causal())
+        out_b = block(Tensor(tampered), causal_mask(5))
         assert out_a.data[:3].tobytes() == out_b.data[:3].tobytes()
 
     def test_batched_cross_rows_match_unbatched(self, rng):
         block = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)
         x = rng.standard_normal((3, 5, 4))
         kv = rng.standard_normal((3, 2, 4))
-        out = block(Tensor(x), Mask.full(), cross_kv=Tensor(kv), cross_rows=2)
+        out = block(Tensor(x), cross_kv=Tensor(kv), cross_rows=2)
         for b in range(3):
-            one = block(Tensor(x[b]), Mask.full(), cross_kv=Tensor(kv[b]), cross_rows=2)
+            one = block(Tensor(x[b]), cross_kv=Tensor(kv[b]), cross_rows=2)
             np.testing.assert_allclose(out.data[b], one.data, rtol=0, atol=1e-12)
         # rows past cross_rows skip cross-attention
-        every = block(Tensor(x), Mask.full(), cross_kv=Tensor(kv), cross_rows=5)
+        every = block(Tensor(x), cross_kv=Tensor(kv), cross_rows=5)
+        # no cross_rows cross-attends every row
+        assert every.data.tobytes() == block(Tensor(x), cross_kv=Tensor(kv)).data.tobytes()
         np.testing.assert_array_equal(out.data[:, :2], every.data[:, :2])
         assert not np.allclose(out.data[:, 2:], every.data[:, 2:])
 
@@ -282,7 +299,7 @@ class TestTransformerBlock:
         params = list(block.named_parameters().values())
 
         def fn(inp):
-            return block(inp[0], Mask.causal(), cross_kv=inp[1]).tanh().mean()
+            return block(inp[0], causal_mask(3), cross_kv=inp[1]).tanh().mean()
 
         check_gradients(fn, [x, kv] + params)
 

@@ -86,6 +86,34 @@ class TestIngest:
         _, grouped, orphans = ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
         assert orphans == 1 and set(grouped) == {"v"}
 
+    @pytest.mark.parametrize("field", ["timestamp_sec", "duration_sec"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_names_line_video_and_value(self, tmp_path, field, value):
+        narrations = [narr("v", 1.0, "C opens a drawer"), narr("v", 3.0, "C washes a plate")]
+        metas = [meta("w", 10.0), meta("v", 30.0)]
+        if field == "timestamp_sec":
+            narrations[1][field], path = value, tmp_path / "n.jsonl"
+        else:
+            metas[1][field], path = value, tmp_path / "m.jsonl"
+        write_jsonl(tmp_path / "n.jsonl", narrations)
+        write_jsonl(tmp_path / "m.jsonl", metas)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2: video v: non-finite")) as info:
+            ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+        assert str(value) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "narration, duration, problem",
+        [(-1.0, 30.0, "negative timestamp -1.0"), (99.0, 30.0, "timestamp 99.0 exceeds"),
+         (1.0, 0.0, "non-positive duration 0.0")],
+    )
+    def test_out_of_range_time_names_line_and_video(self, tmp_path, narration, duration, problem):
+        write_jsonl(tmp_path / "n.jsonl", [narr("v", 2.0, "C opens a drawer"),
+                                           narr("v", narration, "C washes a plate")])
+        write_jsonl(tmp_path / "m.jsonl", [meta("w", 10.0), meta("v", duration)])
+        path = tmp_path / ("m.jsonl" if duration <= 0 else "n.jsonl")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2: video v: {problem}")):
+            ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+
     def test_duplicate_meta_row_rejected(self, tmp_path):
         write_jsonl(tmp_path / "n.jsonl", [narr("v", 1.0, "C opens a drawer")])
         write_jsonl(tmp_path / "m.jsonl", [meta("v", 10.0), meta("w", 5.0), meta("v", 2.0)])

@@ -16,6 +16,7 @@ from planact.policy import (
     model_policy,
     wilson_interval,
 )
+from planact.tensor import Tensor
 from planact.vocab import Vocabulary
 
 ENV = EnvConfig(step_limit=6)
@@ -92,18 +93,33 @@ class TestForward:
         (z_instance,) = cache.values()
         assert not z_instance.requires_grad
 
-    def test_ablated_and_planless_use_zeros_without_cache(self, vocab, data, monkeypatch):
+    def test_ablated_uses_zeros_without_cache(self, vocab, data, monkeypatch):
         obs, plan, _ = data[0]
         ablated = make_model(vocab, ablate_plan=True)
         calls = count_extract_calls(ablated, monkeypatch)
         cache = {}
         logits = forward_one(ablated, obs, plan, cache).data
         assert cache == {} and calls == []
-        np.testing.assert_array_equal(logits, forward_one(ablated, obs, None).data)
+        np.testing.assert_array_equal(logits, forward_one(ablated, obs, "go to the red block").data)
+        features = np.zeros((1, ablated.config.query_count, ablated.config.bridge_dim))
+        zero = ablated.policy_logits(Tensor(features), ablated.global_enc(Tensor(obs[None])))
+        np.testing.assert_array_equal(logits, zero.data)
         plain = make_model(vocab)
-        assert not np.array_equal(
-            forward_one(plain, obs, plan).data, forward_one(plain, obs, None).data
-        )
+        assert not np.array_equal(forward_one(plain, obs, plan).data, logits)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [pytest.param(None, id="none"), pytest.param("", id="empty"),
+         pytest.param("  ", id="blank"), pytest.param(3, id="int")],
+    )
+    @pytest.mark.parametrize("ablate_plan", [False, True])
+    def test_rejects_plan_that_is_not_text(self, vocab, data, plan, ablate_plan):
+        obs, good, _ = data[0]
+        model = make_model(vocab, ablate_plan=ablate_plan)
+        with pytest.raises(ContractError, match="non-empty string"):
+            model.forward(np.stack([obs, obs]), [good, plan])
+        with pytest.raises(ContractError, match="non-empty string"):
+            model.act(obs, plan)
 
     def test_act_records_no_graph(self, vocab, data, monkeypatch):
         model = make_model(vocab, train_bridge=True)
@@ -142,10 +158,9 @@ class TestBatchedForward:
     SHORT_PLAN = "go to the red block"
 
     def rows(self, data):
-        # plans of two token lengths and plan-less rows, in mixed order
+        # plans of two token lengths, in mixed order
         rows = [(obs, plan) for obs, plan, _ in data]
         rows[1] = (rows[1][0], self.SHORT_PLAN)
-        rows[3] = (rows[3][0], None)
         rows.append((data[0][0], self.SHORT_PLAN))
         return rows
 
