@@ -3,7 +3,9 @@
 Wire protocol: POST /embed with body {"kind": "text"|"frame", "items": [...]}
 returns {"vectors": [[...], ...]}.  Every provider mirrors it as
 ``embed(kind, items) -> list of vectors``.  Clients normalise vectors to unit
-length unless the service already guarantees it.
+length unless the service already guarantees it.  A vector depends only on
+``(kind, item)``, never on the rest of the batch, so one request may carry a
+whole build's keyframes or texts.
 """
 
 from __future__ import annotations
@@ -68,22 +70,40 @@ class RemoteEmbedder:
             try:
                 # urlopen raises HTTPError, an OSError, on 4xx/5xx responses
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    rows = json.loads(resp.read())["vectors"]
-            except (OSError, http.client.HTTPException, KeyError, ValueError) as exc:
+                    reply = json.loads(resp.read())
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an error response still holds its connection
                 last_error = exc
                 continue
-            return self._vectors(kind, items, rows)
+            return self._vectors(kind, items, reply)
         raise PipelineError(f"embedding service unreachable after retries: {last_error}")
 
-    def _vectors(self, kind: str, items: list[str], rows: list) -> list[np.ndarray]:
-        """One finite 1-D row of a common width per item, else an error naming the item.
+    def _vectors(self, kind: str, items: list[str], reply) -> list[np.ndarray]:
+        """A JSON object whose ``vectors`` list holds one finite 1-D row of a common
+        width per item, else an error naming the kind and, for a bad row, the item.
 
         A malformed answer is not retried: the service would give it again.
         """
+        if not isinstance(reply, dict):
+            raise PipelineError(
+                f"embedding service answered a {kind} request with a "
+                f"{type(reply).__name__}, not a JSON object"
+            )
+        if "vectors" not in reply:
+            raise PipelineError(
+                f"embedding service answered a {kind} request without a \"vectors\" field"
+            )
+        rows = reply["vectors"]
+        if not isinstance(rows, list):
+            raise PipelineError(
+                f"embedding service answered a {kind} request with \"vectors\" of type "
+                f"{type(rows).__name__}, not a list"
+            )
         if len(rows) != len(items):
-            raise PipelineError("embedding service returned a short batch")
+            raise PipelineError(
+                f"embedding service returned {len(rows)} {kind} vectors for {len(items)} items"
+            )
         vectors = []
         for item, row in zip(items, rows):
             try:

@@ -4,6 +4,12 @@ Two cleaning stages around clip pairing and candidate generation:
 rule-based narration filtering first, then ensemble-similarity filtering of
 the generated plans against clip keyframes, keeping the best of the sampled
 candidates per clip.
+
+``build_dataset`` runs in three passes: pair, generate and parse every clip;
+embed the keyframes of all clips that reached selection in one provider
+request and their distinct texts in a second; then select and filter each
+clip.  A build therefore sends two embedding requests however many clips it
+holds, and none when no clip reaches selection.
 """
 
 from __future__ import annotations
@@ -369,7 +375,9 @@ def build_dataset(
 
     Output rows are merged in sorted (video_id, start_sec) order so the result
     does not depend on per-video processing order.  ``provider.embed(kind, items)``
-    is called twice for each clip that reaches selection.
+    is called twice per build, once for all keyframes and once for all texts, and
+    not at all when no clip reaches selection; the outputs are written only after
+    both calls have returned, so a failed call leaves ``out_dir`` untouched.
     """
     out_dir = Path(out_dir)
     metas, grouped, orphans = ingest(narrations_path, meta_path)
@@ -378,7 +386,6 @@ def build_dataset(
     betas = {vid: compute_beta(records) for vid, records in kept_records.items()}
     alpha = compute_alpha(list(betas.values()))
 
-    clips: list[ClipRecord] = []
     # why a clip got no plan: the generator raised, or none of its candidates parsed
     failure_reasons = {"generator_raised": 0, "no_candidate_parsed": 0}
     counters = {
@@ -387,6 +394,8 @@ def build_dataset(
         "single_narration_videos": sum(1 for b in betas.values() if b is None),
         "stage2_dropped": 0,
     }
+    # each clip that reaches selection, with its parsed candidates and keyframe refs
+    selectable: list[tuple[ClipRecord, list[PlanDocument], list[str]]] = []
     for vid in sorted(kept_records):
         meta = metas[vid]
         beta = betas[vid] if betas[vid] is not None else alpha
@@ -415,20 +424,32 @@ def build_dataset(
                 failure_reasons["no_candidate_parsed"] += 1
                 continue
             clip.candidates = [text for text, _ in parsed]
-            # two requests per clip: its keyframes, then its distinct texts (the
-            # candidates and the caption; the chosen plan is one of the candidates)
             refs = [frame_ref(vid, t) for t in keyframe_times(start, end, cfg.keyframes_per_clip)]
-            frames = provider.embed("frame", refs)
-            texts = list(dict.fromkeys([*clip.candidates, caption]))
-            text_embeds = dict(zip(texts, provider.embed("text", texts)))
-            idx, _ = select_best_candidate(frames, [text_embeds[c] for c in clip.candidates])
-            clip.chosen_plan = clip.candidates[idx]
-            clip.chosen_doc = parsed[idx][1]
-            if stage2_filter(clip, cfg.similarity_threshold, frames,
-                             text_embeds[caption], text_embeds[clip.chosen_plan]):
-                clips.append(clip)
-            else:
-                counters["stage2_dropped"] += 1
+            selectable.append((clip, [doc for _, doc in parsed], refs))
+
+    # two requests per build: every distinct keyframe, then every distinct text (the
+    # candidates and captions; a chosen plan is one of its clip's candidates)
+    frame_embeds: dict[str, np.ndarray] = {}
+    text_embeds: dict[str, np.ndarray] = {}
+    if selectable:
+        refs = list(dict.fromkeys(ref for _, _, clip_refs in selectable for ref in clip_refs))
+        frame_embeds = dict(zip(refs, provider.embed("frame", refs)))
+        texts = list(dict.fromkeys(
+            text for clip, _, _ in selectable for text in (*clip.candidates, clip.caption)
+        ))
+        text_embeds = dict(zip(texts, provider.embed("text", texts)))
+
+    clips: list[ClipRecord] = []
+    for clip, docs, refs in selectable:
+        frames = [frame_embeds[ref] for ref in refs]
+        idx, _ = select_best_candidate(frames, [text_embeds[c] for c in clip.candidates])
+        clip.chosen_plan = clip.candidates[idx]
+        clip.chosen_doc = docs[idx]
+        if stage2_filter(clip, cfg.similarity_threshold, frames,
+                         text_embeds[clip.caption], text_embeds[clip.chosen_plan]):
+            clips.append(clip)
+        else:
+            counters["stage2_dropped"] += 1
 
     clips.sort(key=lambda c: (c.video_id, c.start_sec))
     dataset_lines = [json.dumps(_dataset_row(c)) for c in clips]

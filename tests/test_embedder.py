@@ -1,13 +1,14 @@
 import json
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planact.embedder import MockEmbedder, RemoteEmbedder
+from planact.embedder import MockEmbedder, RemoteEmbedder, serve_forever_in_thread
 from planact.errors import ContractError, PipelineError
 
 
@@ -150,3 +151,71 @@ def test_malformed_vectors_rejected_without_retry(serve, rows, match, normalize)
     with pytest.raises(PipelineError, match=match):
         remote.embed("text", ["a", "b"])
     assert provider.requests == 1
+
+
+class FixedBodyHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``body`` bytes and counts the requests."""
+
+    def log_message(self, *args):  # quiet
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self.server.requests += 1
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.server.body)))
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+
+@pytest.fixture
+def fixed_body():
+    """``fixed_body(body)`` starts a server answering every request with ``body``."""
+    servers = []
+
+    def start(body: bytes) -> ThreadingHTTPServer:
+        server = ThreadingHTTPServer(("127.0.0.1", 0), FixedBodyHandler)
+        server.body, server.requests = body, 0
+        serve_forever_in_thread(server)
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _url(server):
+    return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+@pytest.mark.parametrize(
+    "reply, match",
+    [
+        ([1, 2], "frame request with a list, not a JSON object"),
+        ("x", "frame request with a str, not a JSON object"),
+        (None, "frame request with a NoneType, not a JSON object"),
+        ({"nope": []}, 'frame request without a "vectors" field'),
+        ({"vectors": 5}, '"vectors" of type int, not a list'),
+        ({"vectors": None}, '"vectors" of type NoneType, not a list'),
+        ({"vectors": {"a": [1.0, 0.0]}}, '"vectors" of type dict, not a list'),
+        ({"vectors": []}, "returned 0 frame vectors for 1 items"),
+        ({"vectors": [[1.0, 0.0], [0.0, 1.0]]}, "returned 2 frame vectors for 1 items"),
+    ],
+    ids=["array", "string", "null", "no-vectors", "vectors-number", "vectors-null",
+         "vectors-object", "too-few", "too-many"],
+)
+def test_malformed_envelope_rejected_without_retry(fixed_body, reply, match):
+    server = fixed_body(json.dumps(reply).encode("utf-8"))
+    with pytest.raises(PipelineError, match=match):
+        RemoteEmbedder(_url(server), retries=2).embed("frame", ["vid@1.000"])
+    assert server.requests == 1
+
+
+def test_reply_that_is_not_json_retried(fixed_body):
+    server = fixed_body(b'{"vectors": [[1.0, 0.0]')
+    with pytest.raises(PipelineError, match="unreachable after retries"):
+        RemoteEmbedder(_url(server), retries=2).embed("text", ["a"])
+    assert server.requests == 3

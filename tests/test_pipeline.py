@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -24,6 +25,7 @@ from planact.pipeline import (
     compute_beta,
     cosine_similarity,
     ensemble_similarity,
+    frame_ref,
     ingest,
     keyframe_times,
     pair_clip,
@@ -532,6 +534,29 @@ class TestBuildDataset:
             assert (row["video_id"], row["start_sec"]) in dataset_keys
             assert row["question"] and row["answer"]
 
+    # sha256 of dataset.jsonl, vqa.jsonl and stats.json for the fixture at seed 3 with
+    # MockEmbedder(dim=16) and SyntheticPlanGenerator: how clips are batched for
+    # embedding must not move a byte of the outputs
+    PINNED = {
+        -1.0: ("869bc4294c1d82a97638b55cfd89cbe5f4ca45c20fcc8c9936306a78ad8debb4",
+               "f4e7c6d84e6d734f7a8652d80e83ce9496a5899ba6a49f7508be737fb9ed8bf5",
+               "0bc852ba359b4dd1cfa5d19f521a02925aba553fa1412e59c56a9f1148ab6053"),
+        0.0: ("32ec69597911869a7f7437e36ff4d613ed895e7eb0f4927f00b3301c995a62f5",
+              "83e7ce290d600376cda81938431f9472b4fcd6a59fbe851dd7882dc0740d902a",
+              "40b4c6fcc84bbd93fbe5802a122d6bd174565dd738ca1041d17a0131dca511d9"),
+        0.1: ("bbfeddad2b4c8921c8cf485074eac56642f60b1035c63fee90c2e6bd9df9cbe3",
+              "6ce7430775c651f7513772ce5f1f1605b05336fe14f660c8ee5bd7ef2c043174",
+              "153c3ce12383488b61544820906724219b8795329301c84d52744c30d2223708"),
+    }
+
+    @pytest.mark.parametrize("tau, kept", [(-1.0, 8), (0.0, 3), (0.1, 2)])
+    def test_outputs_match_pinned_digests(self, fixture_paths, tmp_path, tau, kept):
+        out = tmp_path / "out"
+        summary = self.run(fixture_paths, out, tau=tau, seed=3)
+        assert summary["kept_count"] == kept and summary["stage2_dropped"] == 8 - kept
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("dataset.jsonl", "vqa.jsonl", "stats.json"))
+        assert digests == self.PINNED[tau]
 
     def test_http_provider_byte_identical(self, fixture_paths, tmp_path, serve):
         cfg = PipelineConfig(similarity_threshold=0.0)
@@ -549,15 +574,16 @@ class TestBuildDataset:
 
 
 class TestEmbeddingRequests:
-    """Each clip that reaches selection costs one frame and one text request."""
+    """A build embeds every selected clip's keyframes in one request and their texts in
+    a second."""
 
     class LoggingProvider:
-        def __init__(self, log):
-            self.log = log
+        def __init__(self):
+            self.calls = []
             self.inner = MockEmbedder(dim=16)
 
         def embed(self, kind, items):
-            self.log[-1]["calls"].append((kind, list(items)))
+            self.calls.append((kind, list(items)))
             return self.inner.embed(kind, items)
 
     class LoggingGenerator:
@@ -566,12 +592,12 @@ class TestEmbeddingRequests:
 
         name = "logging"
 
-        def __init__(self, log):
-            self.log = log
+        def __init__(self):
+            self.log = []
 
         def generate(self, prompt, count, seed_key):
             caption = caption_from_prompt(prompt)
-            entry = {"caption": caption, "candidates": [], "calls": []}
+            entry = {"caption": caption, "candidates": []}
             self.log.append(entry)
             if "cup" in caption:
                 raise ValueError("no plan for this caption")
@@ -581,24 +607,66 @@ class TestEmbeddingRequests:
             entry["candidates"] = plans + plans[:1]
             return entry["candidates"]
 
-    def test_two_requests_per_selected_clip(self, fixture_paths, tmp_path):
-        log = []
-        summary = build_dataset(
-            *fixture_paths, PipelineConfig(similarity_threshold=0.0),
-            self.LoggingProvider(log), self.LoggingGenerator(log), tmp_path / "out",
-        )
-        selected = [entry for entry in log if entry["candidates"]]
-        assert len(selected) == summary["kept_count"] + summary["stage2_dropped"] > 0
-        assert len(log) - len(selected) == summary["generator_failures"] > 0
-        for entry in log:
-            if not entry["candidates"]:
-                assert entry["calls"] == []
-                continue
-            (frame_kind, frames), (text_kind, texts) = entry["calls"]
-            assert (frame_kind, text_kind) == ("frame", "text")
-            assert len(frames) == len(set(frames)) > 0
-            assert len(texts) == len(set(texts))
-            assert set(texts) == {*entry["candidates"], entry["caption"]}
+    def test_two_requests_per_build(self, fixture_paths, tmp_path):
+        provider, generator = self.LoggingProvider(), self.LoggingGenerator()
+        cfg = PipelineConfig(similarity_threshold=-1.0)  # every selected clip is kept
+        summary = build_dataset(*fixture_paths, cfg, provider, generator, tmp_path / "out")
+        selected = [entry for entry in generator.log if entry["candidates"]]
+        assert len(selected) == summary["kept_count"] > 1
+        assert len(generator.log) - len(selected) == summary["generator_failures"] > 0
+
+        (frame_kind, refs), (text_kind, texts) = provider.calls
+        assert (frame_kind, text_kind) == ("frame", "text")
+        assert len(refs) == len(set(refs)) and len(texts) == len(set(texts))
+        rows = map(json.loads, (tmp_path / "out" / "dataset.jsonl").read_text().splitlines())
+        assert set(refs) == {
+            frame_ref(row["video_id"], t)
+            for row in rows
+            for t in keyframe_times(row["start_sec"], row["end_sec"], cfg.keyframes_per_clip)
+        }
+        assert set(texts) == {
+            text for entry in selected for text in (*entry["candidates"], entry["caption"])
+        }
+
+    def test_no_request_when_no_clip_is_selected(self, fixture_paths, tmp_path):
+        provider = self.LoggingProvider()
+        summary = build_dataset(*fixture_paths, PipelineConfig(), provider,
+                                FixedCandidates(["no plan here"]), tmp_path / "out")
+        assert summary["kept_count"] == 0 and summary["generator_failures"] > 0
+        assert provider.calls == []
+        assert (tmp_path / "out" / "dataset.jsonl").read_text() == ""
+
+    def test_two_http_requests_per_build(self, fixture_paths, tmp_path, serve):
+        class CountingEmbedder(MockEmbedder):
+            requests = 0
+
+            def embed(self, kind, items):
+                self.requests += 1
+                return super().embed(kind, items)
+
+        served = CountingEmbedder(dim=16)
+        remote = RemoteEmbedder(serve(served), normalize=False)
+        summary = build_dataset(*fixture_paths, PipelineConfig(similarity_threshold=0.0),
+                                remote, SyntheticPlanGenerator(), tmp_path / "out", seed=3)
+        assert summary["kept_count"] + summary["stage2_dropped"] > 1
+        assert served.requests == 2
+
+    def test_failed_request_writes_nothing(self, fixture_paths, tmp_path):
+        class TextDown(MockEmbedder):
+            def embed(self, kind, items):
+                if kind == "text":
+                    raise PipelineError("embedding service unreachable after retries")
+                return super().embed(kind, items)
+
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = b'{"video_id": "earlier run"}\n'
+        (out / "dataset.jsonl").write_bytes(earlier)
+        with pytest.raises(PipelineError, match="unreachable"):
+            build_dataset(*fixture_paths, PipelineConfig(), TextDown(dim=16),
+                          SyntheticPlanGenerator(), out)
+        assert [path.name for path in out.iterdir()] == ["dataset.jsonl"]
+        assert (out / "dataset.jsonl").read_bytes() == earlier
 
 
 class FixedCandidates:
