@@ -38,7 +38,8 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 def read_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]:
     """``(line number, row)`` of every non-blank line; each row must be an object
-    holding the ``required`` keys with values of the given types."""
+    holding the ``required`` keys with values of the given types.  A JSON boolean
+    passes only where ``bool`` is asked for, not as the ``int`` it subclasses."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
@@ -52,9 +53,10 @@ def read_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]:
         for key, typ in required.items():
             if key not in row:
                 raise IngestError(f"{path}:{lineno}: missing key {key!r}")
-            if not isinstance(row[key], typ):
+            value, allowed = row[key], typ if isinstance(typ, tuple) else (typ,)
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
                 raise IngestError(
-                    f"{path}:{lineno}: key {key!r} expected {typ}, got {type(row[key])}"
+                    f"{path}:{lineno}: key {key!r} expected {typ}, got {type(value)}"
                 )
         rows.append((lineno, row))
     return rows

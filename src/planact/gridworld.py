@@ -164,6 +164,8 @@ class Demonstration:
     def validate(self, config: EnvConfig) -> None:
         if not self.success:
             raise ValidationError(f"demonstration {self.seed} did not succeed")
+        if not self.steps:
+            raise ValidationError(f"demonstration {self.seed} has no steps")
         if len(self.steps) > config.step_limit:
             raise ValidationError(f"demonstration {self.seed} exceeds the step limit")
         if self.steps[-1][2] != INTERACT:
@@ -249,6 +251,9 @@ def load_demos(prefix: Path, config: EnvConfig) -> list[Demonstration]:
                 )
             steps.append((blob[ref].copy(), step["plan"], step["action"]))
         demo = Demonstration(seed=int(row["seed"]), steps=steps, success=True)
-        demo.validate(config)
+        try:
+            demo.validate(config)
+        except ValidationError as exc:
+            raise ValidationError(f"{jsonl_path}:{lineno}: {exc}") from None
         demos.append(demo)
     return demos

@@ -117,8 +117,8 @@ class Linear(Module):
 class KVCache:
     """Projected self-attention keys and values that every later query sees.
 
-    The cache may be seeded with rows at construction (a language model's
-    prefix adapter rows); the rows run so far follow them.  ``extend``
+    The cache is seeded at construction with zero or more rows (a language
+    model's prefix adapter rows); the rows run so far follow them.  ``extend``
     appends new rows and returns every cached row followed by the new ones.
     Seeded rows keep their autodiff graph through the first ``extend``; the
     stored copies carry none, so nothing links one call to the next.
@@ -126,17 +126,16 @@ class KVCache:
     shares them safely.
     """
 
-    def __init__(self, k: Tensor | None = None, v: Tensor | None = None):
+    def __init__(self, k: Tensor, v: Tensor):
         self.k = k
         self.v = v
 
     def __len__(self) -> int:
-        return 0 if self.k is None else self.k.shape[-2]
+        return self.k.shape[-2]
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        if self.k is not None:
-            k = concat([self.k, k], axis=-2)
-            v = concat([self.v, v], axis=-2)
+        k = concat([self.k, k], axis=-2)
+        v = concat([self.v, v], axis=-2)
         self.k, self.v = Tensor(k.data), Tensor(v.data)
         return k, v
 

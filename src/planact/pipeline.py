@@ -5,6 +5,12 @@ rule-based narration filtering first, then ensemble-similarity filtering of
 the generated plans against clip keyframes, keeping the best of the sampled
 candidates per clip.
 
+A plan generator has a ``name`` and a method ``generate(caption, count,
+seed_key)`` that returns ``count`` candidate plan texts for the stripped
+narration ``caption``, the same ones for the same ``seed_key``.  A generator
+that cannot annotate a caption raises ``ContractError`` or ``ValueError``, and
+the clip is counted under ``generator_raised``; any other error propagates.
+
 ``build_dataset`` runs in three passes: pair, generate and parse every clip;
 embed the keyframes of all clips that reached selection in one provider
 request and their distinct texts in a second; then select and filter each
@@ -16,8 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +30,12 @@ import numpy as np
 from .annotate import build_vqa_pairs, synthetic_candidates
 from .checkpoint import atomic_write_text, read_jsonl
 from .errors import ContractError, ParseError, PipelineError, ValidationError
+from .lm import MicroLm
 from .plans import PlanDocument, parse_plan
 from .prompts import assemble_prompt
+from .sampling import GenerationConfig, generate
 from .seeding import stable_seed
-from .vocab import split_words
+from .vocab import Vocabulary, detokenize, split_words, tokenize_prefix
 
 
 @dataclass
@@ -292,57 +299,36 @@ def stage2_filter(
 # -- candidate generation ---------------------------------------------------------
 
 
-_TASK_TAIL_RE = re.compile(r"Task:\s*(.+)\nplans:\s*$", re.IGNORECASE)
-
-
-def caption_from_prompt(prompt: str) -> str:
-    m = _TASK_TAIL_RE.search(prompt)
-    if m is None:
-        raise ContractError("annotation prompt does not end with a task line")
-    return m.group(1).strip()
-
-
 class SyntheticPlanGenerator:
     """Deterministic annotation stand-in deriving plans from the caption itself."""
 
     name = "synthetic"
 
-    def generate(self, prompt: str, count: int, seed_key: str) -> list[str]:
-        return synthetic_candidates(caption_from_prompt(prompt), count, seed_key)
+    def generate(self, caption: str, count: int, seed_key: str) -> list[str]:
+        return synthetic_candidates(caption, count, seed_key)
 
 
 class LmPlanGenerator:
-    """Samples candidate plans from the in-package language model."""
+    """Samples candidate plans from the in-package language model.
+
+    Each call prompts the model with the ``egocot_annotation`` template for the
+    caption.  ``config`` sets temperature, top_p and max_new_tokens; ``count``
+    and ``seed_key`` set the sample count and seed of each call.
+    """
 
     name = "lm"
 
-    def __init__(self, model, vocab, temperature: float = 0.9, top_p: float = 0.95,
-                 max_new_tokens: int = 48):
+    def __init__(self, model: MicroLm, vocab: Vocabulary, config: GenerationConfig):
         self.model = model
         self.vocab = vocab
-        self.temperature = temperature
-        self.top_p = top_p
-        self.max_new_tokens = max_new_tokens
+        self.config = config
 
-    def generate(self, prompt: str, count: int, seed_key: str) -> list[str]:
-        from .sampling import GenerationConfig, generate
-        from .vocab import tokenize_prefix
-
-        caption = caption_from_prompt(prompt)
-        cfg = GenerationConfig(
-            temperature=self.temperature,
-            top_p=self.top_p,
-            max_new_tokens=self.max_new_tokens,
-            samples_per_prompt=count,
-            seed=stable_seed("lm-candidates", seed_key),
-        )
-        ids = tokenize_prefix(prompt, self.vocab)
-        continuations = generate(self.model, ids, None, cfg, vocab=self.vocab)
-        return [f"Task: {caption}\nplans: {text}" for text in continuations]
-
-
-def generate_candidates(prompt: str, generator, cfg: PipelineConfig, seed_key: str) -> list[str]:
-    return generator.generate(prompt, cfg.candidates_per_prompt, seed_key)
+    def generate(self, caption: str, count: int, seed_key: str) -> list[str]:
+        cfg = replace(self.config, samples_per_prompt=count,
+                      seed=stable_seed("lm-candidates", seed_key))
+        ids = tokenize_prefix(assemble_prompt("egocot_annotation", caption), self.vocab)
+        return [f"Task: {caption}\nplans: {detokenize(sample, self.vocab)}"
+                for sample in generate(self.model, ids, None, cfg)]
 
 
 # -- orchestration -----------------------------------------------------------------
@@ -407,10 +393,9 @@ def build_dataset(
             start, end = span
             caption = record.narration.strip()
             clip = ClipRecord(vid, start, end, caption)
-            prompt = assemble_prompt("egocot_annotation", caption)
             seed_key = f"{seed}/{vid}/{record.timestamp_sec:.6f}"
             try:
-                raw = generate_candidates(prompt, generator, cfg, seed_key)
+                raw = generator.generate(caption, cfg.candidates_per_prompt, seed_key)
             except (ContractError, ValueError):
                 failure_reasons["generator_raised"] += 1
                 continue

@@ -1,16 +1,14 @@
-"""Prompt templates for plan annotation, question generation and video pre-training.
+"""Prompt templates for plan annotation and chain-of-thought planning.
 
-The templates are fixed strings the generators are conditioned on; the
-annotation and question templates end with a one-shot worked example and the
-new caption is appended below it.
+The templates are fixed strings a language model is conditioned on.  The
+``egocot_annotation`` prompt ends with a one-shot worked example and the new
+caption is appended below it; the ``cot`` prompt asks how to do the caption's
+task under the plan schema.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ContractError
-from .seeding import rng_for
 
 PLAN_QUESTION_PREFIX = "how to do the task that "
 
@@ -22,20 +20,6 @@ COT_SCHEMA_LINES = (
 COT_INSTRUCTION = (
     "Watch this video, identify the actions and devise a plan using chain-of-thought. "
     "Extract detailed actions using this schema:"
-)
-
-# paraphrases with the same meaning as the instruction above, drawn per sample
-# during video pre-training to avoid overfitting one phrasing
-COT_INSTRUCTION_PARAPHRASES = (
-    COT_INSTRUCTION,
-    "Watch the video, recognise what is being done and devise a plan using "
-    "chain-of-thought. Extract detailed actions using this schema:",
-    "Look at this video, identify the actions and produce a step-by-step plan with "
-    "chain-of-thought. Extract detailed actions using this schema:",
-    "Observe the video, determine the actions and compose a plan using "
-    "chain-of-thought. Extract detailed actions using this schema:",
-    "Watch this video, find the actions and draft a plan using chain-of-thought. "
-    "Extract detailed actions using this schema:",
 )
 
 ANNOTATION_TEMPLATE = (
@@ -52,22 +36,10 @@ ANNOTATION_TEMPLATE = (
     "2. lift up(cup)"
 )
 
-QUESTION_TEMPLATE = (
-    "Please ask some questions accroding to the verbs and nouns in the sentence.\n"
-    'For example, in this sentence "a man is picking up a cup", the verb is picking up '
-    'and the noun is cup, therefor questions can be "what is the object the man is '
-    'picking up?" or "what operation is performed on the cup?".\n'
-    "Then You need to give the answer.\n"
-    "\n"
-    "input: a man is picking up a cup\n"
-    "question: What is the object the man is picking up\n"
-    "answer: The cup"
-)
-
-PROMPT_KINDS = ("cot", "egocot_annotation", "vqa", "pretrain")
+PROMPT_KINDS = ("cot", "egocot_annotation")
 
 
-def assemble_prompt(kind: str, caption: str, rng: np.random.Generator | None = None) -> str:
+def assemble_prompt(kind: str, caption: str) -> str:
     """Instantiate the template for ``kind`` with ``caption`` substituted."""
     if not caption.strip():
         raise ContractError("caption must be non-empty")
@@ -75,14 +47,6 @@ def assemble_prompt(kind: str, caption: str, rng: np.random.Generator | None = N
         return (
             f"{COT_INSTRUCTION}\n{COT_SCHEMA_LINES}\n{PLAN_QUESTION_PREFIX}{caption}"
         )
-    if kind == "pretrain":
-        rng = rng or rng_for("pretrain-prompt", caption)
-        instruction = COT_INSTRUCTION_PARAPHRASES[
-            int(rng.integers(len(COT_INSTRUCTION_PARAPHRASES)))
-        ]
-        return f"{instruction}\n{COT_SCHEMA_LINES}\n{PLAN_QUESTION_PREFIX}{caption}"
     if kind == "egocot_annotation":
         return f"{ANNOTATION_TEMPLATE}\n\nTask: {caption}\nplans:"
-    if kind == "vqa":
-        return f"{QUESTION_TEMPLATE}\n\ninput: {caption}\nquestion:"
     raise ContractError(f"unknown prompt kind {kind!r}; expected one of {PROMPT_KINDS}")

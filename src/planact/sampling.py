@@ -1,4 +1,10 @@
-"""Temperature / nucleus sampling over the micro language model."""
+"""Temperature / nucleus sampling over the micro language model.
+
+``generate`` returns token ids; callers that want text detokenise them.  It
+prefills the prompt into a cache from ``MicroLm.new_cache``, which opens with
+each block's adapter rows (none for ``LmConfig(prefix_len=0)``), and decodes
+every sample from its own copy of that cache.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ import numpy as np
 from .errors import ContractError
 from .lm import MicroLm
 from .tensor import Tensor, no_grad
-from .vocab import EOS, Vocabulary, detokenize
+from .vocab import EOS
 
 
 @dataclass
@@ -56,10 +62,8 @@ def generate(
     prompt_ids: list[int],
     soft_prompt: Tensor | None,
     cfg: GenerationConfig,
-    use_adapters: bool = True,
-    vocab: Vocabulary | None = None,
-) -> list[list[int]] | list[str]:
-    """Draw ``samples_per_prompt`` continuations; returns texts when a vocabulary is given.
+) -> list[list[int]]:
+    """Draw ``samples_per_prompt`` continuations of ``prompt_ids`` as token ids.
 
     The prompt (and soft prompt) is prefilled once into a key/value cache.
     Each sample takes its own copy of that cache, draws its first token from
@@ -72,20 +76,18 @@ def generate(
         rng = np.random.default_rng(cfg.seed)
         results = []
         prefill = model.new_cache()
-        first = model.forward(prompt_ids, soft_prompt, use_adapters=use_adapters, cache=prefill)
+        first = model.forward(prompt_ids, soft_prompt, cache=prefill)
         for _ in range(cfg.samples_per_prompt):
             cache = prefill.copy()
             logits = first.data[-1]
             new: list[int] = []
             for _ in range(cfg.max_new_tokens):
                 if new:
-                    step = model.forward([new[-1]], None, use_adapters=use_adapters, cache=cache)
+                    step = model.forward([new[-1]], None, cache=cache)
                     logits = step.data[-1]
                 token = sample_token(logits, cfg.temperature, cfg.top_p, rng)
                 new.append(token)
                 if token == EOS:
                     break
             results.append(new)
-        if vocab is not None:
-            return [detokenize(sample, vocab) for sample in results]
         return results

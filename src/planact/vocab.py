@@ -29,9 +29,10 @@ class Vocabulary:
 
     def __init__(self, words: Iterable[str]):
         self.tokens = list(SPECIAL_TOKENS) + list(words)
-        self.index = {tok: i for i, tok in enumerate(self.tokens)}
-        if len(self.index) != len(self.tokens):
-            raise ValueError("vocabulary contains duplicate tokens")
+        self.index = {}
+        for i, tok in enumerate(self.tokens):
+            if self.index.setdefault(tok, i) != i:
+                raise ValidationError(f"token {tok!r} appears more than once")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -55,12 +56,10 @@ class Vocabulary:
     @classmethod
     def load(cls, path: Path) -> "Vocabulary":
         words = [ln for ln in Path(path).read_text().splitlines() if ln]
-        seen = set(SPECIAL_TOKENS)
-        for word in words:
-            if word in seen:
-                raise ValidationError(f"{path}: token {word!r} appears more than once")
-            seen.add(word)
-        return cls(words)
+        try:
+            return cls(words)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = MAX_SEQUENCE_LENGTH) -> list[int]:

@@ -188,9 +188,10 @@ class TestDemos:
             lambda line: line.replace('"action"', '"act"', 1),
             lambda line: line.replace('"action": ', '"action": "x", "_": ', 1),
             lambda line: line.replace('"plan": ', '"plan": 5, "_": ', 1),
+            lambda line: line.replace('"seed": 2', '"seed": true', 1),
         ],
         ids=["malformed-json", "missing-steps", "step-missing-action", "action-not-int",
-             "plan-not-text"],
+             "plan-not-text", "seed-boolean"],
     )
     def test_load_rejects_malformed_line_naming_file_and_line(self, tmp_path, corrupt):
         config = EnvConfig()
@@ -200,6 +201,16 @@ class TestDemos:
         lines[1] = corrupt(lines[1])
         jsonl.write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestError, match=r"demos\.jsonl:2: "):
+            load_demos(tmp_path / "demos", config)
+
+    def test_load_rejects_demo_without_steps(self, tmp_path):
+        config = EnvConfig()
+        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1, 2]))
+        jsonl = tmp_path / "demos.jsonl"
+        lines = jsonl.read_text().splitlines()
+        lines[1] = json.dumps({"seed": 2, "steps": []})
+        jsonl.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=r"demos\.jsonl:2: demonstration 2 has no steps"):
             load_demos(tmp_path / "demos", config)
 
     @pytest.mark.parametrize("cut", [8, 3])

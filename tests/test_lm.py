@@ -11,16 +11,21 @@ from planact.vocab import EOS, Vocabulary, tokenize_prefix
 VOCAB = Vocabulary.build(["go to the red block", "open the drawer now", "a b c d e"])
 
 
-@pytest.fixture
-def model(rng):
-    cfg = LmConfig(vocab_size=len(VOCAB), dim=16, blocks=2, heads=2, context=64, prefix_len=3)
+def make_model(rng, prefix_len=3):
+    cfg = LmConfig(vocab_size=len(VOCAB), dim=16, blocks=2, heads=2, context=64,
+                   prefix_len=prefix_len)
     return MicroLm(rng, cfg)
 
 
+@pytest.fixture
+def model(rng):
+    return make_model(rng)
+
+
 class TestLmForward:
-    def test_plain_causal_logits(self, model):
+    def test_plain_causal_logits(self, rng):
         ids = tokenize_prefix("go to the red block", VOCAB)
-        logits = model.forward(ids, soft_prompt=None, use_adapters=False)
+        logits = make_model(rng, prefix_len=0).forward(ids, soft_prompt=None)
         assert logits.shape == (len(ids), len(VOCAB))
 
     def test_text_logit_rows_unchanged_by_soft_prompt(self, model, rng):
@@ -47,7 +52,7 @@ class TestLmForward:
 
     def test_every_position_sees_adapters(self, model):
         # gradient from the first position's logits must reach every block's adapter
-        logits = model.forward([4, 5, 6], use_adapters=True)
+        logits = model.forward([4, 5, 6])
         loss = cross_entropy(logits[0:1, :], [1])
         loss.backward()
         for adapter in model.adapters:
@@ -65,6 +70,11 @@ class TestLmForward:
                 assert p.grad is not None, name
             else:
                 assert p.grad is None, name
+
+    @pytest.mark.parametrize("field, value", [("prefix_len", -1), ("blocks", 0), ("context", 0)])
+    def test_invalid_config_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            LmConfig(vocab_size=len(VOCAB), **{field: value})
 
     def test_soft_prompt_gradient_flows_upstream(self, model):
         prompt = Tensor(np.zeros((3, 16)), requires_grad=True)
@@ -143,7 +153,7 @@ class TestSampler:
             GenerationConfig(max_new_tokens=0)
 
 
-def reference_generate(model, prompt_ids, soft_prompt, cfg, use_adapters=True):
+def reference_generate(model, prompt_ids, soft_prompt, cfg):
     """Uncached decoding: every step re-runs the prompt and all tokens so far."""
     rng = np.random.default_rng(cfg.seed)
     results = []
@@ -151,7 +161,7 @@ def reference_generate(model, prompt_ids, soft_prompt, cfg, use_adapters=True):
         ids = list(prompt_ids)
         new = []
         for _ in range(cfg.max_new_tokens):
-            logits = model.forward(ids, soft_prompt, use_adapters=use_adapters)
+            logits = model.forward(ids, soft_prompt)
             token = sample_token(logits.data[-1], cfg.temperature, cfg.top_p, rng)
             new.append(token)
             ids.append(token)
@@ -165,14 +175,15 @@ class TestKvCache:
     IDS = [4, 5, 6, 7, 8, 9, 10, 11]
 
     @pytest.mark.parametrize("soft", [False, True])
-    @pytest.mark.parametrize("use_adapters", [False, True])
-    def test_prefill_then_single_steps_match_full_forward(self, model, rng, soft, use_adapters):
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_prefill_then_single_steps_match_full_forward(self, rng, soft, adapters):
+        model = make_model(rng, prefix_len=3 if adapters else 0)
         prompt = Tensor(rng.standard_normal((3, 16))) if soft else None
-        full = model.forward(self.IDS, prompt, use_adapters=use_adapters).data
+        full = model.forward(self.IDS, prompt).data
         cache = model.new_cache()
-        rows = [model.forward(self.IDS[:3], prompt, use_adapters=use_adapters, cache=cache).data]
+        rows = [model.forward(self.IDS[:3], prompt, cache=cache).data]
         for token in self.IDS[3:]:
-            rows.append(model.forward([token], None, use_adapters=use_adapters, cache=cache).data)
+            rows.append(model.forward([token], None, cache=cache).data)
         assert [r.shape[0] for r in rows] == [3] + [1] * (len(self.IDS) - 3)
         np.testing.assert_allclose(np.concatenate(rows), full, rtol=0.0, atol=1e-12)
         assert len(cache) == len(self.IDS) + (3 if soft else 0)
@@ -219,13 +230,15 @@ class TestKvCache:
         with pytest.raises(ContractError):
             model.forward([6], soft_prompt=Tensor(np.zeros((2, 16))), cache=cache)
 
-    @pytest.mark.parametrize("first", [False, True])
-    def test_adapter_setting_fixed_by_first_call(self, model, first):
+    @pytest.mark.parametrize("prefix_len", [0, 3])
+    def test_new_cache_holds_only_adapter_rows(self, rng, prefix_len):
+        model = make_model(rng, prefix_len)
         cache = model.new_cache()
-        model.forward([4, 5], use_adapters=first, cache=cache)
-        with pytest.raises(ContractError, match="use_adapters"):
-            model.forward([6], use_adapters=not first, cache=cache)
-        assert len(cache) == 2
+        assert len(cache) == 0 and cache.adapter_rows == prefix_len
+        for adapter, block_cache in zip(model.adapters, cache.blocks):
+            assert len(block_cache) == prefix_len
+            np.testing.assert_array_equal(block_cache.k.data, adapter.data[:, 0, :])
+            np.testing.assert_array_equal(block_cache.v.data, adapter.data[:, 1, :])
 
     def test_adapter_rows_lead_each_block_cache(self, model):
         cache = model.new_cache()
@@ -237,12 +250,13 @@ class TestKvCache:
             np.testing.assert_array_equal(block_cache.v.data[:3], adapter.data[:, 1, :])
 
     @pytest.mark.parametrize("soft", [False, True])
-    @pytest.mark.parametrize("use_adapters", [False, True])
-    def test_generate_matches_uncached_reference(self, model, rng, soft, use_adapters):
+    @pytest.mark.parametrize("adapters", [False, True])
+    def test_generate_matches_uncached_reference(self, rng, soft, adapters):
+        model = make_model(rng, prefix_len=3 if adapters else 0)
         prompt = Tensor(rng.standard_normal((2, 16))) if soft else None
         cfg = GenerationConfig(samples_per_prompt=3, max_new_tokens=12, seed=11)
-        expected = reference_generate(model, self.IDS, prompt, cfg, use_adapters)
-        assert generate(model, self.IDS, prompt, cfg, use_adapters=use_adapters) == expected
+        expected = reference_generate(model, self.IDS, prompt, cfg)
+        assert generate(model, self.IDS, prompt, cfg) == expected
 
     def test_generate_prefills_once_then_one_position_per_token(self, model, monkeypatch):
         lengths = []

@@ -48,7 +48,7 @@ class TestMask:
     def test_bad_mask_leaves_cache_unchanged(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         x = Tensor(rng.standard_normal((3, 4)))
-        cache = KVCache()
+        cache = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
         mha(x, x, causal_mask(3), cache=cache)
         k, v = cache.k, cache.v
         with pytest.raises(DimensionError):

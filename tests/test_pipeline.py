@@ -20,7 +20,6 @@ from planact.pipeline import (
     PipelineConfig,
     SyntheticPlanGenerator,
     build_dataset,
-    caption_from_prompt,
     compute_alpha,
     compute_beta,
     cosine_similarity,
@@ -34,7 +33,9 @@ from planact.pipeline import (
     stage2_filter,
 )
 from planact.prompts import ANNOTATION_TEMPLATE, assemble_prompt
-from planact.vocab import Vocabulary
+from planact.sampling import GenerationConfig, generate
+from planact.seeding import stable_seed
+from planact.vocab import Vocabulary, detokenize, tokenize_prefix
 
 
 def write_jsonl(path, rows):
@@ -79,6 +80,19 @@ class TestIngest:
         (tmp_path / "n.jsonl").write_text('{"video_id": "v"\n')
         write_jsonl(tmp_path / "m.jsonl", [meta("v", 50.0)])
         with pytest.raises(IngestError, match=":1:"):
+            ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+
+    @pytest.mark.parametrize("field, value", [("duration_sec", True), ("timestamp_sec", False)])
+    def test_boolean_time_rejected_naming_line_and_key(self, tmp_path, field, value):
+        narrations = [narr("v", 1.0, "C opens a drawer"), narr("v", 3.0, "C washes a plate")]
+        metas = [meta("w", 10.0), meta("v", 30.0)]
+        if field == "timestamp_sec":
+            narrations[1][field], path = value, tmp_path / "n.jsonl"
+        else:
+            metas[1][field], path = value, tmp_path / "m.jsonl"
+        write_jsonl(tmp_path / "n.jsonl", narrations)
+        write_jsonl(tmp_path / "m.jsonl", metas)
+        with pytest.raises(IngestError, match=re.escape(f"{path}:2: key {field!r}")):
             ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
 
     def test_orphans_dropped_and_counted(self, tmp_path):
@@ -595,15 +609,14 @@ class TestEmbeddingRequests:
         def __init__(self):
             self.log = []
 
-        def generate(self, prompt, count, seed_key):
-            caption = caption_from_prompt(prompt)
+        def generate(self, caption, count, seed_key):
             entry = {"caption": caption, "candidates": []}
             self.log.append(entry)
             if "cup" in caption:
                 raise ValueError("no plan for this caption")
             if "drawer" in caption:
                 return ["no plan here"]
-            plans = SyntheticPlanGenerator().generate(prompt, count, seed_key)
+            plans = SyntheticPlanGenerator().generate(caption, count, seed_key)
             entry["candidates"] = plans + plans[:1]
             return entry["candidates"]
 
@@ -677,7 +690,7 @@ class FixedCandidates:
     def __init__(self, candidates):
         self.candidates = candidates
 
-    def generate(self, prompt, count, seed_key):
+    def generate(self, caption, count, seed_key):
         return list(self.candidates)
 
 
@@ -700,7 +713,7 @@ class TestCandidateParsing:
         class Raising:
             name = "raising"
 
-            def generate(self, prompt, count, seed_key):
+            def generate(self, caption, count, seed_key):
                 raise ValueError("no plan for this caption")
 
         paths = fixture_paths
@@ -713,6 +726,25 @@ class TestCandidateParsing:
         assert reasons["generator_raised"] == summary["generator_failures"] > 0
         stats = json.loads((tmp_path / "out" / "stats.json").read_text())
         assert stats["generator_failure_reasons"] == reasons
+
+    def test_generator_receives_stripped_caption(self, tmp_path):
+        class Recording:
+            name = "recording"
+
+            def __init__(self):
+                self.captions = []
+
+            def generate(self, caption, count, seed_key):
+                self.captions.append(caption)
+                return SyntheticPlanGenerator().generate(caption, count, seed_key)
+
+        write_jsonl(tmp_path / "n.jsonl", [narr("v", 1.0, "  C opens a drawer \n"),
+                                           narr("v", 3.0, "C washes a plate")])
+        write_jsonl(tmp_path / "m.jsonl", [meta("v", 30.0)])
+        generator = Recording()
+        build_dataset(tmp_path / "n.jsonl", tmp_path / "m.jsonl", PipelineConfig(),
+                      MockEmbedder(dim=16), generator, tmp_path / "out")
+        assert generator.captions == ["C opens a drawer", "C washes a plate"]
 
     def test_programming_errors_propagate(self, fixture_paths, tmp_path):
         with pytest.raises(TypeError):
@@ -727,16 +759,25 @@ class TestLmPlanGenerator:
         vocab = Vocabulary.build(ANNOTATION_TEMPLATE.splitlines() + [self.CAPTION])
         cfg = LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2, context=160)
         model = MicroLm(np.random.default_rng(0), cfg)
-        return LmPlanGenerator(model, vocab, max_new_tokens=6)
+        return LmPlanGenerator(model, vocab, GenerationConfig(max_new_tokens=6))
 
     def test_candidates_carry_task_and_plans_prefix(self, generator):
-        prompt = assemble_prompt("egocot_annotation", self.CAPTION)
-        candidates = generator.generate(prompt, 3, "clip-0")
+        candidates = generator.generate(self.CAPTION, 3, "clip-0")
         assert len(candidates) == 3
         for text in candidates:
             assert text.startswith(f"Task: {self.CAPTION}\nplans:")
 
     def test_same_seed_key_same_candidates(self, generator):
-        prompt = assemble_prompt("egocot_annotation", self.CAPTION)
-        first = generator.generate(prompt, 3, "clip-0")
-        assert generator.generate(prompt, 3, "clip-0") == first
+        first = generator.generate(self.CAPTION, 3, "clip-0")
+        assert generator.generate(self.CAPTION, 3, "clip-0") == first
+
+    def test_samples_the_annotation_prompt(self, generator):
+        # the generator prompts with the annotation template and detokenises what
+        # generate samples under the seed of its seed key
+        vocab = generator.vocab
+        cfg = GenerationConfig(max_new_tokens=6, samples_per_prompt=3,
+                               seed=stable_seed("lm-candidates", "clip-0"))
+        ids = tokenize_prefix(assemble_prompt("egocot_annotation", self.CAPTION), vocab)
+        expected = [f"Task: {self.CAPTION}\nplans: {detokenize(sample, vocab)}"
+                    for sample in generate(generator.model, ids, None, cfg)]
+        assert generator.generate(self.CAPTION, 3, "clip-0") == expected

@@ -46,6 +46,11 @@ class TestVocabulary:
         with pytest.raises(ValidationError, match=rf"vocab\.txt: token '{repeated}'"):
             Vocabulary.load(tmp_path / "vocab.txt")
 
+    @pytest.mark.parametrize("words", [["cup", "cup"], ["cup", "<unk>"]])
+    def test_repeated_word_rejected(self, words):
+        with pytest.raises(ValidationError, match="appears more than once"):
+            Vocabulary(words)
+
     def test_file_line_number_is_offset_id(self, vocab, tmp_path):
         vocab.save(tmp_path / "vocab.txt")
         lines = (tmp_path / "vocab.txt").read_text().splitlines()
