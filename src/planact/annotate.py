@@ -159,8 +159,8 @@ def synthetic_candidates(caption: str, count: int, seed_key: str) -> list[str]:
     return out
 
 
-def build_vqa_pairs(caption: str, limit: int = 5) -> list[dict[str, str]]:
-    """Up to ``limit`` question/answer pairs targeting the caption's verb and noun."""
+def build_vqa_pairs(caption: str) -> list[dict[str, str]]:
+    """Five question/answer pairs targeting the caption's verb and noun, or none."""
     parsed = analyze_caption(caption)
     if parsed is None or not parsed.obj:
         return []
@@ -187,4 +187,4 @@ def build_vqa_pairs(caption: str, limit: int = 5) -> list[dict[str, str]]:
             "answer": "Yes",
         },
     ]
-    return pairs[:limit]
+    return pairs

@@ -1,8 +1,10 @@
-"""Checkpoint serialisation, plus the atomic writers and JSON-lines reader shared by all files.
+"""Checkpoint serialisation, plus atomic file writers and a JSON-lines reader.
 
-A checkpoint is a JSON manifest plus one little-endian float64 blob.  The
-manifest lists every tensor as ``{name, shape, dtype, byte_offset}`` in blob
-order, alongside free-form metadata.  Round-trips are bit-exact.
+``build_dataset`` writes its outputs through ``atomic_write_text`` and ``ingest``
+reads its inputs through ``read_jsonl``.  A checkpoint is a JSON manifest plus one
+little-endian float64 blob.  The manifest lists every tensor as ``{name, shape,
+dtype, byte_offset}`` in blob order, alongside free-form metadata.  Round-trips
+are bit-exact.
 """
 
 from __future__ import annotations

@@ -28,14 +28,13 @@ KINDS = ("text", "frame")
 class MockEmbedder:
     """Seeded hash -> pseudo-random unit vector; pure and stable across runs."""
 
-    def __init__(self, dim: int = 16, salt: str = "mock-embedder"):
+    def __init__(self, dim: int = 16):
         if dim < 2:
             raise ContractError("embedding dim must be at least 2")
         self.dim = dim
-        self.salt = salt
 
     def _vector(self, kind: str, item: str) -> np.ndarray:
-        v = rng_for(self.salt, kind, item).standard_normal(self.dim)
+        v = rng_for("mock-embedder", kind, item).standard_normal(self.dim)
         return v / np.linalg.norm(v)
 
     def embed(self, kind: str, items: list[str]) -> list[np.ndarray]:

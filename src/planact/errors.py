@@ -17,6 +17,10 @@ class ContractError(PlanactError):
     """A precondition of an operation was violated by the caller."""
 
 
+class PromptTooLongError(ContractError):
+    """A generation request needs more rows than the language model's context holds."""
+
+
 class ParseError(PlanactError):
     """Structured text (plan documents) could not be parsed."""
 

@@ -9,14 +9,11 @@ read the plan to disambiguate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write_bytes, atomic_write_text, read_jsonl
-from .errors import ConfigError, ContractError, IngestError, ValidationError
+from .errors import ConfigError, ContractError, ValidationError
 from .plans import PlanDocument, PlanStep, render_plan
 
 ACTIONS = ("up", "down", "left", "right", "interact")
@@ -126,7 +123,6 @@ def flip_observation(obs: np.ndarray) -> np.ndarray:
 
 def symmetry_views(obs: np.ndarray, action: int):
     """All eight dihedral views of a transition; object identities are unchanged."""
-    o, a = obs, action
     for flip in (False, True):
         o = flip_observation(obs) if flip else obs
         a = FLIPPED_ACTION[action] if flip else action
@@ -177,15 +173,13 @@ class Demonstration:
                 raise ValidationError(f"demonstration {self.seed} holds an empty plan")
 
 
-def collect_demos(
-    config: EnvConfig, seeds: list[int], plan_fn=plan_for
-) -> list[Demonstration]:
+def collect_demos(config: EnvConfig, seeds: list[int]) -> list[Demonstration]:
     """One successful expert episode per seed, stored as (observation, plan, action) triples."""
     demos = []
     for seed in seeds:
         env = GoalGridEnv(config)
         obs, _ = env.reset(seed)
-        plan_text = plan_fn(env.target_name)
+        plan_text = plan_for(env.target_name)
         demo = Demonstration(seed=seed)
         done = False
         while not done:
@@ -197,63 +191,3 @@ def collect_demos(
         demos.append(demo)
     return demos
 
-
-def save_demos(prefix: Path, demos: list[Demonstration]) -> None:
-    """JSON lines with observation indices into a sibling float64 blob."""
-    prefix = Path(prefix)
-    lines = []
-    blob = bytearray()
-    obs_index = 0
-    for demo in demos:
-        steps = []
-        for obs, plan, action in demo.steps:
-            blob.extend(np.ascontiguousarray(obs, dtype="<f8").tobytes())
-            steps.append({"obs_ref": obs_index, "plan": plan, "action": action})
-            obs_index += 1
-        lines.append(json.dumps({"seed": demo.seed, "steps": steps}))
-    atomic_write_text(prefix.with_suffix(".jsonl"), "\n".join(lines) + "\n")
-    atomic_write_bytes(prefix.with_suffix(".bin"), bytes(blob))
-
-
-def load_demos(prefix: Path, config: EnvConfig) -> list[Demonstration]:
-    """Read what ``save_demos`` wrote; a malformed line, a blob or an ``obs_ref``
-    that does not fit raises."""
-    prefix = Path(prefix)
-    bin_path, jsonl_path = prefix.with_suffix(".bin"), prefix.with_suffix(".jsonl")
-    obs_shape = (config.object_count + 1, config.height, config.width)
-    obs_bytes = 8 * int(np.prod(obs_shape))
-    raw = bin_path.read_bytes()
-    if len(raw) % obs_bytes:
-        raise ValidationError(
-            f"{bin_path}: {len(raw)} bytes is not a whole number of {obs_shape} "
-            f"float64 observations ({obs_bytes} bytes each)"
-        )
-    blob = np.frombuffer(raw, dtype="<f8").reshape(-1, *obs_shape)
-    demos = []
-    for lineno, row in read_jsonl(jsonl_path, {"seed": int, "steps": list}):
-        steps = []
-        for i, step in enumerate(row["steps"]):
-            if not (
-                isinstance(step, dict)
-                and "obs_ref" in step
-                and isinstance(step.get("plan"), str)
-                and type(step.get("action")) is int
-            ):
-                raise IngestError(
-                    f"{jsonl_path}:{lineno}: step {i} needs an obs_ref, a plan string and "
-                    f"an integer action"
-                )
-            ref = step["obs_ref"]
-            if type(ref) is not int or not 0 <= ref < len(blob):
-                raise ValidationError(
-                    f"{jsonl_path}: demo seed {row['seed']} step {i}: obs_ref {ref!r} is not "
-                    f"one of the {len(blob)} observations in {bin_path}"
-                )
-            steps.append((blob[ref].copy(), step["plan"], step["action"]))
-        demo = Demonstration(seed=int(row["seed"]), steps=steps, success=True)
-        try:
-            demo.validate(config)
-        except ValidationError as exc:
-            raise ValidationError(f"{jsonl_path}:{lineno}: {exc}") from None
-        demos.append(demo)
-    return demos

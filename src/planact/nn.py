@@ -206,14 +206,13 @@ class FeedForward(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = zero_parameter((dim,))
         self.gamma.data[...] = 1.0
         self.beta = zero_parameter((dim,))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return layer_norm(x, self.gamma, self.beta)
 
 
 class TransformerBlock(Module):

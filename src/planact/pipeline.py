@@ -9,7 +9,8 @@ A plan generator has a ``name`` and a method ``generate(caption, count,
 seed_key)`` that returns ``count`` candidate plan texts for the stripped
 narration ``caption``, the same ones for the same ``seed_key``.  A generator
 that cannot annotate a caption raises ``ContractError`` or ``ValueError``, and
-the clip is counted under ``generator_raised``; any other error propagates.
+the clip is counted under ``generator_raised``, or under ``prompt_too_long``
+when the error is a ``PromptTooLongError``; any other error propagates.
 
 ``build_dataset`` runs in three passes: pair, generate and parse every clip;
 embed the keyframes of all clips that reached selection in one provider
@@ -29,7 +30,7 @@ import numpy as np
 
 from .annotate import build_vqa_pairs, synthetic_candidates
 from .checkpoint import atomic_write_text, read_jsonl
-from .errors import ContractError, ParseError, PipelineError, ValidationError
+from .errors import ContractError, ParseError, PipelineError, PromptTooLongError, ValidationError
 from .lm import MicroLm
 from .plans import PlanDocument, parse_plan
 from .prompts import assemble_prompt
@@ -85,7 +86,6 @@ class ClipRecord:
     chosen_doc: PlanDocument | None = None
     sim_caption: float = 0.0
     sim_plan: float = 0.0
-    kept: bool = False
 
 
 @dataclass
@@ -233,7 +233,7 @@ def pair_clip(
     return start, end
 
 
-def keyframe_times(start: float, end: float, max_frames: int = 8) -> list[float]:
+def keyframe_times(start: float, end: float, max_frames: int) -> list[float]:
     """Uniformly spaced interior frame times: min(max_frames, ceil(span)) of them."""
     span = end - start
     n = max(1, min(max_frames, math.ceil(span)))
@@ -292,8 +292,7 @@ def stage2_filter(
         raise ContractError("stage-2 filtering requires a chosen plan")
     clip.sim_caption = ensemble_similarity(frame_embeds, caption_embed)
     clip.sim_plan = ensemble_similarity(frame_embeds, plan_embed)
-    clip.kept = clip.sim_caption >= tau and clip.sim_plan >= tau
-    return clip.kept
+    return clip.sim_caption >= tau and clip.sim_plan >= tau
 
 
 # -- candidate generation ---------------------------------------------------------
@@ -319,6 +318,9 @@ class LmPlanGenerator:
     name = "lm"
 
     def __init__(self, model: MicroLm, vocab: Vocabulary, config: GenerationConfig):
+        if model.config.vocab_size != len(vocab):
+            raise ContractError(f"model vocabulary of {model.config.vocab_size} ids does not "
+                                f"match the {len(vocab)} tokens of the vocabulary")
         self.model = model
         self.vocab = vocab
         self.config = config
@@ -372,8 +374,8 @@ def build_dataset(
     betas = {vid: compute_beta(records) for vid, records in kept_records.items()}
     alpha = compute_alpha(list(betas.values()))
 
-    # why a clip got no plan: the generator raised, or none of its candidates parsed
-    failure_reasons = {"generator_raised": 0, "no_candidate_parsed": 0}
+    # why a clip got no plan: generator raised, prompt too long for the LM, or no candidate parsed
+    failure_reasons = {"generator_raised": 0, "no_candidate_parsed": 0, "prompt_too_long": 0}
     counters = {
         "degenerate_spans": 0,
         "generator_failures": 0,
@@ -396,6 +398,9 @@ def build_dataset(
             seed_key = f"{seed}/{vid}/{record.timestamp_sec:.6f}"
             try:
                 raw = generator.generate(caption, cfg.candidates_per_prompt, seed_key)
+            except PromptTooLongError:
+                failure_reasons["prompt_too_long"] += 1
+                continue
             except (ContractError, ValueError):
                 failure_reasons["generator_raised"] += 1
                 continue

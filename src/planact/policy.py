@@ -17,6 +17,7 @@ from .gridworld import (
     GoalGridEnv,
     expert_action_toward,
     plan_for,
+    scripted_expert,
     symmetry_views,
 )
 from .seeding import stable_seed
@@ -237,16 +238,13 @@ def _batch_loss(
 
 
 def dataset_loss(
-    model: ControlModel,
-    demos: list[Demonstration],
-    limit: int = 256,
-    cache: dict | None = None,
+    model: ControlModel, demos: list[Demonstration], cache: dict | None = None
 ) -> float:
-    """Mean NLL of the unaugmented expert actions; ``cache`` as in ``ControlModel.forward``.
+    """Mean NLL of the first 256 unaugmented expert actions; ``cache`` as in ``forward``.
 
     Only the value is returned, so no autodiff graph is recorded.
     """
-    data = _dataset_from_demos(demos, augment=False)[:limit]
+    data = _dataset_from_demos(demos, augment=False)[:256]
     with no_grad():
         return _batch_loss(model, data, cache).item()
 
@@ -347,8 +345,6 @@ def model_policy(model: ControlModel):
 
 
 def expert_policy():
-    from .gridworld import scripted_expert
-
     def policy_fn(env: GoalGridEnv, obs: np.ndarray, plan_text: str) -> int:
         return scripted_expert(env)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, PromptTooLongError
 from .lm import MicroLm
 from .tensor import Tensor, no_grad
 from .vocab import EOS
@@ -70,8 +70,17 @@ def generate(
     the prefill's last logit row, and then feeds one token per step, so a
     step runs one position.  Samples are drawn sequentially from one seeded
     stream, stopping at EOS or after ``max_new_tokens`` new tokens; no forward
-    runs after a sample's last token.  Decoding records no autodiff graph.
+    runs after a sample's last token.  Decoding records no autodiff graph.  A
+    request whose longest sample would outgrow ``LmConfig.context`` raises
+    ``PromptTooLongError`` before any forward runs.
     """
+    n_soft = 0 if soft_prompt is None else soft_prompt.shape[0]
+    adapters, context = model.config.prefix_len, model.config.context
+    if adapters + n_soft + len(prompt_ids) + cfg.max_new_tokens - 1 > context:
+        raise PromptTooLongError(
+            f"{adapters} adapter rows + {n_soft} soft prompt rows + {len(prompt_ids)} prompt "
+            f"ids + {cfg.max_new_tokens} new tokens less the last exceed context {context}"
+        )
     with no_grad():
         rng = np.random.default_rng(cfg.seed)
         results = []

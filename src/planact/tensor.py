@@ -130,18 +130,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = self.data - other.data
-        return Tensor._result(
-            out,
-            (self, other),
-            lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
-        )
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) - self
-
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out = self.data * other.data
@@ -155,26 +143,6 @@ class Tensor:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        out = self.data / other.data
-        if not np.all(np.isfinite(out)):
-            raise NumericError("division produced non-finite values")
-        return Tensor._result(
-            out,
-            (self, other),
-            lambda g: (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data * other.data), other.shape),
-            ),
-        )
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
-
-    def __neg__(self) -> "Tensor":
-        return Tensor._result(-self.data, (self,), lambda g: (-g,))
 
     # -- matrix product ------------------------------------------------------
 
@@ -245,29 +213,6 @@ class Tensor:
         count = self.size if axis is None else self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    # -- elementwise nonlinear ---------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        if not np.all(np.isfinite(out)):
-            raise NumericError("exp overflowed to non-finite values")
-        return Tensor._result(out, (self,), lambda g: (g * out,))
-
-    def log(self) -> "Tensor":
-        if np.any(self.data <= 0.0):
-            raise NumericError("log requires strictly positive inputs")
-        return Tensor._result(np.log(self.data), (self,), lambda g: (g / self.data,))
-
-    def sqrt(self) -> "Tensor":
-        if np.any(self.data < 0.0):
-            raise NumericError("sqrt requires non-negative inputs")
-        out = np.sqrt(self.data)
-        return Tensor._result(out, (self,), lambda g: (g * 0.5 / out,))
-
-    def tanh(self) -> "Tensor":
-        out = np.tanh(self.data)
-        return Tensor._result(out, (self,), lambda g: (g * (1.0 - out * out),))
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     """Depth-first topological order of the recorded graph; parents precede children."""
@@ -326,8 +271,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Row lookup (embedding); gradients scatter-add back into the table."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"row index out of range for table with {table.shape[0]} rows")
+    bad = idx[(idx < 0) | (idx >= table.shape[0])]
+    if bad.size:
+        raise ContractError(f"row id {int(bad[0])} outside the table's {table.shape[0]} rows")
     out = table.data[idx]
 
     def grad_fn(g: np.ndarray):
@@ -379,9 +325,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalise the last axis to zero mean / unit variance, then apply the affine map.
 
-    One node with an analytic backward.  The forward does the float64
-    operations of the composite ``mean``/``-``/``*``/``sqrt``/``/`` form in the
-    same order, so its output is bit-identical to composing those ops.
+    One node with an analytic backward.  In float64, on the last axis of width d::
+
+        centered = x - x.sum(-1, keepdims=True) * (1 / d)
+        var = (centered * centered).sum(-1, keepdims=True) * (1 / d)
+        out = centered / np.sqrt(var + eps) * gamma + beta
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -419,8 +367,9 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
         raise ContractError("cross_entropy received an empty batch")
     if idx.shape != (n,):
         raise DimensionError(f"expected {n} targets, got {idx.shape}")
-    if idx.min() < 0 or idx.max() >= c:
-        raise IndexError(f"target class out of range [0, {c})")
+    bad = idx[(idx < 0) | (idx >= c)]
+    if bad.size:
+        raise ContractError(f"target class {int(bad[0])} outside the {c} classes of the logits")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + logits.data.max(axis=1)
     picked = logits.data[np.arange(n), idx]

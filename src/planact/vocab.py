@@ -1,17 +1,15 @@
-"""Word-level vocabulary with reserved specials, plus tokenise/detokenise."""
+"""In-memory word-level vocabulary with reserved specials, plus tokenise/detokenise."""
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import Iterable
 
-from .checkpoint import atomic_write_text
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
-MAX_SEQUENCE_LENGTH = 256
+MAX_SEQUENCE_LENGTH = 256  # the rows of the bridge's text position table
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:'[a-z0-9]+)?|[^\sa-z0-9]")
 # punctuation that attaches to the preceding word when detokenising;
@@ -37,9 +35,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
-
     @classmethod
     def build(cls, corpus_lines: Iterable[str]) -> "Vocabulary":
         counts: dict[str, int] = {}
@@ -49,33 +44,21 @@ class Vocabulary:
         ordered = sorted(counts, key=lambda w: (-counts[w], w))
         return cls(ordered)
 
-    def save(self, path: Path) -> None:
-        """One non-special token per line; the id is the line number plus the special count."""
-        atomic_write_text(Path(path), "\n".join(self.tokens[len(SPECIAL_TOKENS):]) + "\n")
 
-    @classmethod
-    def load(cls, path: Path) -> "Vocabulary":
-        words = [ln for ln in Path(path).read_text().splitlines() if ln]
-        try:
-            return cls(words)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-
-
-def tokenize(text: str, vocab: Vocabulary, max_len: int = MAX_SEQUENCE_LENGTH) -> list[int]:
-    """BOS + word ids + EOS, unknown words to UNK, truncated to ``max_len`` ids total."""
+def tokenize(text: str, vocab: Vocabulary) -> list[int]:
+    """BOS + word ids + EOS, unknown words to UNK, truncated to ``MAX_SEQUENCE_LENGTH`` ids."""
     ids = [BOS]
     for word in split_words(text):
         ids.append(vocab.index.get(word, UNK))
     ids.append(EOS)
-    if len(ids) > max_len:
-        ids = ids[: max_len - 1] + [EOS]
+    if len(ids) > MAX_SEQUENCE_LENGTH:
+        ids = ids[: MAX_SEQUENCE_LENGTH - 1] + [EOS]
     return ids
 
 
-def tokenize_prefix(text: str, vocab: Vocabulary, max_len: int = MAX_SEQUENCE_LENGTH) -> list[int]:
+def tokenize_prefix(text: str, vocab: Vocabulary) -> list[int]:
     """Like ``tokenize`` but without the trailing EOS, for generation prompts."""
-    return tokenize(text, vocab, max_len=max_len)[:-1]
+    return tokenize(text, vocab)[:-1]
 
 
 def detokenize(ids: Iterable[int], vocab: Vocabulary) -> str:
@@ -84,7 +67,7 @@ def detokenize(ids: Iterable[int], vocab: Vocabulary) -> str:
     glue_next = False
     for i in ids:
         if i < 0 or i >= len(vocab):
-            raise IndexError(f"token id {i} out of range for vocabulary of {len(vocab)}")
+            raise ContractError(f"token id {i} outside the vocabulary's {len(vocab)} ids")
         if i in (PAD, BOS, EOS):
             continue
         tok = vocab.tokens[i]

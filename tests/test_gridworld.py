@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from planact.errors import ConfigError, ContractError, IngestError, ValidationError
+from planact.errors import ConfigError, ContractError, ValidationError
 from planact.gridworld import (
     ACTIONS,
     INTERACT,
@@ -12,9 +10,7 @@ from planact.gridworld import (
     GoalGridEnv,
     caption_for,
     collect_demos,
-    load_demos,
     plan_for,
-    save_demos,
     scripted_expert,
 )
 from planact.plans import parse_plan
@@ -155,72 +151,22 @@ class TestDemos:
                 assert scripted_expert(env) == action
                 env.step(action)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        config = EnvConfig()
-        demos = collect_demos(config, seeds=[1, 2, 3])
-        save_demos(tmp_path / "demos", demos)
-        loaded = load_demos(tmp_path / "demos", config)
-        assert len(loaded) == 3
-        for a, b in zip(demos, loaded):
-            assert a.seed == b.seed
-            assert len(a.steps) == len(b.steps)
-            for (oa, pa, aa), (ob, pb, ab) in zip(a.steps, b.steps):
-                assert oa.tobytes() == ob.tobytes()
-                assert pa == pb and aa == ab
-
-    @pytest.mark.parametrize("ref", [10_000, -2, 1.5])
-    def test_load_rejects_obs_ref_outside_blob(self, tmp_path, ref):
-        config = EnvConfig()
-        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1, 2]))
-        jsonl = tmp_path / "demos.jsonl"
-        rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
-        rows[1]["steps"][2]["obs_ref"] = ref
-        jsonl.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        with pytest.raises(ValidationError, match=r"demos\.jsonl: demo seed 2 step 2") as err:
-            load_demos(tmp_path / "demos", config)
-        assert "demos.bin" in str(err.value)
-
     @pytest.mark.parametrize(
-        "corrupt",
+        "change, fault",
         [
-            lambda line: line[:-1],
-            lambda line: json.dumps({"seed": 2}),
-            lambda line: line.replace('"action"', '"act"', 1),
-            lambda line: line.replace('"action": ', '"action": "x", "_": ', 1),
-            lambda line: line.replace('"plan": ', '"plan": 5, "_": ', 1),
-            lambda line: line.replace('"seed": 2', '"seed": true', 1),
+            (lambda steps: [], "has no steps"),
+            (lambda steps: steps + steps[-1:] * 50, "exceeds the step limit"),
+            (lambda steps: steps[:-1], "does not end with interact"),
+            (lambda steps: [(steps[0][0], steps[0][1], 7)] + steps[1:], "holds an illegal action"),
+            (lambda steps: [(steps[0][0], " ", steps[0][2])] + steps[1:], "holds an empty plan"),
         ],
-        ids=["malformed-json", "missing-steps", "step-missing-action", "action-not-int",
-             "plan-not-text", "seed-boolean"],
+        ids=["no-steps", "over-step-limit", "no-final-interact", "illegal-action", "empty-plan"],
     )
-    def test_load_rejects_malformed_line_naming_file_and_line(self, tmp_path, corrupt):
-        config = EnvConfig()
-        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1, 2, 3]))
-        jsonl = tmp_path / "demos.jsonl"
-        lines = jsonl.read_text().splitlines()
-        lines[1] = corrupt(lines[1])
-        jsonl.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IngestError, match=r"demos\.jsonl:2: "):
-            load_demos(tmp_path / "demos", config)
-
-    def test_load_rejects_demo_without_steps(self, tmp_path):
-        config = EnvConfig()
-        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1, 2]))
-        jsonl = tmp_path / "demos.jsonl"
-        lines = jsonl.read_text().splitlines()
-        lines[1] = json.dumps({"seed": 2, "steps": []})
-        jsonl.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValidationError, match=r"demos\.jsonl:2: demonstration 2 has no steps"):
-            load_demos(tmp_path / "demos", config)
-
-    @pytest.mark.parametrize("cut", [8, 3])
-    def test_load_rejects_partial_observation_blob(self, tmp_path, cut):
-        config = EnvConfig()
-        save_demos(tmp_path / "demos", collect_demos(config, seeds=[1]))
-        blob = tmp_path / "demos.bin"
-        blob.write_bytes(blob.read_bytes()[:-cut])
-        with pytest.raises(ValidationError, match=r"demos\.bin: \d+ bytes"):
-            load_demos(tmp_path / "demos", config)
+    def test_validation_names_the_fault(self, change, fault):
+        demo = collect_demos(EnvConfig(), seeds=[2])[0]
+        demo.steps = change(demo.steps)
+        with pytest.raises(ValidationError, match=rf"^demonstration 2 {fault}$"):
+            demo.validate(EnvConfig())
 
     def test_validation_rejects_failure(self):
         demo = Demonstration(seed=0, steps=[(np.zeros((4, 9, 9)), "plan", 0)], success=False)

