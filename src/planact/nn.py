@@ -218,13 +218,10 @@ class LayerNorm(Module):
 class TransformerBlock(Module):
     """Pre-norm residual block: self-attention, optional cross-attention, feed-forward.
 
-    ``x`` is (..., n, dim) and ``self_mask`` is None (every row visible) or a
-    boolean (n, n) array.  Cross-attention (and its residual update) covers the
-    leading ``cross_rows`` rows of the sequence, all rows when None; remaining
-    rows pass through unchanged.
-    ``self_cache`` holds the self-attention keys and values of rows every
-    query sees (seeded rows, then earlier rows); ``x`` then carries only the
-    new rows, and their keys and values are appended to it.
+    Each sublayer is a method that returns its residual update, and
+    ``__call__`` composes self-attention and feed-forward on one path.  A block
+    with cross-attention has no single composition: its caller decides which
+    rows cross-attend and runs the sublayers itself (see ``QueryBridge``).
     """
 
     def __init__(
@@ -244,27 +241,45 @@ class TransformerBlock(Module):
         self.ln_ffn = LayerNorm(dim)
         self.ffn = FeedForward(rng, dim, dim * ff_mult)
 
+    def self_attention(
+        self,
+        x: Tensor,
+        mask: np.ndarray | None = None,
+        cache: KVCache | None = None,
+        rows: int | None = None,
+    ) -> Tensor:
+        """Self-attention update of the leading ``rows`` rows of ``x`` (all when None).
+
+        Every row of ``x`` is a key and value; only the updated rows are
+        returned, so ``mask`` is None or a boolean (rows, n) array.  ``cache``
+        holds the keys and values of rows every query sees (seeded rows, then
+        earlier rows); ``x`` then carries only the new rows, and their keys and
+        values are appended to it.
+        """
+        normed = self.ln_self(x)
+        if rows is None:
+            return x + self.self_attn(normed, normed, mask, cache=cache)
+        return x[..., :rows, :] + self.self_attn(normed[..., :rows, :], normed, mask, cache=cache)
+
+    def cross_attention(self, x: Tensor, kv: Tensor) -> Tensor:
+        """Cross-attention update of every row of ``x`` over the rows of ``kv``."""
+        if not self.has_cross:
+            raise ContractError("block was built without cross-attention")
+        return x + self.cross_attn(self.ln_cross(x), kv)
+
+    def feed_forward(self, x: Tensor) -> Tensor:
+        return x + self.ffn(self.ln_ffn(x))
+
     def __call__(
         self,
         x: Tensor,
         self_mask: np.ndarray | None = None,
-        cross_kv: Tensor | None = None,
-        cross_rows: int | None = None,
         self_cache: KVCache | None = None,
     ) -> Tensor:
-        if (cross_kv is not None) != self.has_cross:
-            raise ContractError(
-                "cross_kv must be supplied exactly when the block has cross-attention "
-                f"(has_cross={self.has_cross})"
-            )
-        normed = self.ln_self(x)
-        h = x + self.self_attn(normed, normed, self_mask, cache=self_cache)
+        """Self-attention then feed-forward over (..., n, dim); see ``self_attention``."""
         if self.has_cross:
-            rows = h.shape[-2] if cross_rows is None else cross_rows
-            head = h[..., :rows, :]
-            attended = self.cross_attn(self.ln_cross(head), cross_kv)
-            h = concat([head + attended, h[..., rows:, :]], axis=-2)
-        return h + self.ffn(self.ln_ffn(h))
+            raise ContractError("a block with cross-attention is run through its sublayers")
+        return self.feed_forward(self.self_attention(x, self_mask, self_cache))
 
 
 def sinusoidal_embedding(n: int, d: int) -> Tensor:

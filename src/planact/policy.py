@@ -12,6 +12,7 @@ from .bridge import BridgeConfig, QueryBridge
 from .errors import ContractError, DimensionError
 from .gridworld import (
     ACTIONS,
+    INTERACT,
     Demonstration,
     EnvConfig,
     GoalGridEnv,
@@ -312,7 +313,21 @@ def evaluate_policy(
     episodes: int = 100,
     base_seed: int = 10_000,
 ) -> dict:
-    """Greedy rollouts on fresh episodes; pure function of (policy, seeds)."""
+    """Greedy rollouts on fresh episodes; pure function of (policy, seeds).
+
+    Each ``per_seed`` entry records the episode's seed, ``success`` and the
+    ``cause`` of a failure, the first that holds of:
+
+    - ``None``: the agent interacted on the target's cell (success);
+    - ``"wrong_object"``: the agent interacted on another object's cell at
+      least once;
+    - ``"oscillation"``: in the last four steps the agent moved back and forth
+      between two cells (its positions after them read a, b, a, b);
+    - ``"step_limit"``: any other run out of steps.
+
+    An episode ends only on success or at the step limit, so every failure
+    reached the step limit.
+    """
     per_seed = []
     successes = 0
     for i in range(episodes):
@@ -320,13 +335,22 @@ def evaluate_policy(
         env = GoalGridEnv(env_config)
         obs, caption = env.reset(seed)
         plan_text = plan_for(env.target_name)
+        others = [pos for j, pos in enumerate(env.object_pos) if j != env.target_idx]
         done = False
         success = False
+        wrong_object = False
+        positions = []
         while not done:
             action = policy_fn(env, obs, plan_text)
+            if action == INTERACT and env.agent_pos in others:
+                wrong_object = True
             obs, done, success = env.step(action)
+            positions.append(env.agent_pos)
         successes += int(success)
-        per_seed.append({"seed": seed, "success": bool(success)})
+        per_seed.append(
+            {"seed": seed, "success": bool(success),
+             "cause": _failure_cause(success, wrong_object, positions[-4:])}
+        )
     rate = successes / episodes
     low, high = wilson_interval(successes, episodes)
     return {
@@ -335,6 +359,16 @@ def evaluate_policy(
         "wilson_high": high,
         "per_seed": per_seed,
     }
+
+
+def _failure_cause(success: bool, wrong_object: bool, last4: list) -> str | None:
+    if success:
+        return None
+    if wrong_object:
+        return "wrong_object"
+    if len(last4) == 4 and last4[0] == last4[2] != last4[1] == last4[3]:
+        return "oscillation"
+    return "step_limit"
 
 
 def model_policy(model: ControlModel):

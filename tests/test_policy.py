@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from planact.errors import ContractError, DimensionError
-from planact.gridworld import ACTIONS, OBJECT_NAMES, EnvConfig, collect_demos, plan_for
+from planact.gridworld import (
+    ACTIONS,
+    INTERACT,
+    OBJECT_NAMES,
+    EnvConfig,
+    collect_demos,
+    expert_action_toward,
+    plan_for,
+)
 from planact.policy import (
     ControlModel,
     PolicyConfig,
@@ -13,6 +21,7 @@ from planact.policy import (
     bc_train,
     dataset_loss,
     evaluate_policy,
+    expert_policy,
     model_policy,
     wilson_interval,
 )
@@ -186,14 +195,17 @@ class TestBatchedForward:
         single = np.concatenate([forward_one(model, obs, plan).data for obs, plan in rows])
         np.testing.assert_allclose(forward_rows(model, rows).data, single, rtol=0, atol=1e-10)
 
-    def test_one_extract_per_plan_length(self, vocab, data, monkeypatch):
+    def test_one_extract_per_distinct_plan(self, vocab, data, monkeypatch):
         model = make_model(vocab)
         calls = count_extract_calls(model, monkeypatch)
         cache = {}
-        forward_rows(model, self.rows(data), cache)
-        assert len(calls) == 2
-        forward_rows(model, self.rows(data), cache)
-        assert len(calls) == 2
+        rows = self.rows(data)
+        # three distinct plans, two of them of one token length
+        assert len({plan for _, plan in rows}) == 3
+        forward_rows(model, rows, cache)
+        assert len(calls) == 3
+        forward_rows(model, rows, cache)
+        assert len(calls) == 3
 
     def test_duplicate_rows_computed_once(self, vocab, data):
         model = make_model(vocab)
@@ -328,3 +340,50 @@ class TestEvaluation:
         assert first == second
         assert [r["seed"] for r in first["per_seed"]] == [7, 8, 9]
         assert first["wilson_low"] <= first["success_rate"] <= first["wilson_high"]
+
+
+def toward_another_object(env, obs, plan_text):
+    """Walks to the object after the target and interacts there for good."""
+    return expert_action_toward(env, env.object_pos[(env.target_idx + 1) % len(env.object_pos)])
+
+
+def up_and_down(env, obs, plan_text):
+    """Walks to the top row, then steps down and up again."""
+    return 1 if env.agent_pos[0] == 0 else 0
+
+
+def interact_in_place(env, obs, plan_text):
+    return INTERACT
+
+
+class TestFailureCause:
+    LONG = EnvConfig(step_limit=30)  # every cell of the 9 x 9 grid is in reach
+
+    @pytest.mark.parametrize(
+        "policy_fn, cause",
+        [
+            (expert_policy(), None),
+            (toward_another_object, "wrong_object"),
+            (up_and_down, "oscillation"),
+            (interact_in_place, "step_limit"),
+        ],
+    )
+    def test_scripted_policy_cause(self, policy_fn, cause):
+        result = evaluate_policy(policy_fn, self.LONG, episodes=5, base_seed=3)
+        assert [r["cause"] for r in result["per_seed"]] == [cause] * 5
+        assert [r["success"] for r in result["per_seed"]] == [cause is None] * 5
+        assert result["success_rate"] == (1.0 if cause is None else 0.0)
+
+    def test_wrong_object_outranks_oscillation(self):
+        interacted = []  # episodes whose agent has interacted at the other object
+
+        def wrong_then_oscillate(env, obs, plan_text):
+            if any(env is seen for seen in interacted):
+                return up_and_down(env, obs, plan_text)
+            action = toward_another_object(env, obs, plan_text)
+            if action == INTERACT:
+                interacted.append(env)
+            return action
+
+        result = evaluate_policy(wrong_then_oscillate, self.LONG, episodes=3, base_seed=3)
+        assert [r["cause"] for r in result["per_seed"]] == ["wrong_object"] * 3

@@ -5,11 +5,31 @@ from planact.bridge import BridgeConfig, QueryBridge
 from planact.errors import ContractError, DimensionError
 from planact.gradcheck import check_gradients
 from planact.nn import set_trainable
-from planact.tensor import Tensor, gelu
+from planact.tensor import Tensor, broadcast_to, concat, gelu, take_rows
 from planact.vision import VisionConfig, VisualEncoder, sinusoidal_grid_embedding
 from planact.vocab import Vocabulary, tokenize
 
 SMALL_VISION = VisionConfig(channels=3, image_size=32, patch_size=8, dim=16, blocks=3, heads=2)
+
+
+def reference_extract(bridge, tokens, ids):
+    """The unsplit bridge: every row copied per observation through every block, then sliced."""
+    n = bridge.config.query_count
+    lead = tokens.shape[:-2]
+    rows = [bridge.queries]
+    if ids:
+        rows.append(take_rows(bridge.text_embed, ids) + bridge.text_pos[: len(ids), :])
+    rows = [broadcast_to(r, (*lead, *r.shape[-2:])) for r in rows]
+    x = rows[0] if len(rows) == 1 else concat(rows, axis=-2)
+    for block in bridge.blocks:
+        normed = block.ln_self(x)
+        h = x + block.self_attn(normed, normed)
+        if block.has_cross:
+            head = h[..., :n, :]
+            attended = block.cross_attn(block.ln_cross(head), tokens)
+            h = concat([head + attended, h[..., n:, :]], axis=-2)
+        x = h + block.ffn(block.ln_ffn(h))
+    return bridge.ln_out(x)[..., :n, :]
 
 
 @pytest.fixture
@@ -141,7 +161,7 @@ class TestQueryBridge:
         assert d_cross > 1e-6
 
     def test_instance_features_rows_match_single_images(self, encoder, bridge, vocab, rng):
-        # two token lengths, interleaved: one extract per length, rows in input order
+        # three plans: one extract per plan, rows in input order
         images = rng.standard_normal((3, 3, 32, 32))
         plans = ["go to the video", "go to the red block", "describe this video ."]
         batched = bridge.instance_features(encoder.encode_image(Tensor(images)), plans, vocab)
@@ -192,3 +212,79 @@ class TestQueryBridge:
 
         params = [tokens, bridge.queries, bridge.proj.w, bridge.proj.b]
         check_gradients(fn, params)
+
+
+class TestPlanSideOncePerPlan:
+    """``extract`` runs the image-free plan side once and must equal the unsplit bridge."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)], ids=["unbatched", "one", "batched"])
+    @pytest.mark.parametrize("text", [0, 1, 43], ids=lambda t: f"text{t}")
+    # depth 5 has a cross block between the first and the last
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "shape", [(16, 2, 4, 4), (64, 4, 8, 2)], ids=["small", "policy"]
+    )
+    def test_bitwise_equal_to_unsplit_bridge(self, rng, shape, depth, text, lead):
+        dim, heads, queries, ff_mult = shape
+        cfg = BridgeConfig(
+            query_count=queries, dim=dim, lm_dim=dim, blocks=depth, heads=heads, ff_mult=ff_mult
+        )
+        bridge = QueryBridge(rng, 50, cfg)
+        ids = [int(i) for i in rng.integers(0, 50, text)]
+        tokens = Tensor(rng.standard_normal((*lead, 81, dim)))
+        out = bridge.extract(tokens, ids or None)
+        assert out.shape == (*lead, queries, dim)
+        assert out.data.tobytes() == reference_extract(bridge, tokens, ids).data.tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_single_query_row_matches_to_round_off(self, rng, vocab, depth):
+        # one query row takes numpy's matrix-vector product, whose summation
+        # order differs from the unsplit bridge's matrix product
+        cfg = BridgeConfig(query_count=1, dim=16, lm_dim=16, blocks=depth, heads=2)
+        bridge = QueryBridge(rng, len(vocab), cfg)
+        tokens = Tensor(rng.standard_normal((3, 9, 16)))
+        np.testing.assert_allclose(
+            bridge.extract(tokens, [1, 4, 2]).data,
+            reference_extract(bridge, tokens, [1, 4, 2]).data,
+            rtol=0,
+            atol=1e-13,
+        )
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_gradient_check(self, rng, vocab, depth):
+        cfg = BridgeConfig(query_count=2, dim=6, lm_dim=4, blocks=depth, heads=2)
+        bridge = QueryBridge(rng, len(vocab), cfg)
+        tokens = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
+
+        def fn(inp):
+            return gelu(bridge.project_to_lm(bridge.extract(inp[0], [1, 4, 2])[1])).mean()
+
+        # the plan side's feed-forward and the last block's query-only projection
+        first, last = bridge.blocks[0], bridge.blocks[-1]
+        params = [tokens, bridge.queries, bridge.text_embed, first.ffn.lin2.w, last.self_attn.w_q.w]
+        check_gradients(fn, params)
+
+    def test_first_self_attention_runs_once_per_distinct_plan(
+        self, encoder, bridge, vocab, rng, monkeypatch
+    ):
+        calls = []
+        first = bridge.blocks[0]
+        original = first.self_attention
+
+        def counted(x, *args, **kwargs):
+            calls.append(x.shape)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(first, "self_attention", counted)
+        tokens = encoder.encode_image(Tensor(rng.standard_normal((5, 3, 32, 32))))
+        plans = ["go to the video", "go to the red block"] * 2 + ["go to the video"]
+        bridge.instance_features(tokens, plans, vocab)
+        # two distinct plans, each run unbatched
+        assert len(calls) == 2 and all(len(shape) == 2 for shape in calls)
+        calls.clear()
+        bridge.instance_features(tokens, ["go to the red block"] * 5, vocab)
+        assert len(calls) == 1
+
+    def test_zero_blocks_rejected(self, rng, vocab):
+        with pytest.raises(ContractError):
+            QueryBridge(rng, len(vocab), BridgeConfig(blocks=0))
