@@ -127,11 +127,8 @@ _BARE_PLAN_TEMPLATES = (
 )
 
 
-def synthetic_plan(caption: str, rng: np.random.Generator) -> str | None:
-    """One schema-valid plan text for ``caption``; None when no verb/object reading exists."""
-    parsed = analyze_caption(caption)
-    if parsed is None:
-        return None
+def synthetic_plan(caption: str, parsed: CaptionParse, rng: np.random.Generator) -> str:
+    """One schema-valid plan text for ``caption``, whose reading is ``parsed``."""
     if parsed.obj:
         approach = _APPROACH_VERBS[int(rng.integers(len(_APPROACH_VERBS)))]
         template = _PLAN_TEMPLATES[int(rng.integers(len(_PLAN_TEMPLATES)))]
@@ -149,14 +146,13 @@ def synthetic_plan(caption: str, rng: np.random.Generator) -> str | None:
 
 
 def synthetic_candidates(caption: str, count: int, seed_key: str) -> list[str]:
-    """Deterministic list of ``count`` plan variants for one caption."""
-    out = []
-    for i in range(count):
-        text = synthetic_plan(caption, rng_for("synthetic-plan", seed_key, caption, i))
-        if text is None:
-            return []
-        out.append(text)
-    return out
+    """Deterministic list of ``count`` plan variants for one caption; empty when no
+    verb/object reading exists."""
+    parsed = analyze_caption(caption)
+    if parsed is None:
+        return []
+    return [synthetic_plan(caption, parsed, rng_for("synthetic-plan", seed_key, caption, i))
+            for i in range(count)]
 
 
 def build_vqa_pairs(caption: str) -> list[dict[str, str]]:

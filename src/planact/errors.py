@@ -25,10 +25,6 @@ class ParseError(PlanactError):
     """Structured text (plan documents) could not be parsed."""
 
 
-class ConfigError(PlanactError):
-    """A configuration file or value is invalid."""
-
-
 class IngestError(PlanactError):
     """An input data file could not be read or decoded."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ContractError, ValidationError
 from .plans import PlanDocument, PlanStep, render_plan
 
 ACTIONS = ("up", "down", "left", "right", "interact")
@@ -32,16 +32,16 @@ class EnvConfig:
 
     def __post_init__(self):
         if self.object_count < 1 or self.object_count > len(OBJECT_NAMES):
-            raise ConfigError(
+            raise ContractError(
                 f"object_count must lie in [1, {len(OBJECT_NAMES)}], got {self.object_count}"
             )
         if self.height * self.width < self.object_count + 1:
-            raise ConfigError(
+            raise ContractError(
                 f"grid {self.height}x{self.width} cannot hold {self.object_count} objects "
                 "plus the agent"
             )
         if self.step_limit < 1:
-            raise ConfigError("step_limit must be positive")
+            raise ContractError("step_limit must be positive")
 
 
 def caption_for(target_name: str) -> str:

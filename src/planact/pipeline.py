@@ -7,10 +7,12 @@ candidates per clip.
 
 A plan generator has a ``name`` and a method ``generate(caption, count,
 seed_key)`` that returns ``count`` candidate plan texts for the stripped
-narration ``caption``, the same ones for the same ``seed_key``.  A generator
-that cannot annotate a caption raises ``ContractError`` or ``ValueError``, and
-the clip is counted under ``generator_raised``, or under ``prompt_too_long``
-when the error is a ``PromptTooLongError``; any other error propagates.
+narration ``caption``, the same ones for the same ``seed_key``.  A clip gets no
+plan for one of two reasons, counted apart: the generator raised
+``ContractError`` or ``ValueError`` (``generator_raised``; any other error
+propagates), or none of its candidates parsed (``no_candidate_parsed``).
+``SyntheticPlanGenerator`` plays the outside annotator; no language model runs
+during curation.
 
 ``build_dataset`` runs in three passes: pair, generate and parse every clip;
 embed the keyframes of all clips that reached selection in one provider
@@ -23,20 +25,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .annotate import build_vqa_pairs, synthetic_candidates
 from .checkpoint import atomic_write_text, read_jsonl
-from .errors import ContractError, ParseError, PipelineError, PromptTooLongError, ValidationError
-from .lm import MicroLm
+from .errors import ContractError, ParseError, PipelineError, ValidationError
 from .plans import PlanDocument, parse_plan
-from .prompts import assemble_prompt
-from .sampling import GenerationConfig, generate
-from .seeding import stable_seed
-from .vocab import Vocabulary, detokenize, split_words, tokenize_prefix
+from .vocab import split_words
 
 
 @dataclass
@@ -281,17 +279,16 @@ def select_best_candidate(
 
 
 def stage2_filter(
-    clip: ClipRecord,
-    tau: float,
-    frame_embeds: list[np.ndarray],
-    caption_embed: np.ndarray,
-    plan_embed: np.ndarray,
+    clip: ClipRecord, tau: float, frame_embeds: list[np.ndarray], caption_embed: np.ndarray
 ) -> bool:
-    """Keep the clip iff both caption and chosen plan clear the similarity threshold."""
+    """Keep the clip iff both caption and chosen plan clear the similarity threshold.
+
+    ``clip.sim_plan`` holds the chosen plan's score from ``select_best_candidate``;
+    this sets ``clip.sim_caption``.
+    """
     if not clip.chosen_plan:
         raise ContractError("stage-2 filtering requires a chosen plan")
     clip.sim_caption = ensemble_similarity(frame_embeds, caption_embed)
-    clip.sim_plan = ensemble_similarity(frame_embeds, plan_embed)
     return clip.sim_caption >= tau and clip.sim_plan >= tau
 
 
@@ -305,32 +302,6 @@ class SyntheticPlanGenerator:
 
     def generate(self, caption: str, count: int, seed_key: str) -> list[str]:
         return synthetic_candidates(caption, count, seed_key)
-
-
-class LmPlanGenerator:
-    """Samples candidate plans from the in-package language model.
-
-    Each call prompts the model with the ``egocot_annotation`` template for the
-    caption.  ``config`` sets temperature, top_p and max_new_tokens; ``count``
-    and ``seed_key`` set the sample count and seed of each call.
-    """
-
-    name = "lm"
-
-    def __init__(self, model: MicroLm, vocab: Vocabulary, config: GenerationConfig):
-        if model.config.vocab_size != len(vocab):
-            raise ContractError(f"model vocabulary of {model.config.vocab_size} ids does not "
-                                f"match the {len(vocab)} tokens of the vocabulary")
-        self.model = model
-        self.vocab = vocab
-        self.config = config
-
-    def generate(self, caption: str, count: int, seed_key: str) -> list[str]:
-        cfg = replace(self.config, samples_per_prompt=count,
-                      seed=stable_seed("lm-candidates", seed_key))
-        ids = tokenize_prefix(assemble_prompt("egocot_annotation", caption), self.vocab)
-        return [f"Task: {caption}\nplans: {detokenize(sample, self.vocab)}"
-                for sample in generate(self.model, ids, None, cfg)]
 
 
 # -- orchestration -----------------------------------------------------------------
@@ -374,8 +345,8 @@ def build_dataset(
     betas = {vid: compute_beta(records) for vid, records in kept_records.items()}
     alpha = compute_alpha(list(betas.values()))
 
-    # why a clip got no plan: generator raised, prompt too long for the LM, or no candidate parsed
-    failure_reasons = {"generator_raised": 0, "no_candidate_parsed": 0, "prompt_too_long": 0}
+    # why a clip got no plan: the generator raised, or no candidate parsed
+    failure_reasons = {"generator_raised": 0, "no_candidate_parsed": 0}
     counters = {
         "degenerate_spans": 0,
         "generator_failures": 0,
@@ -398,9 +369,6 @@ def build_dataset(
             seed_key = f"{seed}/{vid}/{record.timestamp_sec:.6f}"
             try:
                 raw = generator.generate(caption, cfg.candidates_per_prompt, seed_key)
-            except PromptTooLongError:
-                failure_reasons["prompt_too_long"] += 1
-                continue
             except (ContractError, ValueError):
                 failure_reasons["generator_raised"] += 1
                 continue
@@ -432,11 +400,10 @@ def build_dataset(
     clips: list[ClipRecord] = []
     for clip, docs, refs in selectable:
         frames = [frame_embeds[ref] for ref in refs]
-        idx, _ = select_best_candidate(frames, [text_embeds[c] for c in clip.candidates])
+        idx, clip.sim_plan = select_best_candidate(frames, [text_embeds[c] for c in clip.candidates])
         clip.chosen_plan = clip.candidates[idx]
         clip.chosen_doc = docs[idx]
-        if stage2_filter(clip, cfg.similarity_threshold, frames,
-                         text_embeds[clip.caption], text_embeds[clip.chosen_plan]):
+        if stage2_filter(clip, cfg.similarity_threshold, frames, text_embeds[clip.caption]):
             clips.append(clip)
         else:
             counters["stage2_dropped"] += 1

@@ -216,10 +216,14 @@ class TrainLog:
 
 
 def _dataset_from_demos(
-    demos: list[Demonstration], augment: bool
+    demos: list[Demonstration], env_config: EnvConfig, augment: bool
 ) -> list[tuple[np.ndarray, str, int]]:
+    """Training triples of ``demos``, each validated against ``env_config`` first."""
+    if not demos:
+        raise ContractError("behavioral cloning requires at least one demonstration")
     data = []
     for demo in demos:
+        demo.validate(env_config)
         for obs, plan, action in demo.steps:
             if augment:
                 data.extend((o, plan, a) for o, a in symmetry_views(obs, action))
@@ -245,7 +249,7 @@ def dataset_loss(
 
     Only the value is returned, so no autodiff graph is recorded.
     """
-    data = _dataset_from_demos(demos, augment=False)[:256]
+    data = _dataset_from_demos(demos, model.env_config, augment=False)[:256]
     with no_grad():
         return _batch_loss(model, data, cache).item()
 
@@ -264,12 +268,10 @@ def bc_train(
     (observation, plan) pair and reused across epochs and by the logged
     initial and final losses.
     """
-    if not demos:
-        raise ContractError("behavioral cloning requires at least one demonstration")
     cfg = model.config
-    data = _dataset_from_demos(demos, augment=cfg.augment_symmetry)
+    data = _dataset_from_demos(demos, model.env_config, augment=cfg.augment_symmetry)
     rng = np.random.default_rng(seed)
-    batches_per_epoch = max(1, math.ceil(len(data) / cfg.bc_batch))
+    batches_per_epoch = math.ceil(len(data) / cfg.bc_batch)
     schedule = LrSchedule(
         peak_lr=cfg.bc_peak_lr,
         total_steps=epochs * batches_per_epoch,
@@ -285,8 +287,6 @@ def bc_train(
         order = rng.permutation(len(data))
         for b in range(batches_per_epoch):
             batch = [data[i] for i in order[b * cfg.bc_batch : (b + 1) * cfg.bc_batch]]
-            if not batch:
-                continue
             optimizer.zero_grad()
             loss = _batch_loss(model, batch, cache)
             loss.backward()
@@ -328,6 +328,8 @@ def evaluate_policy(
     An episode ends only on success or at the step limit, so every failure
     reached the step limit.
     """
+    if episodes < 1:
+        raise ContractError(f"evaluation needs at least one episode, got {episodes}")
     per_seed = []
     successes = 0
     for i in range(episodes):

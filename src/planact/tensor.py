@@ -322,14 +322,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(out, (x,), grad_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise the last axis to zero mean / unit variance, then apply the affine map.
 
     One node with an analytic backward.  In float64, on the last axis of width d::
 
         centered = x - x.sum(-1, keepdims=True) * (1 / d)
         var = (centered * centered).sum(-1, keepdims=True) * (1 / d)
-        out = centered / np.sqrt(var + eps) * gamma + beta
+        out = centered / np.sqrt(var + 1e-5) * gamma + beta
     """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -339,7 +339,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv_d = 1.0 / d
     centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + 1e-5)
     normed = centered / std
     if not np.all(np.isfinite(normed)):
         raise NumericError("layer_norm produced non-finite values")

@@ -36,7 +36,8 @@ class TestAnalyzeCaption:
 
 class TestSyntheticPlans:
     def test_worked_drawer_example(self):
-        text = synthetic_plan("C opens a drawer", rng_for("t", 0))
+        caption = "C opens a drawer"
+        text = synthetic_plan(caption, analyze_caption(caption), rng_for("t", 0))
         doc = parse_plan(text)
         assert any(s.verb == "open" and s.args == ["drawer"] for s in doc.actions)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from planact.errors import ConfigError, ContractError, ValidationError
+from planact.errors import ContractError, ValidationError
 from planact.gridworld import (
     ACTIONS,
     INTERACT,
@@ -47,7 +47,7 @@ class TestEnv:
         assert caption == caption_for(env.target_name)
 
     def test_capacity_config_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError, match="grid 2x2 cannot hold 5 objects"):
             EnvConfig(height=2, width=2, object_count=5)
 
     def test_interact_on_target_succeeds(self):

@@ -3,11 +3,12 @@ import contextlib
 import numpy as np
 import pytest
 
-from planact.errors import ContractError, DimensionError
+from planact.errors import ContractError, DimensionError, ValidationError
 from planact.gridworld import (
     ACTIONS,
     INTERACT,
     OBJECT_NAMES,
+    Demonstration,
     EnvConfig,
     collect_demos,
     expert_action_toward,
@@ -39,7 +40,7 @@ def vocab():
 
 @pytest.fixture(scope="module")
 def data():
-    return _dataset_from_demos(collect_demos(EnvConfig(), [0, 1]), augment=False)[:6]
+    return _dataset_from_demos(collect_demos(EnvConfig(), [0, 1]), EnvConfig(), augment=False)[:6]
 
 
 def make_model(vocab, seed=0, ablate_plan=False, **overrides):
@@ -218,7 +219,7 @@ class TestBatchedForward:
         from planact.tensor import _topo_order
 
         demos = collect_demos(EnvConfig(), [0, 1, 2])
-        triples = _dataset_from_demos(demos, augment=True)
+        triples = _dataset_from_demos(demos, EnvConfig(), augment=True)
         model = make_model(vocab)
         cache = {}
         sizes = [len(_topo_order(_batch_loss(model, triples[:b], cache))) for b in (1, 32)]
@@ -318,6 +319,27 @@ class TestBcTrain:
         assert log.losses == graph_log.losses
 
 
+class TestDemoValidation:
+    # bc_train and dataset_loss validate every demo against the model's grid first
+    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
+    def test_demo_without_steps_named(self, vocab, run):
+        with pytest.raises(ValidationError, match="demonstration 0 did not succeed"):
+            run(make_model(vocab), [Demonstration(seed=0)])
+
+    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
+    def test_illegal_action_named(self, vocab, run):
+        demo = collect_demos(ENV, [0])[0]
+        obs, plan, _ = demo.steps[0]
+        demo.steps.insert(0, (obs, plan, 7))
+        with pytest.raises(ValidationError, match="demonstration 0 holds an illegal action"):
+            run(make_model(vocab), [demo])
+
+    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
+    def test_no_demos_rejected(self, vocab, run):
+        with pytest.raises(ContractError, match="at least one demonstration"):
+            run(make_model(vocab), [])
+
+
 class TestEvaluation:
     @pytest.mark.parametrize(
         "successes, n, low, high",
@@ -340,6 +362,11 @@ class TestEvaluation:
         assert first == second
         assert [r["seed"] for r in first["per_seed"]] == [7, 8, 9]
         assert first["wilson_low"] <= first["success_rate"] <= first["wilson_high"]
+
+    @pytest.mark.parametrize("episodes", [0, -2])
+    def test_fewer_than_one_episode_rejected(self, episodes):
+        with pytest.raises(ContractError, match=f"at least one episode, got {episodes}"):
+            evaluate_policy(expert_policy(), ENV, episodes=episodes)
 
 
 def toward_another_object(env, obs, plan_text):

@@ -29,8 +29,7 @@ ALLOWED = {
     "checkpoint.load_checkpoint": "checkpoint trio: ROADMAP item 4 gives it a caller or deletes it",
     "checkpoint.restore_into": "checkpoint trio: ROADMAP item 4 gives it a caller or deletes it",
     "bridge.QueryBridge.project_to_lm": "bridge-to-LM path: ROADMAP item 3 decides its fate",
-    "pipeline.LmPlanGenerator": "ROADMAP item 3 decides its fate; the plan_decode bench "
-    "calls sampling.generate the way it does",
+    "vocab.detokenize": "ROADMAP items 3 and 4 read sampled plan ids as text",
     "gradcheck.check_gradients": "the finite-difference reference every gradient test uses",
     "embedder.make_embed_server.Handler.do_POST": "http.server calls it for each POST",
     "embedder.make_embed_server.Handler.log_message": "http.server calls it to log a request",

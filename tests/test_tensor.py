@@ -106,15 +106,14 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_row_zeroed_by_eps(self):
         x = Tensor(np.full((1, 4), 3.0))
-        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=1e-5)
+        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
     def test_two_point_row(self):
-        # mean 2, population std 1 -> [-1, 1] as eps -> 0
-        out = layer_norm(
-            Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12
-        )
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+        # mean 2, population variance 1 -> [-1, 1] / sqrt(1 + eps)
+        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        expected = np.array([[-1.0, 1.0]]) / np.sqrt(1.0 + 1e-5)
+        np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
     def test_affine_dominates(self):
         out = layer_norm(
@@ -132,9 +131,10 @@ class TestLayerNorm:
     def test_normalisation_statistics(self, d):
         rng = np.random.default_rng(d)
         x = rng.standard_normal((3, d)) * 5.0 + 2.0
-        out = layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d)), eps=1e-12)
+        out = layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d)))
+        var = x.var(axis=-1)
         assert np.all(np.abs(out.data.mean(axis=-1)) <= 1e-10)
-        assert np.all(np.abs(out.data.var(axis=-1) - 1.0) <= 1e-6)
+        assert np.all(np.abs(out.data.var(axis=-1) - var / (var + 1e-5)) <= 1e-6)
 
     @pytest.mark.parametrize("shape", [(2, 4), (2, 3, 5)])
     def test_gradient(self, rng, shape):
@@ -148,13 +148,13 @@ class TestLayerNorm:
         )
 
     def test_one_node_bit_equal_to_composite(self, rng):
-        def composite(x, gamma, beta, eps=1e-5):
+        def composite(x, gamma, beta):
             # mean, subtract, square, mean, sqrt, divide, scale, shift, each a float64
             # numpy operation in the order a composition of graph nodes would run them
             inv_d = 1.0 / x.shape[-1]
             centered = x - x.sum(axis=-1, keepdims=True) * inv_d
             var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
-            return centered / np.sqrt(var + eps) * gamma + beta
+            return centered / np.sqrt(var + 1e-5) * gamma + beta
 
         for shape in [(7,), (3, 16), (2, 3, 64)]:
             data = rng.standard_normal(shape) * 4.0 + 1.5
