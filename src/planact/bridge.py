@@ -10,26 +10,31 @@ fixed-size bottleneck regardless of how many visual or text tokens went in.
 A single affine map projects that summary into the language model's
 embedding space as soft prompt rows.
 
-``extract`` runs the plan side once per plan.  Nothing before the first
-block's cross-attention sees the image: its self-attention over [queries;
-text] is the same for every observation under one plan, and so is the
-feed-forward of its text rows, which skip the cross-attention.  Text rows
-meet the image only through a self-attention after that first
-cross-attention.  So these rows are computed once, unbatched, and broadcast
-to the image's leading shape where the query rows cross-attend; every later
-operation sees the same values as when each observation carried its own
-copy.  (With a single observation there is nothing to share, and the first
-block's feed-forward runs over all rows at once.)  The last block's text
-rows serve only as keys and values, so its query projection, feed-forward
-and the final norm run on the query rows alone.  The result is
-byte-identical to running every block over every row and slicing, except
-with a single query row: numpy then takes a matrix-vector product, whose
-summation order differs, and the two agree to round-off.
+The bridge runs in two halves.  Nothing before the first block's
+cross-attention sees the image, so that much is the *plan side*, a function
+of the plan alone: ``plan_side`` runs the first block's self-attention over
+[queries; text] and the feed-forward of its text rows, which skip the
+cross-attention.  Text rows meet the image only through a self-attention
+after that first cross-attention.  ``extract`` runs the *image side*: it
+broadcasts the plan side to the image's leading shape, lets the query rows
+cross-attend to the visual tokens, and runs every later block.  A caller
+that keeps a plan's side (a frozen bridge) pays for it once per plan; each
+observation pays only for the image side.
+
+The split is exact because every later operation sees the same values as
+when each observation carried its own copy of every row.  The plan side's
+feed-forward runs over all its rows and keeps the text rows, so its matrix
+products keep the row count, and with it the summation order, of the
+unsplit block.  The last block's text rows serve only as keys and values,
+so its query projection, feed-forward and the final norm run on the query
+rows alone.  The result is byte-identical to running every block over
+every row and slicing, except with a single query row: numpy then takes a
+matrix-vector product, whose summation order differs, and the two agree to
+round-off.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,6 +44,9 @@ from .errors import ContractError, DimensionError
 from .nn import Linear, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
 from .tensor import Tensor, broadcast_to, concat, parameter, take_rows
 from .vocab import MAX_SEQUENCE_LENGTH, Vocabulary, tokenize
+
+# the plan side of ``QueryBridge``: the first block's query rows and its text rows
+PlanSide = tuple[Tensor, Tensor | None]
 
 
 @dataclass
@@ -72,12 +80,31 @@ class QueryBridge(Module):
         self.ln_out = LayerNorm(config.dim)
         self.proj = Linear(rng, config.dim, config.lm_dim)
 
-    def extract(self, tokens: Tensor, text_ids: Sequence[int] | None = None) -> Tensor:
-        """Summarise visual tokens (optionally conditioned on text) into (..., N, D).
+    def plan_side(self, text_ids: Sequence[int] | None) -> PlanSide:
+        """The image-free half of the bridge for one id sequence, unbatched.
 
-        ``tokens`` is (..., P, D); ``text_ids`` is one id sequence shared by
-        every leading index.  The plan side runs once, unbatched, and is
-        broadcast to the leading shape where the query rows meet the image.
+        Returns the first block's self-attended query rows (N, D) and its
+        feed-forward output for the text rows (T, D), or None when no text
+        row reaches a later block (no text, or a single block).
+        """
+        n = self.config.query_count
+        x = self.queries
+        ids = np.asarray([] if text_ids is None else text_ids, dtype=np.int64)
+        if ids.size:
+            text = take_rows(self.text_embed, ids) + self.text_pos[: ids.size, :]
+            x = concat([x, text], axis=0)
+        first = self.blocks[0]
+        # a single block is also the last, whose text rows are keys and values only
+        x = first.self_attention(x, rows=n if len(self.blocks) == 1 else None)
+        if x.shape[-2] == n:
+            return x, None
+        return x[:n, :], first.feed_forward(x)[n:, :]
+
+    def extract(self, tokens: Tensor, side: PlanSide) -> Tensor:
+        """Summarise visual tokens (..., P, D) under a plan's ``side`` into (..., N, D).
+
+        ``side`` comes from ``plan_side`` and is shared by every leading
+        index of ``tokens``; only the image side runs here.
         """
         if tokens.shape[-2] == 0:
             raise ContractError("visual token set is empty")
@@ -86,40 +113,30 @@ class QueryBridge(Module):
                 f"visual token width {tokens.shape[-1]} does not match bridge dim "
                 f"{self.config.dim}"
             )
-        x = self.queries
-        ids = np.asarray([] if text_ids is None else text_ids, dtype=np.int64)
-        if ids.size:
-            text = take_rows(self.text_embed, ids) + self.text_pos[: ids.size, :]
-            x = concat([x, text], axis=0)
+        lead = tokens.shape[:-2]
+        queries, text = side
+        first = self.blocks[0]
+        x = broadcast_to(queries, (*lead, *queries.shape))
+        x = first.feed_forward(first.cross_attention(x, tokens))
+        if text is not None:
+            x = concat([x, broadcast_to(text, (*lead, *text.shape))], axis=-2)
         last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks):
+        for i, block in enumerate(self.blocks[1:], start=1):
             # the last block's text rows are keys and values only
             x = block.self_attention(x, rows=self.config.query_count if i == last else None)
             x = self._cross_queries(block, x, tokens) if block.has_cross else block.feed_forward(x)
         return self.ln_out(x)
 
     def _cross_queries(self, block: TransformerBlock, x: Tensor, tokens: Tensor) -> Tensor:
-        """Cross-attention and feed-forward of a block whose query rows see the image.
+        """Cross-attention and feed-forward of a later block whose query rows see the image.
 
-        Text rows skip the cross-attention.  When ``x`` is the plan side, not
-        yet broadcast to the image's leading shape, and more than one
-        observation shares it, the text rows' feed-forward runs once, before
-        the broadcast.
+        Text rows skip the cross-attention.
         """
         n = self.config.query_count
-        lead = tokens.shape[:-2]
-        head = x if x.shape[-2] == n else x[..., :n, :]
-        head = block.cross_attention(broadcast_to(head, (*lead, *head.shape[-2:])), tokens)
         if x.shape[-2] == n:
-            return block.feed_forward(head)
-        if x.ndim < tokens.ndim and math.prod(lead) > 1:
-            # every row of x runs the feed-forward, so its matrix products keep the
-            # row count, and with it the summation order, of the unsplit block
-            text = block.feed_forward(x)[..., n:, :]
-            head = block.feed_forward(head)
-            return concat([head, broadcast_to(text, (*lead, *text.shape[-2:]))], axis=-2)
-        tail = broadcast_to(x[..., n:, :], (*lead, x.shape[-2] - n, x.shape[-1]))
-        return block.feed_forward(concat([head, tail], axis=-2))
+            return block.feed_forward(block.cross_attention(x, tokens))
+        head = block.cross_attention(x[..., :n, :], tokens)
+        return block.feed_forward(concat([head, x[..., n:, :]], axis=-2))
 
     def project_to_lm(self, summary: Tensor) -> Tensor:
         """Affine map from the N x D summary to N x D' soft prompt rows; no nonlinearity."""
@@ -130,13 +147,19 @@ class QueryBridge(Module):
         return self.proj(summary)
 
     def instance_features(
-        self, tokens: Tensor, plan_texts: Sequence[str], vocab: Vocabulary
+        self,
+        tokens: Tensor,
+        plan_texts: Sequence[str],
+        vocab: Vocabulary,
+        sides: dict[str, PlanSide] | None = None,
     ) -> Tensor:
         """Re-query each image's tokens (B, P, D) with its own plan as the text input.
 
         Feeds the policy.  Rows with the same plan text share one ``extract``
-        call, so the plan side runs once per distinct plan; the result is
-        (B, N, D) in the order of the rows.
+        call; the result is (B, N, D) in the order of the rows.  Each distinct
+        plan's side is looked up in ``sides`` and misses are stored there, so
+        a caller whose bridge weights do not change can keep it across calls;
+        without it the plan side runs once per distinct plan in this call.
         """
         if tokens.ndim != 3 or tokens.shape[0] != len(plan_texts):
             raise DimensionError(f"{len(plan_texts)} plans for visual tokens {tokens.shape}")
@@ -145,10 +168,14 @@ class QueryBridge(Module):
             if not plan_text.strip():
                 raise ContractError("plan text must be non-empty")
             by_plan.setdefault(plan_text, []).append(i)
+        sides = {} if sides is None else sides
+        for plan_text in by_plan:
+            if plan_text not in sides:
+                sides[plan_text] = self.plan_side(tokenize(plan_text, vocab))
         if len(by_plan) == 1:
-            return self.extract(tokens, tokenize(plan_texts[0], vocab))
+            return self.extract(tokens, sides[plan_texts[0]])
         parts, order = [], []
         for plan_text, rows in by_plan.items():
-            parts.append(self.extract(tokens[rows], tokenize(plan_text, vocab)))
+            parts.append(self.extract(tokens[rows], sides[plan_text]))
             order += rows
         return take_rows(concat(parts, axis=0), np.argsort(order))

@@ -43,6 +43,11 @@ class EnvConfig:
         if self.step_limit < 1:
             raise ContractError("step_limit must be positive")
 
+    @property
+    def observation_shape(self) -> tuple[int, int, int]:
+        """(channels, H, W): one channel per object, then the agent's."""
+        return (self.object_count + 1, self.height, self.width)
+
 
 def caption_for(target_name: str) -> str:
     return f"go to the {target_name} and activate it"
@@ -82,7 +87,7 @@ class GoalGridEnv:
 
     def observation(self) -> np.ndarray:
         cfg = self.config
-        obs = np.zeros((cfg.object_count + 1, cfg.height, cfg.width))
+        obs = np.zeros(cfg.observation_shape)
         for i, (r, c) in enumerate(self.object_pos):
             obs[i, r, c] = 1.0
         obs[cfg.object_count, self.agent_pos[0], self.agent_pos[1]] = 1.0
@@ -166,7 +171,12 @@ class Demonstration:
             raise ValidationError(f"demonstration {self.seed} exceeds the step limit")
         if self.steps[-1][2] != INTERACT:
             raise ValidationError(f"demonstration {self.seed} does not end with interact")
-        for _, plan, action in self.steps:
+        for obs, plan, action in self.steps:
+            if np.shape(obs) != config.observation_shape:
+                raise ValidationError(
+                    f"demonstration {self.seed} holds an observation of shape "
+                    f"{np.shape(obs)}, expected {config.observation_shape}"
+                )
             if action not in range(len(ACTIONS)):
                 raise ValidationError(f"demonstration {self.seed} holds an illegal action")
             if not plan.strip():

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bridge import BridgeConfig, QueryBridge
+from .bridge import BridgeConfig, PlanSide, QueryBridge
 from .errors import ContractError, DimensionError
 from .gridworld import (
     ACTIONS,
@@ -97,7 +97,14 @@ class PolicyHead(Module):
 
 
 class ControlModel(Module):
-    """Closed-loop policy: plan text re-queries the observation for instance features."""
+    """Closed-loop policy: plan text re-queries the observation for instance features.
+
+    With the bridge frozen (``train_bridge`` off), ``plan_sides`` keeps each
+    plan's bridge plan side for the model's whole life, shared by ``act``,
+    ``dataset_loss`` and ``bc_train``; it is never invalidated, so weights
+    are restored only into a freshly built model, never into one that has
+    already run.
+    """
 
     def __init__(
         self,
@@ -114,7 +121,8 @@ class ControlModel(Module):
         self.env_config = env_config
         self.ablate_plan = ablate_plan
         self.vocab = vocab
-        channels = env_config.object_count + 1
+        self.plan_sides: dict[str, PlanSide] = {}
+        channels, _, _ = env_config.observation_shape
         # cell-level tokens with fixed 2-d position codes: attention selects cells
         # by content (which object sits there) while the position code carries
         # per-cell coordinates the policy head can decode directions from
@@ -160,7 +168,8 @@ class ControlModel(Module):
     def instance_features(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
         """Bridge features (B, N, D) of observations (B, c, H, W) under one plan each."""
         tokens = self.grid_vision.encode_image(Tensor(obs))
-        return self.bridge.instance_features(tokens, plan_texts, self.vocab)
+        sides = None if self.config.train_bridge else self.plan_sides
+        return self.bridge.instance_features(tokens, plan_texts, self.vocab, sides)
 
     def policy_logits(self, z_instance: Tensor, z_global: Tensor) -> Tensor:
         """Head over the flattened N x D query rows (B, N * D) and the context (B, G)."""
@@ -178,7 +187,12 @@ class ControlModel(Module):
         in one ``instance_features`` call, and reused as constants.
         """
         obs = np.asarray(obs, dtype=np.float64)
-        if obs.ndim != 4 or obs.shape[0] != len(plan_texts):
+        if obs.shape[1:] != self.env_config.observation_shape:
+            raise DimensionError(
+                f"observations of shape {obs.shape} do not match "
+                f"(B, {', '.join(map(str, self.env_config.observation_shape))})"
+            )
+        if obs.shape[0] != len(plan_texts):
             raise DimensionError(
                 f"{len(plan_texts)} plans for observations of shape {obs.shape}"
             )

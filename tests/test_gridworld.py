@@ -3,14 +3,12 @@ import pytest
 
 from planact.errors import ContractError, ValidationError
 from planact.gridworld import (
-    ACTIONS,
     INTERACT,
     Demonstration,
     EnvConfig,
     GoalGridEnv,
     caption_for,
     collect_demos,
-    plan_for,
     scripted_expert,
 )
 from planact.plans import parse_plan
@@ -28,10 +26,15 @@ class TestEnv:
     def test_observation_structure(self):
         env = GoalGridEnv(EnvConfig(object_count=3))
         obs, _ = env.reset(0)
-        assert obs.shape == (4, 9, 9)
+        assert obs.shape == env.config.observation_shape == (4, 9, 9)
         assert set(np.unique(obs)) <= {0.0, 1.0}
         assert obs[3].sum() == 1.0  # exactly one agent cell
         assert obs[:3].sum() == 3.0  # one cell per object
+
+    def test_observation_shape_of_a_non_square_grid(self):
+        env = GoalGridEnv(EnvConfig(height=5, width=7, object_count=2))
+        obs, _ = env.reset(0)
+        assert obs.shape == env.config.observation_shape == (3, 5, 7)
 
     def test_observation_does_not_reveal_target(self):
         # identical layout with a different designated target must look identical
@@ -159,8 +162,15 @@ class TestDemos:
             (lambda steps: steps[:-1], "does not end with interact"),
             (lambda steps: [(steps[0][0], steps[0][1], 7)] + steps[1:], "holds an illegal action"),
             (lambda steps: [(steps[0][0], " ", steps[0][2])] + steps[1:], "holds an empty plan"),
+            (
+                lambda steps: [(steps[0][0][:, :7, :7], *steps[0][1:])] + steps[1:],
+                r"holds an observation of shape \(4, 7, 7\), expected \(4, 9, 9\)",
+            ),
         ],
-        ids=["no-steps", "over-step-limit", "no-final-interact", "illegal-action", "empty-plan"],
+        ids=[
+            "no-steps", "over-step-limit", "no-final-interact", "illegal-action", "empty-plan",
+            "observation-shape",
+        ],
     )
     def test_validation_names_the_fault(self, change, fault):
         demo = collect_demos(EnvConfig(), seeds=[2])[0]

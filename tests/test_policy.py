@@ -3,6 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from planact.checkpoint import restore_into
 from planact.errors import ContractError, DimensionError, ValidationError
 from planact.gridworld import (
     ACTIONS,
@@ -156,6 +157,14 @@ class TestForward:
         with pytest.raises(ContractError):
             ControlModel(np.random.default_rng(0), EnvConfig(height=9, width=7), vocab)
 
+    def test_rejects_observation_of_wrong_shape(self, vocab, data):
+        _, plan, _ = data[0]
+        model = make_model(vocab)
+        with pytest.raises(DimensionError, match=r"do not match \(B, 4, 9, 9\)"):
+            model.act(np.zeros((4, 7, 7)), plan)
+        with pytest.raises(DimensionError, match=r"do not match \(B, 4, 9, 9\)"):
+            model.forward(np.zeros((4, 9, 9)), [plan])
+
     def test_rejects_plan_count_mismatch(self, vocab, data):
         obs, plan, _ = data[0]
         with pytest.raises(DimensionError):
@@ -272,6 +281,58 @@ class TestTrainableParameters:
         assert [name for name, p in params.items() if p.grad is None] == []
 
 
+class TestPlanSideStore:
+    """A frozen bridge keeps each plan's side for the model's life; a trained one does not."""
+
+    @pytest.mark.parametrize("train_bridge, plan_side_runs", [(False, 1), (True, 20)])
+    def test_act_runs_plan_side_once_per_plan(
+        self, vocab, data, monkeypatch, train_bridge, plan_side_runs
+    ):
+        model = make_model(vocab, train_bridge=train_bridge)
+        extracts = count_extract_calls(model, monkeypatch)
+        first = model.bridge.blocks[0]
+        attention = []
+        original = first.self_attention
+
+        def counted(*args, **kwargs):
+            attention.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(first, "self_attention", counted)
+        _, plan, _ = data[0]
+        for i in range(20):
+            model.act(data[i % len(data)][0], plan)
+        assert len(attention) == plan_side_runs and len(extracts) == 20
+
+    def test_bc_train_leaves_frozen_weights_unchanged(self, vocab):
+        model = make_model(vocab)
+        frozen = ("bridge.", "grid_vision.")
+
+        def snapshot():
+            return {k: v.data.tobytes() for k, v in model.named_parameters().items()}
+
+        before = snapshot()
+        bc_train(model, collect_demos(EnvConfig(), [0]), seed=0, epochs=1)
+        after = snapshot()
+        assert {k: v for k, v in after.items() if k.startswith(frozen)} == {
+            k: v for k, v in before.items() if k.startswith(frozen)
+        }
+        assert any(after[k] != before[k] for k in before if not k.startswith(frozen))
+
+    @pytest.mark.parametrize("train_bridge", [False, True])
+    def test_trained_model_matches_fresh_model_with_its_weights(self, vocab, data, train_bridge):
+        obs, plan, _ = data[0]
+        model = make_model(vocab, train_bridge=train_bridge)
+        model.act(obs, plan)  # a kept plan side would now predate training
+        bc_train(model, collect_demos(EnvConfig(), [0]), seed=0, epochs=1)
+        fresh = make_model(vocab, seed=1, train_bridge=train_bridge)
+        restore_into(
+            fresh.named_parameters(), {k: v.data for k, v in model.named_parameters().items()}
+        )
+        rows = [(o, p) for o, p, _ in data]
+        assert forward_rows(model, rows).data.tobytes() == forward_rows(fresh, rows).data.tobytes()
+
+
 class TestBcTrain:
     def test_logged_losses_reuse_frozen_features(self, vocab, monkeypatch):
         demos = collect_demos(EnvConfig(), [0])
@@ -332,6 +393,17 @@ class TestDemoValidation:
         obs, plan, _ = demo.steps[0]
         demo.steps.insert(0, (obs, plan, 7))
         with pytest.raises(ValidationError, match="demonstration 0 holds an illegal action"):
+            run(make_model(vocab), [demo])
+
+    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
+    def test_observation_shape_named(self, vocab, run):
+        demo = collect_demos(ENV, [0])[0]
+        demo.steps = [(obs[:, :7, :7], plan, action) for obs, plan, action in demo.steps]
+        with pytest.raises(
+            ValidationError,
+            match=r"demonstration 0 holds an observation of shape \(4, 7, 7\), "
+            r"expected \(4, 9, 9\)",
+        ):
             run(make_model(vocab), [demo])
 
     @pytest.mark.parametrize("run", [bc_train, dataset_loss])

@@ -88,27 +88,27 @@ class TestQueryBridge:
         for rows, text in [(16, None), (32, "go to the red block"), (64, "describe this video .")]:
             tokens = Tensor(rng.standard_normal((rows, 16)))
             ids = tokenize(text, vocab) if text else None
-            assert bridge.extract(tokens, ids).shape == (4, 16)
+            assert bridge.extract(tokens, bridge.plan_side(ids)).shape == (4, 16)
 
     def test_empty_visual_rejected(self, bridge):
         with pytest.raises((ContractError, DimensionError)):
-            bridge.extract(Tensor(np.zeros((0, 16))), None)
+            bridge.extract(Tensor(np.zeros((0, 16))), bridge.plan_side(None))
 
     def test_empty_text_allowed(self, encoder, bridge, rng):
         tokens = encoder.encode_image(Tensor(rng.standard_normal((3, 32, 32))))
-        assert bridge.extract(tokens, None).shape == (4, 16)
+        assert bridge.extract(tokens, bridge.plan_side(None)).shape == (4, 16)
 
     def test_visual_permutation_invariance(self, bridge, rng):
         tokens = rng.standard_normal((10, 16))
-        out1 = bridge.extract(Tensor(tokens), None)
-        out2 = bridge.extract(Tensor(tokens[rng.permutation(10)]), None)
+        out1 = bridge.extract(Tensor(tokens), bridge.plan_side(None))
+        out2 = bridge.extract(Tensor(tokens[rng.permutation(10)]), bridge.plan_side(None))
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-10)
 
     def test_deterministic(self, encoder, bridge, vocab, rng):
         img = Tensor(rng.standard_normal((3, 32, 32)))
         ids = tokenize("go to the red block", vocab)
-        a = bridge.extract(encoder.encode_image(img), ids)
-        b = bridge.extract(encoder.encode_image(img), ids)
+        a = bridge.extract(encoder.encode_image(img), bridge.plan_side(ids))
+        b = bridge.extract(encoder.encode_image(img), bridge.plan_side(ids))
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_projection_affine(self, bridge, rng):
@@ -141,7 +141,7 @@ class TestQueryBridge:
         tokens = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 32, 32))))
         plan = "go to the red block and activate it"
         a = bridge.instance_features(tokens, [plan], vocab)
-        b = bridge.extract(tokens, tokenize(plan, vocab))
+        b = bridge.extract(tokens, bridge.plan_side(tokenize(plan, vocab)))
         assert a.shape == (1, 4, 16)
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -179,17 +179,17 @@ class TestQueryBridge:
     def test_extract_rows_match_single_images(self, encoder, bridge, vocab, rng):
         images = rng.standard_normal((2, 3, 32, 32))
         ids = tokenize("go to the red block", vocab)
-        batched = bridge.extract(encoder.encode_image(Tensor(images)), ids)
+        batched = bridge.extract(encoder.encode_image(Tensor(images)), bridge.plan_side(ids))
         assert batched.shape == (2, 4, 16)
         for i in range(2):
-            one = bridge.extract(encoder.encode_image(Tensor(images[i])), ids)
+            one = bridge.extract(encoder.encode_image(Tensor(images[i])), bridge.plan_side(ids))
             np.testing.assert_allclose(batched.data[i], one.data, rtol=0, atol=1e-12)
 
     def test_gradients_reach_trainables_not_frozen_encoder(self, encoder, bridge, vocab, rng):
         set_trainable(encoder.named_parameters(), False)
         img = Tensor(rng.standard_normal((3, 32, 32)))
         tokens = encoder.encode_image(img)
-        z = bridge.extract(tokens, tokenize("go to the red block", vocab))
+        z = bridge.extract(tokens, bridge.plan_side(tokenize("go to the red block", vocab)))
         loss = gelu(bridge.project_to_lm(z) * 0.3).sum()
         loss.backward()
         assert bridge.queries.grad is not None and np.any(bridge.queries.grad != 0)
@@ -207,7 +207,7 @@ class TestQueryBridge:
         tokens = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
 
         def fn(inp):
-            z = bridge.extract(inp[0], [1, 4, 2])
+            z = bridge.extract(inp[0], bridge.plan_side([1, 4, 2]))
             return gelu(bridge.project_to_lm(z)).mean()
 
         params = [tokens, bridge.queries, bridge.proj.w, bridge.proj.b]
@@ -215,7 +215,7 @@ class TestQueryBridge:
 
 
 class TestPlanSideOncePerPlan:
-    """``extract`` runs the image-free plan side once and must equal the unsplit bridge."""
+    """``plan_side`` then ``extract`` must equal the unsplit bridge."""
 
     @pytest.mark.parametrize("lead", [(), (1,), (5,)], ids=["unbatched", "one", "batched"])
     @pytest.mark.parametrize("text", [0, 1, 43], ids=lambda t: f"text{t}")
@@ -232,7 +232,7 @@ class TestPlanSideOncePerPlan:
         bridge = QueryBridge(rng, 50, cfg)
         ids = [int(i) for i in rng.integers(0, 50, text)]
         tokens = Tensor(rng.standard_normal((*lead, 81, dim)))
-        out = bridge.extract(tokens, ids or None)
+        out = bridge.extract(tokens, bridge.plan_side(ids or None))
         assert out.shape == (*lead, queries, dim)
         assert out.data.tobytes() == reference_extract(bridge, tokens, ids).data.tobytes()
 
@@ -244,7 +244,7 @@ class TestPlanSideOncePerPlan:
         bridge = QueryBridge(rng, len(vocab), cfg)
         tokens = Tensor(rng.standard_normal((3, 9, 16)))
         np.testing.assert_allclose(
-            bridge.extract(tokens, [1, 4, 2]).data,
+            bridge.extract(tokens, bridge.plan_side([1, 4, 2])).data,
             reference_extract(bridge, tokens, [1, 4, 2]).data,
             rtol=0,
             atol=1e-13,
@@ -257,7 +257,8 @@ class TestPlanSideOncePerPlan:
         tokens = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
 
         def fn(inp):
-            return gelu(bridge.project_to_lm(bridge.extract(inp[0], [1, 4, 2])[1])).mean()
+            z = bridge.extract(inp[0], bridge.plan_side([1, 4, 2]))
+            return gelu(bridge.project_to_lm(z[1])).mean()
 
         # the plan side's feed-forward and the last block's query-only projection
         first, last = bridge.blocks[0], bridge.blocks[-1]
