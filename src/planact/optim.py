@@ -1,4 +1,15 @@
-"""AdamW with decoupled weight decay and the warmup-plus-cosine learning-rate schedule."""
+"""AdamW with decoupled weight decay and the warmup-plus-cosine learning-rate schedule.
+
+``AdamW`` keeps its parameters in one contiguous float64 buffer: at
+construction it copies each parameter's values there and rebinds the
+parameter's ``data`` to a view of its slice, and the moments ``m`` and ``v``
+are flat buffers of the same length.  A step copies the gradients into one
+flat buffer and updates every parameter with a few whole-buffer operations.
+The update is elementwise, so it equals a per-tensor update bit for bit.
+Code that writes parameter values in place (``t.data[...] = ...``) writes
+through the views; code that rebinds ``t.data`` detaches that parameter from
+the optimizer.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericError
 from .tensor import Tensor
 
 
@@ -52,36 +63,72 @@ class LrSchedule:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over an explicit list of parameter tensors."""
+    """Decoupled-weight-decay Adam over an explicit list of distinct parameter tensors."""
 
     def __init__(self, params: list[Tensor], config: AdamWConfig | None = None):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ContractError("AdamW was given the same parameter tensor more than once")
         self.config = config or AdamWConfig()
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self._bounds = list(zip(offsets[:-1], offsets[1:]))
+        size = offsets[-1]
+        self.flat = np.empty(size)
+        for p, (lo, hi) in zip(self.params, self._bounds):
+            self.flat[lo:hi] = p.data.reshape(-1)
+            p.data = self.flat[lo:hi].reshape(p.data.shape)
+        self._grad, self._u, self._d = np.empty(size), np.empty(size), np.empty(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
+    def _gather_grads(self) -> np.ndarray:
+        """Every gradient in the flat buffer (zeros for ``None``), checked before any update."""
+        grad = self._grad
+        for p, (lo, hi) in zip(self.params, self._bounds):
+            if p.grad is None:
+                grad[lo:hi] = 0.0
+            elif p.grad.shape != p.data.shape:
+                raise DimensionError(
+                    f"gradient shape {p.grad.shape} does not match parameter {p.data.shape}"
+                )
+            else:
+                grad[lo:hi] = p.grad.reshape(-1)
+        finite = np.isfinite(grad)
+        if not finite.all():
+            bad = int(np.searchsorted([hi for _, hi in self._bounds], np.argmin(finite), "right"))
+            raise NumericError(
+                f"non-finite gradient for parameter {bad} of shape {self.params[bad].shape}"
+            )
+        return grad
+
     def step(self, lr: float) -> None:
-        if lr < 0.0:
-            raise ContractError(f"learning rate must be non-negative, got {lr}")
+        if not (math.isfinite(lr) and lr >= 0.0):
+            raise ContractError(f"learning rate must be finite and non-negative, got {lr}")
+        grad = self._gather_grads()
         c = self.config
         self.t += 1
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
-        for i, p in enumerate(self.params):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if grad.shape != p.data.shape:
-                raise DimensionError(
-                    f"gradient shape {grad.shape} does not match parameter {p.data.shape}"
-                )
-            if c.weight_decay:
-                p.data -= lr * c.weight_decay * p.data
-            self.m[i] = c.beta1 * self.m[i] + (1.0 - c.beta1) * grad
-            self.v[i] = c.beta2 * self.v[i] + (1.0 - c.beta2) * grad * grad
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + c.eps)
+        flat, m, v, u, d = self.flat, self.m, self.v, self._u, self._d
+        # per element the same operations, in the same order, as
+        #   p -= lr * wd * p;  m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        #   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        # with products commuted; the work buffers u and d spare the allocations
+        if c.weight_decay:
+            flat -= np.multiply(flat, lr * c.weight_decay, out=u)
+        m *= c.beta1
+        m += np.multiply(grad, 1.0 - c.beta1, out=u)
+        v *= c.beta2
+        np.multiply(grad, 1.0 - c.beta2, out=d)
+        v += np.multiply(d, grad, out=d)
+        np.divide(v, bc2, out=d)
+        np.sqrt(d, out=d)
+        d += c.eps
+        np.divide(m, bc1, out=u)
+        u *= lr
+        flat -= np.divide(u, d, out=u)

@@ -47,10 +47,12 @@ class PolicyConfig:
     bc_warmup_ratio: float = 0.05
 
     def __post_init__(self):
-        if self.bc_batch < 1:
-            raise ContractError(f"bc_batch must be at least 1, got {self.bc_batch}")
-        if self.conv_depth < 1:
-            raise ContractError("conv_depth must be at least 1")
+        for name in (
+            "global_dim", "conv_channels", "conv_depth", "hidden_dim", "bridge_dim",
+            "query_count", "bridge_heads", "ff_mult", "bc_batch",
+        ):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 class GlobalEncoder(Module):
@@ -117,6 +119,12 @@ class ControlModel(Module):
         config = config or PolicyConfig()
         if env_config.height != env_config.width:
             raise ContractError("control model expects a square grid")
+        if env_config.height < 2 * config.conv_depth + 1:
+            raise ContractError(
+                f"a {env_config.height}x{env_config.width} grid is smaller than the "
+                f"{2 * config.conv_depth + 1}x{2 * config.conv_depth + 1} receptive field "
+                f"of {config.conv_depth} convolutions"
+            )
         self.config = config
         self.env_config = env_config
         self.ablate_plan = ablate_plan

@@ -6,6 +6,14 @@ output gradient.  ``backward`` walks that record once, in reverse topological
 order, and accumulates gradients onto the participating leaves.  Everything is
 float64 throughout so finite-difference checks stay meaningful.
 
+A product ``x @ w`` of a left operand of rank 3 or more with a 2-d weight
+runs as one GEMM over the folded rows ``x.reshape(-1, K)``, forward and
+backward.  Its weight gradient is ``x2.T @ g2``: one sum over every row of
+every batch, where a batched product summed over the batch would add each
+batch's partial sum in turn.  Only summation orders differ (that one, and
+for one-row batches the BLAS kernel numpy picks), so the folded and batched
+products agree to float64 round-off, not bit for bit.
+
 Inside a ``with no_grad():`` block nothing is recorded: every operation
 returns a plain constant, without looking at its inputs' ``requires_grad``,
 so inference pays for the arithmetic only and a result computed there cannot
@@ -147,25 +155,37 @@ class Tensor:
     # -- matrix product ------------------------------------------------------
 
     def __matmul__(self, other) -> "Tensor":
-        """Matrix product over the last two axes; leading axes broadcast as in numpy."""
+        """Matrix product over the last two axes; leading axes broadcast as in numpy.
+
+        A 2-d right operand under a left operand of rank 3 or more runs as one
+        GEMM over folded rows (see the module docstring).  No gradient is
+        computed for an operand that does not require one.
+        """
         other = as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
             raise DimensionError(
                 f"matmul expects operands of rank >= 2, got {self.shape} and {other.shape}"
             )
         a, b = self.data, other.data
+        fold = a.ndim > 2 and b.ndim == 2
+        a2 = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) if fold else a
         try:
-            out = a @ b
+            out2 = a2 @ b
         except ValueError:  # inner extents disagree or batch axes do not broadcast
             raise DimensionError(
                 f"matmul operands do not fit: {self.shape} x {other.shape}"
             ) from None
+        out = out2.reshape(*a.shape[:-1], b.shape[1]) if fold else out2
+        out2_shape = out2.shape
 
         def grad_fn(g: np.ndarray):
-            return (
-                _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
-                _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape),
-            )
+            g2 = g.reshape(out2_shape)
+            ga = gb = None
+            if self.requires_grad:
+                ga = _unbroadcast(g2 @ np.swapaxes(b, -1, -2), a2.shape).reshape(a.shape)
+            if other.requires_grad:
+                gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b.shape)
+            return ga, gb
 
         return Tensor._result(out, (self, other), grad_fn)
 
@@ -387,25 +407,34 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
 def unfold_windows(x: Tensor, k: int) -> Tensor:
     """All k-by-k windows of each image of a (B, c, H, W) tensor.
 
-    The result is (B, (H-k+1)*(W-k+1), c*k*k): one row per window position.
+    The result is (B, (H-k+1)*(W-k+1), c*k*k): one row per window position,
+    its entries in (channel, window row, window column) order.  Rows are
+    filled by k*k slice copies out of a channels-last view, and the gradient
+    accumulates the same k*k slices, in the same order, into a channels-last
+    buffer returned as a (B, c, H, W) view.
     """
     if x.ndim != 4:
         raise DimensionError(f"unfold_windows expects (B, c, H, W), got {x.shape}")
+    if k < 1:
+        raise ContractError(f"window size must be at least 1, got {k}")
     b, c, h, w = x.shape
     if h < k or w < k:
         raise DimensionError(f"window {k} exceeds spatial extents of {x.shape}")
     hh, ww = h - k + 1, w - k + 1
-    view = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
-    # view: (B, c, hh, ww, k, k) -> rows (B, hh*ww, c*k*k)
-    out = view.transpose(0, 2, 3, 1, 4, 5).reshape(b, hh * ww, c * k * k)
+    channels_last = x.data.transpose(0, 2, 3, 1)
+    windows = np.empty((b, hh, ww, c, k, k))
+    for ki in range(k):
+        for kj in range(k):
+            windows[..., ki, kj] = channels_last[:, ki : ki + hh, kj : kj + ww]
+    out = windows.reshape(b, hh * ww, c * k * k)
 
     def grad_fn(g: np.ndarray):
-        gw = g.reshape(b, hh, ww, c, k, k).transpose(0, 3, 1, 2, 4, 5)
-        full = np.zeros_like(x.data)
+        gw = g.reshape(b, hh, ww, c, k, k)
+        full = np.zeros((b, h, w, c))
         for ki in range(k):
             for kj in range(k):
-                full[:, :, ki : ki + hh, kj : kj + ww] += gw[..., ki, kj]
-        return (full,)
+                full[:, ki : ki + hh, kj : kj + ww] += gw[..., ki, kj]
+        return (full.transpose(0, 3, 1, 2),)
 
     return Tensor._result(out, (x,), grad_fn)
 

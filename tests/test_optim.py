@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from planact.errors import ContractError
+from planact.errors import ContractError, NumericError
 from planact.optim import AdamW, AdamWConfig, LrSchedule
 from planact.tensor import Tensor
 
@@ -57,12 +57,80 @@ class TestAdamW:
         for _ in range(10):
             p.grad = rng.standard_normal(5)
             opt.step(lr=0.05)
-        assert np.all(opt.v[0] >= 0.0)
+        assert np.all(opt.v >= 0.0)
 
     def test_negative_lr_rejected(self):
         opt = AdamW([make_param([1.0])])
         with pytest.raises(ContractError):
             opt.step(lr=-0.1)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr_rejected_before_any_change(self, lr):
+        p = make_param([1.0, -2.0])
+        opt = AdamW([p])
+        p.grad = np.ones(2)
+        with pytest.raises(ContractError, match="finite"):
+            opt.step(lr=lr)
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        assert opt.t == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_names_the_parameter(self, bad):
+        params = [make_param([1.0, 2.0]), make_param(np.ones((3, 2))), make_param([0.5])]
+        opt = AdamW(params)
+        for p in params:
+            p.grad = np.ones(p.shape)
+        params[1].grad[2, 0] = bad
+        with pytest.raises(NumericError, match=r"parameter 1 of shape \(3, 2\)"):
+            opt.step(lr=0.1)
+        assert [p.data.tolist() for p in params] == [[1.0, 2.0], np.ones((3, 2)).tolist(), [0.5]]
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+
+    def test_same_tensor_twice_rejected(self):
+        p = make_param([1.0])
+        with pytest.raises(ContractError, match="more than once"):
+            AdamW([p, make_param([2.0]), p])
+
+    def test_parameters_are_views_of_one_buffer(self):
+        params = [make_param(np.arange(6.0).reshape(2, 3)), make_param([7.0])]
+        opt = AdamW(params)
+        assert all(np.shares_memory(p.data, opt.flat) for p in params)
+        np.testing.assert_array_equal(opt.flat, [0, 1, 2, 3, 4, 5, 7])
+        params[1].data[...] = 9.0  # an in-place write, as restore_into makes, reaches the buffer
+        assert opt.flat[-1] == 9.0
+
+    def test_flat_update_bitwise_equal_to_per_tensor_reference(self):
+        # the per-tensor loop: one update of each parameter's own arrays in turn
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (7,), (2, 1, 3), (5,)]
+        config = AdamWConfig(weight_decay=0.05)
+        values = [rng.standard_normal(s) for s in shapes]
+        params = [make_param(v.copy()) for v in values]
+        opt = AdamW(params, config)
+        ref_p = [v.copy() for v in values]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for t in range(1, 21):
+            lr = 0.01 * (1.0 + 0.1 * t)
+            grads = [rng.standard_normal(s) for s in shapes]
+            grads[2] = None  # a parameter the loss did not reach
+            for p, g in zip(params, grads):
+                p.grad = None if g is None else g.copy()
+            opt.step(lr)
+            bc1 = 1.0 - config.beta1**t
+            bc2 = 1.0 - config.beta2**t
+            for i, g in enumerate(grads):
+                g = np.zeros(shapes[i]) if g is None else g
+                ref_p[i] -= lr * config.weight_decay * ref_p[i]
+                ref_m[i] = config.beta1 * ref_m[i] + (1.0 - config.beta1) * g
+                ref_v[i] = config.beta2 * ref_v[i] + (1.0 - config.beta2) * g * g
+                m_hat = ref_m[i] / bc1
+                v_hat = ref_v[i] / bc2
+                ref_p[i] -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        for p, ref in zip(params, ref_p):
+            assert p.data.tobytes() == ref.tobytes()
+        assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+        assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
 
 
 class TestLrSchedule:

@@ -157,6 +157,15 @@ class TestForward:
         with pytest.raises(ContractError):
             ControlModel(np.random.default_rng(0), EnvConfig(height=9, width=7), vocab)
 
+    def test_rejects_grid_smaller_than_receptive_field(self, vocab):
+        small = EnvConfig(height=7, width=7)
+        with pytest.raises(ContractError, match=r"7x7 grid is smaller than the 9x9"):
+            ControlModel(np.random.default_rng(0), small, vocab)
+        config = PolicyConfig(**{**SMALL, "conv_depth": 3})
+        model = ControlModel(np.random.default_rng(0), small, vocab, config)
+        obs = np.zeros(small.observation_shape)
+        assert model.act(obs, plan_for(OBJECT_NAMES[0])) in range(len(ACTIONS))
+
     def test_rejects_observation_of_wrong_shape(self, vocab, data):
         _, plan, _ = data[0]
         model = make_model(vocab)
@@ -260,6 +269,15 @@ class TestConfig:
     def test_rejects_empty_minibatch(self, bc_batch):
         with pytest.raises(ContractError, match="bc_batch"):
             PolicyConfig(bc_batch=bc_batch)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["global_dim", "conv_channels", "hidden_dim", "bridge_dim", "query_count",
+         "bridge_heads", "ff_mult"],
+    )
+    def test_rejects_width_below_one(self, field):
+        with pytest.raises(ContractError, match=f"{field} must be at least 1, got 0"):
+            PolicyConfig(**{field: 0})
 
 
 class TestTrainableParameters:

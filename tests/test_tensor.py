@@ -63,6 +63,39 @@ class TestMatmul:
         for i in range(3):
             np.testing.assert_allclose(out[i], a[i] @ w, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(6, 1, 7), (6, 5, 7)])
+    def test_folded_weight_product_gradient(self, rng, shape):
+        a = Tensor(rng.standard_normal(shape), requires_grad=True)
+        w = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        check_gradients(lambda inp: gelu(inp[0] @ inp[1]).sum(), [a, w])
+
+    @pytest.mark.parametrize("shape", [(32, 1, 144), (32, 5, 36), (2, 3, 5, 7)])
+    def test_folded_weight_product_matches_batched_formula(self, rng, shape):
+        # the batched product of every leading index, its weight gradient
+        # summed over the leading axes one at a time
+        a = rng.standard_normal(shape)
+        w = rng.standard_normal((shape[-1], 4))
+        g = rng.standard_normal((*shape[:-1], 4))
+        ta, tw = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ta @ tw
+        ga, gw = out._grad_fn(g)
+        ref_gw = np.swapaxes(a, -1, -2) @ g
+        while ref_gw.ndim > 2:
+            ref_gw = ref_gw.sum(axis=0)
+        np.testing.assert_allclose(out.data, a @ w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ga, g @ w.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 5)])
+    def test_no_gradient_for_a_constant_operand(self, rng, shape):
+        x = Tensor(rng.standard_normal(shape))
+        w = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        out = x @ w
+        gx, gw = out._grad_fn(np.ones(out.shape))
+        assert gx is None and gw.shape == (5, 2)
+        out = Tensor(rng.standard_normal((2, 5)), requires_grad=True) @ Tensor(w.data)
+        assert out._grad_fn(np.ones(out.shape))[1] is None
+
     def test_rank_one_and_batch_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             Tensor(np.zeros(3)) @ Tensor(np.zeros((3, 2)))
@@ -374,6 +407,37 @@ class TestShapeOps:
             np.testing.assert_array_equal(out[b, i * 2 + j], expected)
         with pytest.raises(DimensionError):
             unfold_windows(Tensor(images[0]), 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_unfold_windows_bitwise_equal_to_sliding_window_reference(
+        self, rng, k, channels_last
+    ):
+        shape = (3, 4, 6, 5)
+        if channels_last:  # the layout GlobalEncoder feeds its inner layers
+            x = rng.standard_normal((3, 6, 5, 4)).transpose(0, 3, 1, 2)
+        else:
+            x = rng.standard_normal(shape)
+        b, c, h, w = shape
+        hh, ww = h - k + 1, w - k + 1
+        view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+        ref_rows = view.transpose(0, 2, 3, 1, 4, 5).reshape(b, hh * ww, c * k * k)
+        g = rng.standard_normal(ref_rows.shape)
+        gw = g.reshape(b, hh, ww, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+        ref_grad = np.zeros(shape)
+        for ki in range(k):
+            for kj in range(k):
+                ref_grad[:, :, ki : ki + hh, kj : kj + ww] += gw[..., ki, kj]
+        out = unfold_windows(Tensor(x, requires_grad=True), k)
+        (grad,) = out._grad_fn(g)
+        assert out.data.tobytes() == ref_rows.tobytes()
+        assert grad.shape == shape
+        assert np.ascontiguousarray(grad).tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_unfold_windows_rejects_window_below_one(self, rng, k):
+        with pytest.raises(ContractError, match=f"at least 1, got {k}"):
+            unfold_windows(Tensor(rng.standard_normal((1, 2, 5, 5))), k)
 
 
 class TestGelu:
