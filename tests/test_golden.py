@@ -1,14 +1,15 @@
-"""Golden outputs of a short behavioural-cloning run and its greedy rollouts.
+"""Golden outputs of short behavioural-cloning runs and greedy rollouts.
 
-The values were recorded with the bridge running every block over every row.
-A change meant to speed the policy up must reproduce them: losses to
-round-off, actions exactly.
+The frozen-bridge values were recorded with the bridge running every block
+over every row; the joint-training losses were recorded with attention run as
+a chain of per-operation autodiff nodes.  A change meant to speed the policy
+up must reproduce them: losses to round-off, actions exactly.
 """
 
 import numpy as np
 
 from planact.gridworld import OBJECT_NAMES, EnvConfig, collect_demos, plan_for
-from planact.policy import ControlModel, bc_train, evaluate_policy
+from planact.policy import ControlModel, PolicyConfig, bc_train, evaluate_policy
 from planact.vocab import Vocabulary
 
 # initial loss, one loss per minibatch step (2 epochs of 6), final loss
@@ -27,6 +28,19 @@ LOSSES = [
     1.6323652808056521,
     1.634414147924707,
     1.5579123658914715,
+]
+
+# bridge trained jointly (its backward runs through every attention): initial
+# loss, one loss per minibatch step (1 epoch of 6), final loss
+JOINT_LOSSES = [
+    1.6721514381461913,
+    1.663598931790122,
+    1.633868282987473,
+    1.5590975816722628,
+    1.6933978510166718,
+    1.652084783535721,
+    1.5593616778286625,
+    1.5467787832434976,
 ]
 
 # greedy actions of each of the 10 episodes from seed 10,000: after two
@@ -72,3 +86,13 @@ def test_bc_losses_and_greedy_rollouts_match_golden():
     assert actions == ACTIONS
     logits = model.forward(np.stack([o for _, o, _ in first]), [p for _, _, p in first])
     np.testing.assert_allclose(logits.data, LOGITS, rtol=0, atol=1e-12)
+
+
+def test_joint_bc_losses_match_golden():
+    env = EnvConfig()
+    vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
+    model = ControlModel(np.random.default_rng(0), env, vocab, PolicyConfig(train_bridge=True))
+    log = bc_train(model, collect_demos(env, [2, 3]), seed=1, epochs=1)
+    np.testing.assert_allclose(
+        [log.initial_loss, *log.losses, log.final_loss], JOINT_LOSSES, rtol=0, atol=1e-12
+    )
