@@ -124,7 +124,8 @@ class MicroLm(Module):
         x = take_rows(self.embed, ids) + self.pos[start : start + n, :]
         if soft_prompt is not None:
             x = concat([soft_prompt, x], axis=0)
-        mask = causal_mask(n_soft + n, prefix=n_soft)
+        # a one-row step sees every cached row and itself: nothing to mask
+        mask = None if n_soft + n == 1 else causal_mask(n_soft + n, prefix=n_soft)
         for block, block_cache in zip(self.blocks, cache.blocks):
             x = block(x, mask, self_cache=block_cache)
         h = self.ln_f(x)

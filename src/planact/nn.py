@@ -2,7 +2,9 @@
 
 An attention mask is None (every key visible) or a boolean (queries, keys)
 array; ``causal_mask`` builds the language model's causal pattern with an
-optional always-visible prefix.
+optional always-visible prefix.  ``MultiHeadAttention`` projects queries,
+keys and values here; its heads run in ``tensor.attention``, one autodiff
+node per call.
 """
 
 from __future__ import annotations
@@ -14,19 +16,14 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .tensor import (
     Tensor,
+    attention,
+    check_attention_mask,
     concat,
     gelu,
     layer_norm,
-    masked_fill,
     parameter,
-    softmax,
     zero_parameter,
 )
-
-# Additive bias magnitude for masked-out attention scores.  Large enough that
-# exp underflows to exactly zero in float64, keeping masked positions bitwise
-# inert, while every stored value stays finite.
-MASK_BIAS = -1e30
 
 
 class Module:
@@ -65,44 +62,6 @@ def causal_mask(n: int, prefix: int = 0) -> np.ndarray:
         raise ContractError(f"prefix length must be non-negative, got {prefix}")
     cols = np.arange(n)
     return (cols[None, :] <= cols[:, None]) | (cols < prefix)
-
-
-def _check_mask(mask: np.ndarray | None, n_q: int, n_k: int) -> None:
-    if mask is not None and np.shape(mask) != (n_q, n_k):
-        raise DimensionError(
-            f"mask shape {np.shape(mask)} does not fit {n_q} queries and {n_k} keys"
-        )
-
-
-def _swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    axes = list(range(x.ndim))
-    axes[a], axes[b] = axes[b], axes[a]
-    return x.transpose(axes)
-
-
-def attention_probs(q: Tensor, k: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-stochastic attention weights softmax(q k^T / sqrt(d)) under the mask.
-
-    ``q`` is (..., n_q, d) and ``k`` is (..., n_k, d).  ``mask`` is None (every
-    key visible) or a boolean (n_q, n_k) array shared by every leading index.
-    """
-    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"attention operands disagree: q {q.shape}, k {k.shape}")
-    _check_mask(mask, q.shape[-2], k.shape[-2])
-    if k.shape[-2] == 0 or (mask is not None and not mask.any(axis=1).all()):
-        raise ContractError("attention row has no attendable key (fully masked)")
-    scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ _swapaxes(k, -1, -2)
-    if mask is not None and not mask.all():
-        scores = masked_fill(scores, mask, MASK_BIAS)
-    return softmax(scores, axis=-1)
-
-
-def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None
-) -> Tensor:
-    if k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
-    return attention_probs(q, k, mask) @ v
 
 
 class Linear(Module):
@@ -144,14 +103,14 @@ class KVCache:
 
 
 class MultiHeadAttention(Module):
-    """Multi-head attention over (..., n, dim) inputs, heads split by reshape.
+    """Multi-head attention over (..., n, dim) inputs.
 
     ``mask`` is None (every key visible) or a boolean (n_q, new rows) array.
     With a ``cache``, keys and values are laid out as [cached rows][new rows];
     cached rows are visible to every query, and ``mask`` covers the new rows
-    only; a mask that does not fit raises before the cache grows.  Every head
-    runs in one product of queries and keys, one softmax and one product with
-    the values.
+    only; a mask that does not fit, or that leaves a query no key to see,
+    raises before the cache grows.  The projections are ``Linear`` layers;
+    every head runs inside one ``tensor.attention`` node between them.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
@@ -163,11 +122,6 @@ class MultiHeadAttention(Module):
         self.w_k = Linear(rng, dim, dim)
         self.w_v = Linear(rng, dim, dim)
         self.w_o = Linear(rng, dim, dim)
-
-    def _split_heads(self, x: Tensor) -> Tensor:
-        """(..., n, dim) -> (..., heads, n, dim / heads)."""
-        x = x.reshape(*x.shape[:-1], self.heads, self.dim // self.heads)
-        return _swapaxes(x, -3, -2)
 
     def __call__(
         self,
@@ -181,19 +135,16 @@ class MultiHeadAttention(Module):
                 f"inputs {x_q.shape}/{x_kv.shape} do not match model dim {self.dim}"
             )
         n_q = x_q.shape[-2]
-        _check_mask(mask, n_q, x_kv.shape[-2])
+        visible = 0 if cache is None else len(cache)
+        check_attention_mask(mask, n_q, x_kv.shape[-2], seen=visible)
         q = self.w_q(x_q)
         k = self.w_k(x_kv)
         v = self.w_v(x_kv)
         if cache is not None:
-            visible = len(cache)
             k, v = cache.extend(k, v)
             if mask is not None and visible:
                 mask = np.concatenate([np.ones((n_q, visible), dtype=bool), mask], axis=1)
-        heads = scaled_dot_attention(
-            self._split_heads(q), self._split_heads(k), self._split_heads(v), mask
-        )
-        return self.w_o(_swapaxes(heads, -3, -2).reshape(q.shape))
+        return self.w_o(attention(q, k, v, self.heads, mask))
 
 
 class FeedForward(Module):

@@ -78,11 +78,10 @@ class GlobalEncoder(Module):
             raise DimensionError(
                 f"observation shape {obs.shape} does not match (B, {self.channels}, H, W)"
             )
-        x = obs
+        x = obs.transpose(0, 2, 3, 1)  # channels-last, as unfold_windows takes it
         for conv in self.convs[:-1]:
-            b, _, h, w = x.shape
-            x = gelu(conv(unfold_windows(x, 3)))
-            x = x.reshape(b, h - 2, w - 2, -1).transpose(0, 3, 1, 2)
+            b, h, w, _ = x.shape
+            x = gelu(conv(unfold_windows(x, 3))).reshape(b, h - 2, w - 2, -1)
         return gelu(self.convs[-1](unfold_windows(x, 3))).mean(axis=1)
 
 

@@ -6,6 +6,12 @@ output gradient.  ``backward`` walks that record once, in reverse topological
 order, and accumulates gradients onto the participating leaves.  Everything is
 float64 throughout so finite-difference checks stay meaningful.
 
+The composite operations the models run most are one node each, with an
+analytic backward: ``softmax``, ``layer_norm``, ``gelu``, ``cross_entropy``,
+``unfold_windows`` (the k-by-k windows of channels-last images) and
+``attention`` (multi-head scaled dot-product attention, its heads split and
+merged inside the node).
+
 A product ``x @ w`` of a left operand of rank 3 or more with a 2-d weight
 runs as one GEMM over the folded rows ``x.reshape(-1, K)``, forward and
 backward.  Its weight gradient is ``x2.T @ g2``: one sum over every row of
@@ -304,18 +310,6 @@ def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return Tensor._result(out, (table,), grad_fn)
 
 
-def masked_fill(x: Tensor, keep: np.ndarray, fill: float) -> Tensor:
-    """Replace entries where ``keep`` is False by ``fill``; gradient flows only to kept entries.
-
-    ``keep`` covers the trailing axes of ``x`` and broadcasts over its leading ones.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.ndim > x.ndim or keep.shape != x.shape[x.ndim - keep.ndim :]:
-        raise DimensionError(f"mask shape {keep.shape} does not match tensor {x.shape}")
-    out = np.where(keep, x.data, fill)
-    return Tensor._result(out, (x,), lambda g: (g * keep,))
-
-
 def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """``x`` repeated along broadcast axes; gradients are summed back to ``x``'s shape."""
     shape = tuple(shape)
@@ -377,6 +371,97 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return Tensor._result(out, (x, gamma, beta), grad_fn)
 
 
+# Additive bias for masked-out attention scores.  Large enough that exp
+# underflows to exactly zero in float64, keeping masked positions bitwise
+# inert, while every stored value stays finite.
+MASK_BIAS = -1e30
+
+
+def check_attention_mask(
+    mask: np.ndarray | None, n_q: int, n_k: int, seen: int = 0
+) -> None:
+    """Raise unless ``mask`` fits ``n_q`` queries and ``n_k`` keys and every query sees a key.
+
+    ``mask`` is None (every key visible) or a boolean (n_q, n_k) array.
+    ``seen`` more keys, outside the mask, are visible to every query.
+    """
+    if mask is not None and np.shape(mask) != (n_q, n_k):
+        raise DimensionError(
+            f"mask shape {np.shape(mask)} does not fit {n_q} queries and {n_k} keys"
+        )
+    if not seen and (n_k == 0 or (mask is not None and not mask.any(axis=1).all())):
+        raise ContractError("attention row has no attendable key (fully masked)")
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one node with an analytic backward.
+
+    ``q`` is (..., n_q, D) and ``k``, ``v`` are (..., n_k, D); leading axes
+    broadcast.  Each is split into ``heads`` heads of width d = D / heads,
+    and the heads' outputs are merged back into (..., n_q, D).  ``mask`` is
+    None or a boolean (n_q, n_k) array shared by every leading index and
+    head.  Per head, in float64::
+
+        scores = (q * (1 / sqrt(d))) @ k.T, masked entries set to MASK_BIAS
+        probs = softmax(scores)  # the module's softmax, on a constant
+        out = probs @ v
+
+    The backward is FlashAttention's (arXiv 2205.14135) without its tiling:
+    with gp = g @ v.T, the score gradient is (gp - sum(gp * probs)) * probs.
+    """
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2 or not q.shape[-1] == k.shape[-1] == v.shape[-1]:
+        raise DimensionError(
+            f"attention operands disagree: q {q.shape}, k {k.shape}, v {v.shape}"
+        )
+    if k.shape[-2] != v.shape[-2]:
+        raise DimensionError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
+    dim = q.shape[-1]
+    if heads < 1 or dim % heads:
+        raise ContractError(f"width {dim} does not split into {heads} heads")
+    n_q = q.shape[-2]
+    check_attention_mask(mask, n_q, k.shape[-2])
+    d = dim // heads
+    scale = 1.0 / math.sqrt(d)
+
+    def split(x: np.ndarray) -> np.ndarray:  # (..., n, D) -> (..., heads, n, d), a view
+        return np.swapaxes(x.reshape(*x.shape[:-1], heads, d), -3, -2)
+
+    def merge(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:  # split's inverse
+        return np.swapaxes(x, -3, -2).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qs = qh * scale
+    scores = qs @ np.swapaxes(kh, -1, -2)
+    masked = mask is not None and not mask.all()
+    if masked:
+        scores = np.where(mask, scores, MASK_BIAS)
+    probs = softmax(Tensor(scores), axis=-1).data
+    heads_out = probs @ vh
+    out = merge(heads_out, (*heads_out.shape[:-3], n_q, dim))
+
+    def grad_fn(g: np.ndarray):
+        gh = split(g)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = merge(_unbroadcast(np.swapaxes(probs, -1, -2) @ gh, vh.shape), v.shape)
+        if q.requires_grad or k.requires_grad:
+            gp = gh @ np.swapaxes(vh, -1, -2)
+            gs = (gp - (gp * probs).sum(axis=-1, keepdims=True)) * probs
+            if masked:
+                gs = gs * mask
+            if q.requires_grad:
+                gq = merge(_unbroadcast(gs @ kh, qh.shape) * scale, q.shape)
+            if k.requires_grad:
+                kt_shape = (*kh.shape[:-2], d, kh.shape[-2])
+                gkt = _unbroadcast(np.swapaxes(qs, -1, -2) @ gs, kt_shape)
+                gk = merge(np.swapaxes(gkt, -1, -2), k.shape)
+        return gq, gk, gv
+
+    return Tensor._result(out, (q, k, v), grad_fn)
+
+
 def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of ``targets`` under row-wise softmax of ``logits``."""
     if logits.ndim != 2:
@@ -405,27 +490,25 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
 
 
 def unfold_windows(x: Tensor, k: int) -> Tensor:
-    """All k-by-k windows of each image of a (B, c, H, W) tensor.
+    """All k-by-k windows of each image of a channels-last (B, H, W, c) tensor.
 
     The result is (B, (H-k+1)*(W-k+1), c*k*k): one row per window position,
     its entries in (channel, window row, window column) order.  Rows are
-    filled by k*k slice copies out of a channels-last view, and the gradient
-    accumulates the same k*k slices, in the same order, into a channels-last
-    buffer returned as a (B, c, H, W) view.
+    filled by k*k slice copies, and the gradient accumulates the same k*k
+    slices, in the same order, into a (B, H, W, c) buffer.
     """
     if x.ndim != 4:
-        raise DimensionError(f"unfold_windows expects (B, c, H, W), got {x.shape}")
+        raise DimensionError(f"unfold_windows expects (B, H, W, c), got {x.shape}")
     if k < 1:
         raise ContractError(f"window size must be at least 1, got {k}")
-    b, c, h, w = x.shape
+    b, h, w, c = x.shape
     if h < k or w < k:
         raise DimensionError(f"window {k} exceeds spatial extents of {x.shape}")
     hh, ww = h - k + 1, w - k + 1
-    channels_last = x.data.transpose(0, 2, 3, 1)
     windows = np.empty((b, hh, ww, c, k, k))
     for ki in range(k):
         for kj in range(k):
-            windows[..., ki, kj] = channels_last[:, ki : ki + hh, kj : kj + ww]
+            windows[..., ki, kj] = x.data[:, ki : ki + hh, kj : kj + ww]
     out = windows.reshape(b, hh * ww, c * k * k)
 
     def grad_fn(g: np.ndarray):
@@ -434,7 +517,7 @@ def unfold_windows(x: Tensor, k: int) -> Tensor:
         for ki in range(k):
             for kj in range(k):
                 full[:, ki : ki + hh, kj : kj + ww] += gw[..., ki, kj]
-        return (full.transpose(0, 3, 1, 2),)
+        return (full,)
 
     return Tensor._result(out, (x,), grad_fn)
 

@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from planact.errors import ContractError, DimensionError
+from planact.errors import ContractError, DimensionError, NumericError
 from planact.gradcheck import check_gradients
 from planact.nn import (
     KVCache,
     MultiHeadAttention,
     TransformerBlock,
-    attention_probs,
     causal_mask,
-    scaled_dot_attention,
     sinusoidal_embedding,
 )
-from planact.tensor import Tensor, gelu
+from planact.tensor import MASK_BIAS, Tensor, attention, gelu, softmax
 
 
 class TestMask:
@@ -43,7 +41,7 @@ class TestMask:
         with pytest.raises(DimensionError, match="does not fit"):
             mha(x_q, x_kv, causal_mask(2))
         with pytest.raises(DimensionError, match="does not fit"):
-            attention_probs(x_q, x_kv, causal_mask(3))
+            attention(x_q, x_kv, x_kv, 2, causal_mask(3))
 
     def test_bad_mask_leaves_cache_unchanged(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
@@ -55,20 +53,121 @@ class TestMask:
             mha(x[:2], x[:2], causal_mask(3), cache=cache)
         assert len(cache) == 3 and cache.k is k and cache.v is v
 
+    def test_fully_masked_row_leaves_cache_unchanged(self, rng):
+        mha = MultiHeadAttention(rng, dim=4, heads=2)
+        x = Tensor(rng.standard_normal((2, 4)))
+        cache = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        k, v = cache.k, cache.v
+        blind = np.array([[True, False], [False, False]])
+        with pytest.raises(ContractError, match="fully masked"):
+            mha(x, x, blind, cache=cache)
+        assert len(cache) == 0 and cache.k is k and cache.v is v
+        # once the cache holds a row, every query sees it
+        seeded = KVCache(Tensor(rng.standard_normal((1, 4))), Tensor(rng.standard_normal((1, 4))))
+        assert mha(x, x, blind, cache=seeded).shape == (2, 4)
+        assert len(seeded) == 3
+
+
+def chain_attention(q, k, v, heads, mask=None):
+    """Multi-head attention as the chain of autodiff nodes it once ran as.
+
+    Split heads (reshape, transpose), scale the queries, multiply by the
+    transposed keys, fill masked scores, softmax, multiply by the values,
+    then merge heads (transpose, reshape).  The fill is a product with the
+    mask plus a constant, which equals ``np.where(mask, scores, MASK_BIAS)``.
+    """
+    d = q.shape[-1] // heads
+
+    def swap(x, a, b):
+        axes = list(range(x.ndim))
+        axes[a], axes[b] = axes[b], axes[a]
+        return x.transpose(axes)
+
+    def split(x):
+        return swap(x.reshape(*x.shape[:-1], heads, d), -3, -2)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh * (1.0 / math.sqrt(d))) @ swap(kh, -1, -2)
+    if mask is not None and not mask.all():
+        scores = scores * mask + np.where(mask, 0.0, MASK_BIAS)
+    out = softmax(scores, axis=-1) @ vh
+    return swap(out, -3, -2).reshape(*out.shape[:-3], q.shape[-2], q.shape[-1])
+
+
+def _attention_case(rng, case):
+    """(q, k, v, heads, mask, leaves) for one calling pattern of the model code."""
+    leaves = []
+
+    def leaf(*shape):
+        leaves.append(Tensor(rng.standard_normal(shape), requires_grad=True))
+        return leaves[-1]
+
+    if case == "unbatched":
+        return leaf(3, 8), leaf(5, 8), leaf(5, 8), 2, None, leaves
+    if case == "batched":
+        return leaf(2, 4, 8), leaf(2, 6, 8), leaf(2, 6, 8), 4, None, leaves
+    if case == "causal_with_prefix":
+        x = leaf(6, 8)
+        return x, x, x, 4, causal_mask(6, prefix=2), leaves
+    if case == "kv_cache_step":
+        cache = KVCache(leaf(3, 8), leaf(3, 8))
+        k, v = cache.extend(leaf(2, 8), leaf(2, 8))
+        visible = np.concatenate([np.ones((2, 3), dtype=bool), causal_mask(2)], axis=1)
+        return leaf(2, 8), k, v, 4, visible, leaves
+    assert case == "fewer_kv_axes"
+    return leaf(2, 3, 3, 8), leaf(4, 8), leaf(4, 8), 2, None, leaves
+
 
 class TestScaledDotAttention:
+    @pytest.mark.parametrize(
+        "case", ["unbatched", "batched", "causal_with_prefix", "kv_cache_step", "fewer_kv_axes"]
+    )
+    def test_bitwise_equal_to_node_chain(self, rng, case):
+        q, k, v, heads, mask, leaves = _attention_case(rng, case)
+        fused = attention(q, k, v, heads, mask)
+        chain = chain_attention(q, k, v, heads, mask)
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+        assert fused.shape == chain.shape == (*lead, q.shape[-2], 8)
+        assert fused.data.tobytes() == chain.data.tobytes()
+        w = Tensor(rng.standard_normal(fused.shape))
+        grads = []
+        for out in (fused, chain):
+            for t in leaves:
+                t.grad = None
+            (out * w).sum().backward()
+            grads.append([t.grad for t in leaves])
+        for g_fused, g_chain in zip(*grads):
+            assert g_fused.tobytes() == g_chain.tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_match_finite_differences(self, rng, masked):
+        q = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        v = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        mask = causal_mask(3, prefix=1) if masked else None
+        check_gradients(
+            lambda inp: gelu(attention(inp[0], inp[1], inp[2], 2, mask)).sum(), [q, k, v]
+        )
+
+    def test_nan_scores_raise(self, rng):
+        q = rng.standard_normal((2, 4))
+        q[1, 3] = np.nan
+        kv = Tensor(rng.standard_normal((3, 4)))
+        with pytest.raises(NumericError):
+            attention(Tensor(q), kv, kv, 2)
+
     def test_single_key_forces_weight_one(self, rng):
         q = Tensor(rng.standard_normal((3, 4)))
         k = Tensor(rng.standard_normal((1, 4)))
         v = Tensor(rng.standard_normal((1, 4)))
-        out = scaled_dot_attention(q, k, v)
+        out = attention(q, k, v, 1)
         np.testing.assert_allclose(out.data, np.tile(v.data, (3, 1)), atol=1e-12)
 
     def test_identical_keys_average_values(self, rng):
         q = Tensor(rng.standard_normal((2, 4)))
         k = Tensor(np.tile(rng.standard_normal(4), (3, 1)))
         v = Tensor(rng.standard_normal((3, 4)))
-        out = scaled_dot_attention(q, k, v)
+        out = attention(q, k, v, 1)
         np.testing.assert_allclose(
             out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12
         )
@@ -77,7 +176,7 @@ class TestScaledDotAttention:
         q = Tensor(rng.standard_normal((2, 4)))
         k = Tensor(rng.standard_normal((3, 4)))
         v = Tensor(rng.standard_normal((3, 4)))
-        out = scaled_dot_attention(q, k, v)
+        out = attention(q, k, v, 1)
         # independent dense evaluation
         scores = q.data @ k.data.T / math.sqrt(4)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -89,12 +188,13 @@ class TestScaledDotAttention:
         kv = Tensor(rng.standard_normal((2, 4)))
         allowed = np.array([[True, True], [False, False]])
         with pytest.raises(ContractError):
-            scaled_dot_attention(q, kv, kv, allowed)
+            attention(q, kv, kv, 2, allowed)
 
     def test_rows_are_stochastic(self, rng):
-        q = Tensor(rng.standard_normal((4, 8)) * 3)
-        k = Tensor(rng.standard_normal((5, 8)) * 3)
-        probs = attention_probs(q, k)
+        # with one head and identity values the output rows are the weights
+        q = Tensor(rng.standard_normal((4, 5)) * 3)
+        k = Tensor(rng.standard_normal((5, 5)) * 3)
+        probs = attention(q, k, Tensor(np.eye(5)), 1)
         assert np.all(probs.data >= 0.0)
         np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-10)
 
@@ -103,7 +203,7 @@ class TestScaledDotAttention:
         k = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         v = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         check_gradients(
-            lambda inp: gelu(scaled_dot_attention(inp[0], inp[1], inp[2])).sum(),
+            lambda inp: gelu(attention(inp[0], inp[1], inp[2], 1)).sum(),
             [q, k, v],
         )
 
@@ -114,9 +214,7 @@ class TestMultiHeadAttention:
         x_q = Tensor(rng.standard_normal((3, 6)))
         x_kv = Tensor(rng.standard_normal((4, 6)))
         out = mha(x_q, x_kv)
-        manual = scaled_dot_attention(
-            mha.w_q(x_q), mha.w_k(x_kv), mha.w_v(x_kv)
-        )
+        manual = attention(mha.w_q(x_q), mha.w_k(x_kv), mha.w_v(x_kv), 1)
         np.testing.assert_allclose(out.data, mha.w_o(manual).data, atol=1e-12)
 
     def test_kv_permutation_invariance(self, rng):
