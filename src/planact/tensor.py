@@ -426,14 +426,14 @@ def attention(
     scale = 1.0 / math.sqrt(d)
 
     def split(x: np.ndarray) -> np.ndarray:  # (..., n, D) -> (..., heads, n, d), a view
-        return np.swapaxes(x.reshape(*x.shape[:-1], heads, d), -3, -2)
+        return x.reshape(*x.shape[:-1], heads, d).swapaxes(-3, -2)
 
     def merge(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:  # split's inverse
-        return np.swapaxes(x, -3, -2).reshape(shape)
+        return x.swapaxes(-3, -2).reshape(shape)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     qs = qh * scale
-    scores = qs @ np.swapaxes(kh, -1, -2)
+    scores = qs @ kh.swapaxes(-1, -2)
     masked = mask is not None and not mask.all()
     if masked:
         scores = np.where(mask, scores, MASK_BIAS)
@@ -445,9 +445,9 @@ def attention(
         gh = split(g)
         gq = gk = gv = None
         if v.requires_grad:
-            gv = merge(_unbroadcast(np.swapaxes(probs, -1, -2) @ gh, vh.shape), v.shape)
+            gv = merge(_unbroadcast(probs.swapaxes(-1, -2) @ gh, vh.shape), v.shape)
         if q.requires_grad or k.requires_grad:
-            gp = gh @ np.swapaxes(vh, -1, -2)
+            gp = gh @ vh.swapaxes(-1, -2)
             gs = (gp - (gp * probs).sum(axis=-1, keepdims=True)) * probs
             if masked:
                 gs = gs * mask
@@ -455,8 +455,8 @@ def attention(
                 gq = merge(_unbroadcast(gs @ kh, qh.shape) * scale, q.shape)
             if k.requires_grad:
                 kt_shape = (*kh.shape[:-2], d, kh.shape[-2])
-                gkt = _unbroadcast(np.swapaxes(qs, -1, -2) @ gs, kt_shape)
-                gk = merge(np.swapaxes(gkt, -1, -2), k.shape)
+                gkt = _unbroadcast(qs.swapaxes(-1, -2) @ gs, kt_shape)
+                gk = merge(gkt.swapaxes(-1, -2), k.shape)
         return gq, gk, gv
 
     return Tensor._result(out, (q, k, v), grad_fn)
