@@ -64,8 +64,8 @@ class QueryBridge(Module):
         if config.blocks < 1:
             raise ContractError("the bridge needs at least one block to see the image")
         self.config = config
-        self.queries = parameter(rng, (config.query_count, config.dim), scale=0.1)
-        self.text_embed = parameter(rng, (vocab_size, config.dim), scale=0.1)
+        self.queries = parameter(rng.standard_normal((config.query_count, config.dim)) * 0.1)
+        self.text_embed = parameter(rng.standard_normal((vocab_size, config.dim)) * 0.1)
         self.text_pos = sinusoidal_embedding(MAX_SEQUENCE_LENGTH, config.dim)
         self.blocks = [
             TransformerBlock(

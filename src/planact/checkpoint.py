@@ -41,9 +41,19 @@ def atomic_write_text(path: Path, text: str) -> None:
 def read_jsonl(path: Path, required: dict[str, type]) -> list[tuple[int, dict]]:
     """``(line number, row)`` of every non-blank line; each row must be an object
     holding the ``required`` keys with values of the given types.  A JSON boolean
-    passes only where ``bool`` is asked for, not as the ``int`` it subclasses."""
+    passes only where ``bool`` is asked for, not as the ``int`` it subclasses.
+    Each line is decoded as UTF-8 on its own; a file that cannot be read, or a
+    line that does not decode, raises ``IngestError`` naming the file (and line)."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read ({exc.strerror or exc})") from None
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
         if not line.strip():
             continue
         try:

@@ -146,6 +146,8 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
                 return
             try:
                 length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:  # rfile.read(-1) would wait for the client to close
+                    raise ValueError("negative Content-Length")
                 body = json.loads(self.rfile.read(length))
                 if not isinstance(body, dict):
                     raise ValueError("body must be a JSON object")

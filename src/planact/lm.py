@@ -1,10 +1,9 @@
 """Decoder-only micro language model with soft prompt rows and per-block prefix adapters.
 
 The input sequence is laid out as [soft prompt rows][text embeddings].  Text
-positions attend causally among themselves and fully to the soft prompt rows
-(``causal_mask`` with the soft prompt as its always-visible prefix).  Each
-block additionally owns ``prefix_len`` trainable key/value rows that every
-position may attend to; these adapter rows are the only LM-interior
+positions attend causally among themselves and fully to the soft prompt rows.
+Each block additionally owns ``prefix_len`` trainable key/value rows that
+every position may attend to; these adapter rows are the only LM-interior
 trainables when the base model is frozen.  ``LmConfig(prefix_len=0)`` is the
 model without adapters.  Logits are emitted for text positions only, and text
 positions are numbered independently of the soft prompt so prompt rows never
@@ -16,11 +15,12 @@ followed by the keys and values of the rows run so far.  Without a ``cache``
 argument a fresh one is used, so the adapter rows keep their graph and
 receive gradients.  With one, the first call runs the soft prompt and the
 first tokens; each later call passes only the new tokens, whose positions
-continue after the cached text.  New rows attend to every cached row and
-causally among themselves, so a prefill followed by one-token steps gives the
-logits of the full forward up to float64 round-off.  Cached rows are stored
-as constants; the cache serves inference and carries no gradient across
-calls.
+continue after the cached text.  One ``causal_mask`` per call covers every
+key, [adapter rows][cached rows][new rows]: new rows attend to every cached
+row and causally among themselves, so a prefill followed by one-token steps
+gives the logits of the full forward up to float64 round-off.  Cached rows
+are stored as constants; the cache serves inference and carries no gradient
+across calls.
 """
 
 from __future__ import annotations
@@ -74,15 +74,15 @@ class LmCache:
 class MicroLm(Module):
     def __init__(self, rng: np.random.Generator, config: LmConfig):
         self.config = config
-        self.embed = parameter(rng, (config.vocab_size, config.dim), scale=0.1)
-        self.pos = parameter(rng, (config.context, config.dim), scale=0.02)
+        self.embed = parameter(rng.standard_normal((config.vocab_size, config.dim)) * 0.1)
+        self.pos = parameter(rng.standard_normal((config.context, config.dim)) * 0.02)
         self.blocks = [
             TransformerBlock(rng, config.dim, config.heads, ff_mult=config.ff_mult)
             for _ in range(config.blocks)
         ]
         # one (P, 2, dim) tensor of key/value prefix rows per block
         self.adapters = [
-            parameter(rng, (config.prefix_len, 2, config.dim), scale=0.02)
+            parameter(rng.standard_normal((config.prefix_len, 2, config.dim)) * 0.02)
             for _ in range(config.blocks)
         ]
         self.ln_f = LayerNorm(config.dim)
@@ -124,8 +124,10 @@ class MicroLm(Module):
         x = take_rows(self.embed, ids) + self.pos[start : start + n, :]
         if soft_prompt is not None:
             x = concat([soft_prompt, x], axis=0)
+        # adapter, cached and soft prompt rows are visible to every new row, so
         # a one-row step sees every cached row and itself: nothing to mask
-        mask = None if n_soft + n == 1 else causal_mask(n_soft + n, prefix=n_soft)
+        visible = cache.adapter_rows + past + n_soft
+        mask = None if n_soft + n == 1 else causal_mask(n_soft + n, visible + n, prefix=visible)
         for block, block_cache in zip(self.blocks, cache.blocks):
             x = block(x, mask, self_cache=block_cache)
         h = self.ln_f(x)

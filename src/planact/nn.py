@@ -1,10 +1,11 @@
 """Attention, transformer blocks and embeddings shared by the vision encoder, bridge and LM.
 
 An attention mask is None (every key visible) or a boolean (queries, keys)
-array; ``causal_mask`` builds the language model's causal pattern with an
-optional always-visible prefix.  ``MultiHeadAttention`` projects queries,
-keys and values here; its heads run in ``tensor.attention``, one autodiff
-node per call.
+array over every key a call attends to, cached keys included;
+``causal_mask`` builds the language model's causal pattern with an
+always-visible prefix.  ``MultiHeadAttention`` projects queries, keys and
+values here; its heads run in ``tensor.attention``, one autodiff node per
+call, which is also the one place a mask is checked.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from .errors import ContractError, DimensionError
 from .tensor import (
     Tensor,
     attention,
-    check_attention_mask,
     concat,
     gelu,
     layer_norm,
     parameter,
-    zero_parameter,
 )
 
 
@@ -56,33 +55,40 @@ def set_trainable(params: dict[str, Tensor], trainable: bool) -> None:
             p.grad = None
 
 
-def causal_mask(n: int, prefix: int = 0) -> np.ndarray:
-    """(n, n) visibility: row i sees columns up to i and the first ``prefix`` columns."""
+def causal_mask(n: int, keys: int | None = None, prefix: int = 0) -> np.ndarray:
+    """(n, keys) visibility of ``n`` queries over ``keys`` key columns (default ``n``).
+
+    Query i sits at column ``keys - n + i``: it sees every column up to its
+    own and the first ``prefix`` columns.
+    """
+    keys = n if keys is None else keys
+    if keys < n:
+        raise ContractError(f"{n} queries need at least {n} key columns, got {keys}")
     if prefix < 0:
         raise ContractError(f"prefix length must be non-negative, got {prefix}")
-    cols = np.arange(n)
-    return (cols[None, :] <= cols[:, None]) | (cols < prefix)
+    cols = np.arange(keys)
+    return (cols[None, :] <= np.arange(keys - n, keys)[:, None]) | (cols < prefix)
 
 
 class Linear(Module):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
-        self.w = parameter(rng, (d_in, d_out), scale=math.sqrt(1.0 / d_in))
-        self.b = zero_parameter((d_out,))
+        self.w = parameter(rng.standard_normal((d_in, d_out)) * math.sqrt(1.0 / d_in))
+        self.b = parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return x @ self.w + self.b
 
 
 class KVCache:
-    """Projected self-attention keys and values that every later query sees.
+    """Projected self-attention keys and values of the rows run so far.
 
     The cache is seeded at construction with zero or more rows (a language
-    model's prefix adapter rows); the rows run so far follow them.  ``extend``
-    appends new rows and returns every cached row followed by the new ones.
-    Seeded rows keep their autodiff graph through the first ``extend``; the
-    stored copies carry none, so nothing links one call to the next.
-    ``extend`` rebinds rather than mutates the stored tensors, so a copy
-    shares them safely.
+    model's prefix adapter rows); the rows run so far follow them.
+    ``MultiHeadAttention`` attends over these rows followed by a call's new
+    ones, then rebinds ``k`` and ``v`` to the grown rows.  Seeded rows keep
+    their autodiff graph through the first call; the stored rows are
+    constants, so nothing links one call to the next.  Rows are rebound, never
+    mutated, so a copy shares them safely.
     """
 
     def __init__(self, k: Tensor, v: Tensor):
@@ -92,12 +98,6 @@ class KVCache:
     def __len__(self) -> int:
         return self.k.shape[-2]
 
-    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        k = concat([self.k, k], axis=-2)
-        v = concat([self.v, v], axis=-2)
-        self.k, self.v = Tensor(k.data), Tensor(v.data)
-        return k, v
-
     def copy(self) -> "KVCache":
         return KVCache(self.k, self.v)
 
@@ -105,12 +105,13 @@ class KVCache:
 class MultiHeadAttention(Module):
     """Multi-head attention over (..., n, dim) inputs.
 
-    ``mask`` is None (every key visible) or a boolean (n_q, new rows) array.
-    With a ``cache``, keys and values are laid out as [cached rows][new rows];
-    cached rows are visible to every query, and ``mask`` covers the new rows
-    only; a mask that does not fit, or that leaves a query no key to see,
-    raises before the cache grows.  The projections are ``Linear`` layers;
-    every head runs inside one ``tensor.attention`` node between them.
+    With a ``cache``, keys and values are laid out as [cached rows][new
+    rows], and the cache holds them all once ``tensor.attention`` returns; a
+    mask that does not fit, or that leaves a query no key to see, raises
+    there and leaves the cache as it was.  ``mask`` is None (every key
+    visible) or a boolean (n_q, n_cached + n_new) array over every key.  The
+    projections are ``Linear`` layers; every head runs inside one
+    ``tensor.attention`` node between them.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
@@ -134,17 +135,16 @@ class MultiHeadAttention(Module):
             raise DimensionError(
                 f"inputs {x_q.shape}/{x_kv.shape} do not match model dim {self.dim}"
             )
-        n_q = x_q.shape[-2]
-        visible = 0 if cache is None else len(cache)
-        check_attention_mask(mask, n_q, x_kv.shape[-2], seen=visible)
         q = self.w_q(x_q)
         k = self.w_k(x_kv)
         v = self.w_v(x_kv)
         if cache is not None:
-            k, v = cache.extend(k, v)
-            if mask is not None and visible:
-                mask = np.concatenate([np.ones((n_q, visible), dtype=bool), mask], axis=1)
-        return self.w_o(attention(q, k, v, self.heads, mask))
+            k = concat([cache.k, k], axis=-2)
+            v = concat([cache.v, v], axis=-2)
+        out = attention(q, k, v, self.heads, mask)
+        if cache is not None:
+            cache.k, cache.v = Tensor(k.data), Tensor(v.data)
+        return self.w_o(out)
 
 
 class FeedForward(Module):
@@ -158,9 +158,8 @@ class FeedForward(Module):
 
 class LayerNorm(Module):
     def __init__(self, dim: int):
-        self.gamma = zero_parameter((dim,))
-        self.gamma.data[...] = 1.0
-        self.beta = zero_parameter((dim,))
+        self.gamma = parameter(np.ones(dim))
+        self.beta = parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
@@ -202,10 +201,10 @@ class TransformerBlock(Module):
         """Self-attention update of the leading ``rows`` rows of ``x`` (all when None).
 
         Every row of ``x`` is a key and value; only the updated rows are
-        returned, so ``mask`` is None or a boolean (rows, n) array.  ``cache``
-        holds the keys and values of rows every query sees (seeded rows, then
-        earlier rows); ``x`` then carries only the new rows, and their keys and
-        values are appended to it.
+        returned.  ``cache`` holds the keys and values of earlier rows (seeded
+        rows, then the rows run so far); ``x`` then carries only the new rows,
+        and their keys and values are appended to it.  ``mask`` is None or a
+        boolean (rows, n_cached + n) array over every key.
         """
         normed = self.ln_self(x)
         if rows is None:

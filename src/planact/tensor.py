@@ -268,15 +268,9 @@ def zeros(*shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def parameter(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> Tensor:
-    """Trainable tensor initialised from a scaled standard normal draw."""
-    t = Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
-    t.is_param = True
-    return t
-
-
-def zero_parameter(shape: tuple[int, ...]) -> Tensor:
-    t = Tensor(np.zeros(shape), requires_grad=True)
+def parameter(values: np.ndarray) -> Tensor:
+    """Trainable tensor holding the initial array ``values``."""
+    t = Tensor(values, requires_grad=True)
     t.is_param = True
     return t
 
@@ -323,7 +317,7 @@ def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if np.any(np.isnan(x.data)):
+    if np.isnan(x.data).any():
         raise NumericError("softmax received NaN input")
     out = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
@@ -355,7 +349,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
     std = np.sqrt(var + 1e-5)
     normed = centered / std
-    if not np.all(np.isfinite(normed)):
+    if not np.isfinite(normed).all():
         raise NumericError("layer_norm produced non-finite values")
     out = normed * gamma.data + beta.data
 
@@ -377,22 +371,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 MASK_BIAS = -1e30
 
 
-def check_attention_mask(
-    mask: np.ndarray | None, n_q: int, n_k: int, seen: int = 0
-) -> None:
-    """Raise unless ``mask`` fits ``n_q`` queries and ``n_k`` keys and every query sees a key.
-
-    ``mask`` is None (every key visible) or a boolean (n_q, n_k) array.
-    ``seen`` more keys, outside the mask, are visible to every query.
-    """
-    if mask is not None and np.shape(mask) != (n_q, n_k):
-        raise DimensionError(
-            f"mask shape {np.shape(mask)} does not fit {n_q} queries and {n_k} keys"
-        )
-    if not seen and (n_k == 0 or (mask is not None and not mask.any(axis=1).all())):
-        raise ContractError("attention row has no attendable key (fully masked)")
-
-
 def attention(
     q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None
 ) -> Tensor:
@@ -401,8 +379,11 @@ def attention(
     ``q`` is (..., n_q, D) and ``k``, ``v`` are (..., n_k, D); leading axes
     broadcast.  Each is split into ``heads`` heads of width d = D / heads,
     and the heads' outputs are merged back into (..., n_q, D).  ``mask`` is
-    None or a boolean (n_q, n_k) array shared by every leading index and
-    head.  Per head, in float64::
+    None (every key visible) or a boolean (n_q, n_k) array over every key,
+    shared by every leading index and head.  This is the one place a mask is
+    checked: one that does not fit raises ``DimensionError``, and one that
+    leaves a query no key (or no keys at all) raises ``ContractError``.  Per
+    head, in float64::
 
         scores = (q * (1 / sqrt(d))) @ k.T, masked entries set to MASK_BIAS
         probs = softmax(scores)  # the module's softmax, on a constant
@@ -420,8 +401,13 @@ def attention(
     dim = q.shape[-1]
     if heads < 1 or dim % heads:
         raise ContractError(f"width {dim} does not split into {heads} heads")
-    n_q = q.shape[-2]
-    check_attention_mask(mask, n_q, k.shape[-2])
+    n_q, n_k = q.shape[-2], k.shape[-2]
+    if mask is not None and np.shape(mask) != (n_q, n_k):
+        raise DimensionError(
+            f"mask shape {np.shape(mask)} does not fit {n_q} queries and {n_k} keys"
+        )
+    if n_k == 0 or (mask is not None and not mask.any(axis=1).all()):
+        raise ContractError("attention row has no attendable key (fully masked)")
     d = dim // heads
     scale = 1.0 / math.sqrt(d)
 

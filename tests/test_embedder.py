@@ -1,4 +1,5 @@
 import json
+import socket
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -91,6 +92,13 @@ class TestEmbedServer:
             urllib.request.urlopen(request, timeout=5.0)
         assert info.value.code == 400
         info.value.close()
+
+    def test_negative_content_length_rejected(self, server_url):
+        host, port = server_url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=2.0) as conn:
+            conn.sendall(b"POST /embed HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n")
+            reply = b"".join(iter(lambda: conn.recv(4096), b""))  # the server closes
+        assert reply.split(b"\r\n")[0].split()[1] == b"400"
 
     def test_error_status_retried_then_raises(self, server_url):
         remote = RemoteEmbedder(server_url, retries=1)

@@ -3,7 +3,7 @@ import pytest
 
 from planact.errors import ContractError, PromptTooLongError
 from planact.lm import LmConfig, MicroLm
-from planact.nn import set_trainable
+from planact.nn import TransformerBlock, set_trainable
 from planact.sampling import GenerationConfig, generate, sample_token
 from planact.tensor import Tensor, cross_entropy
 from planact.vocab import EOS, Vocabulary, tokenize_prefix
@@ -237,6 +237,43 @@ class TestKvCache:
                 model.forward(self.IDS[2:5], None, cache=cache).data,
                 model.forward(self.IDS[5:], None, cache=cache).data]
         np.testing.assert_allclose(np.concatenate(rows), full, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("soft", [0, 3])
+    @pytest.mark.parametrize("prefix_len", [0, 3])
+    def test_mask_covers_adapter_cached_and_new_rows(self, rng, monkeypatch, soft, prefix_len):
+        def concatenated(rows, soft_rows, cached):
+            # every cached row visible, then the new rows' causal pattern
+            cols = np.arange(rows)
+            new = (cols[None, :] <= cols[:, None]) | (cols < soft_rows)
+            return np.concatenate([np.ones((rows, cached), dtype=bool), new], axis=1)
+
+        model = make_model(rng, prefix_len)
+        prompt = Tensor(rng.standard_normal((soft, 16))) if soft else None
+        seen = []
+        call = TransformerBlock.__call__
+
+        def record(block, x, self_mask=None, self_cache=None):
+            seen.append((self_mask, len(self_cache)))
+            return call(block, x, self_mask, self_cache)
+
+        monkeypatch.setattr(TransformerBlock, "__call__", record)
+        cache = model.new_cache()
+        model.forward(self.IDS[:3], prompt, cache=cache)
+        model.forward(self.IDS[3:5], None, cache=cache)
+        model.forward(self.IDS[5:6], None, cache=cache)
+        expected = [
+            (concatenated(soft + 3, soft, prefix_len), prefix_len),
+            (concatenated(2, 0, prefix_len + soft + 3), prefix_len + soft + 3),
+            (None, prefix_len + soft + 5),
+        ]
+        per_block = [e for e in expected for _ in model.blocks]
+        assert len(seen) == len(per_block)
+        for (mask, cached), (want, want_cached) in zip(seen, per_block):
+            assert cached == want_cached
+            if want is None:
+                assert mask is None
+            else:
+                np.testing.assert_array_equal(mask, want)
 
     def test_copies_decode_independently(self, model):
         cache = model.new_cache()

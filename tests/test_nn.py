@@ -12,7 +12,7 @@ from planact.nn import (
     causal_mask,
     sinusoidal_embedding,
 )
-from planact.tensor import MASK_BIAS, Tensor, attention, gelu, softmax
+from planact.tensor import MASK_BIAS, Tensor, attention, concat, gelu, softmax
 
 
 class TestMask:
@@ -34,6 +34,26 @@ class TestMask:
     def test_negative_prefix_rejected(self):
         with pytest.raises(ContractError, match="prefix"):
             causal_mask(3, prefix=-1)
+        with pytest.raises(ContractError, match="prefix"):
+            causal_mask(2, 5, prefix=-1)
+
+    def test_fewer_keys_than_queries_rejected(self):
+        with pytest.raises(ContractError, match="key columns"):
+            causal_mask(3, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_square_mask_is_the_query_only_pattern(self, n):
+        for prefix in range(n + 2):
+            cols = np.arange(n)
+            square = (cols[None, :] <= cols[:, None]) | (cols < prefix)
+            np.testing.assert_array_equal(causal_mask(n, n, prefix), square)
+            np.testing.assert_array_equal(causal_mask(n, prefix=prefix), square)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_earlier_keys_are_visible_to_every_query(self, n):
+        for earlier in (1, 3):
+            full = np.concatenate([np.ones((n, earlier), dtype=bool), causal_mask(n)], axis=1)
+            np.testing.assert_array_equal(causal_mask(n, n + earlier), full)
 
     def test_mask_that_does_not_fit_rejected(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
@@ -62,10 +82,28 @@ class TestMask:
         with pytest.raises(ContractError, match="fully masked"):
             mha(x, x, blind, cache=cache)
         assert len(cache) == 0 and cache.k is k and cache.v is v
-        # once the cache holds a row, every query sees it
+        # the mask covers the cached row too: a query that sees only it has a key
         seeded = KVCache(Tensor(rng.standard_normal((1, 4))), Tensor(rng.standard_normal((1, 4))))
-        assert mha(x, x, blind, cache=seeded).shape == (2, 4)
+        sees_cached = np.concatenate([np.ones((2, 1), dtype=bool), blind], axis=1)
+        assert mha(x, x, sees_cached, cache=seeded).shape == (2, 4)
         assert len(seeded) == 3
+        k, v = seeded.k, seeded.v
+        with pytest.raises(ContractError, match="fully masked"):
+            mha(x, x, np.concatenate([np.zeros((2, 3), dtype=bool), blind], axis=1), cache=seeded)
+        assert len(seeded) == 3 and seeded.k is k and seeded.v is v
+
+    def test_mask_hides_cached_rows(self, rng):
+        # a cached row the mask hides adds nothing, as if it had never run
+        mha = MultiHeadAttention(rng, dim=4, heads=2)
+        x = Tensor(rng.standard_normal((3, 4)))
+        hidden = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        mha(x[:2], x[:2], causal_mask(2), cache=hidden)
+        skipped = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        mha(x[:1], x[:1], causal_mask(1), cache=skipped)
+        step = mha(x[2:], x[2:], np.array([[True, False, True]]), cache=hidden)
+        np.testing.assert_allclose(
+            step.data, mha(x[2:], x[2:], cache=skipped).data, rtol=0, atol=1e-12
+        )
 
 
 def chain_attention(q, k, v, heads, mask=None):
@@ -110,10 +148,9 @@ def _attention_case(rng, case):
         x = leaf(6, 8)
         return x, x, x, 4, causal_mask(6, prefix=2), leaves
     if case == "kv_cache_step":
-        cache = KVCache(leaf(3, 8), leaf(3, 8))
-        k, v = cache.extend(leaf(2, 8), leaf(2, 8))
-        visible = np.concatenate([np.ones((2, 3), dtype=bool), causal_mask(2)], axis=1)
-        return leaf(2, 8), k, v, 4, visible, leaves
+        cached, new = (leaf(3, 8), leaf(3, 8)), (leaf(2, 8), leaf(2, 8))
+        k, v = (concat([c, n], axis=0) for c, n in zip(cached, new))
+        return leaf(2, 8), k, v, 4, causal_mask(2, 5), leaves
     assert case == "fewer_kv_axes"
     return leaf(2, 3, 3, 8), leaf(4, 8), leaf(4, 8), 2, None, leaves
 
@@ -238,8 +275,8 @@ class TestMultiHeadAttention:
 def per_head_reference(mha, x_q, x_kv, allowed, past=None):
     """Multi-head attention as one loop over heads on 2-d numpy arrays.
 
-    ``past`` is (keys, values) rows placed before the new keys and values,
-    visible to every query.
+    ``past`` is (keys, values) rows placed before the new keys and values;
+    ``allowed`` covers them and the new keys.
     """
     def project(lin, x):
         return x @ lin.w.data + lin.b.data
@@ -248,8 +285,6 @@ def per_head_reference(mha, x_q, x_kv, allowed, past=None):
     if past is not None:
         k = np.concatenate([past[0], k])
         v = np.concatenate([past[1], v])
-    visible = k.shape[0] - allowed.shape[1]
-    allowed = np.concatenate([np.ones((len(q), visible), dtype=bool), allowed], axis=1)
     dh = mha.dim // mha.heads
     outs = []
     for h in range(mha.heads):
@@ -284,13 +319,13 @@ class TestHeadsByReshape:
         prefix = (rng.standard_normal((2, 8)), rng.standard_normal((2, 8)))
         x = rng.standard_normal((6, 8))
         cache = KVCache(Tensor(prefix[0]), Tensor(prefix[1]))
-        first = mha(Tensor(x[:4]), Tensor(x[:4]), causal_mask(4), cache=cache)
-        ref = per_head_reference(mha, x[:4], x[:4], causal_mask(4), prefix)
+        first = mha(Tensor(x[:4]), Tensor(x[:4]), causal_mask(4, 6), cache=cache)
+        ref = per_head_reference(mha, x[:4], x[:4], causal_mask(4, 6), prefix)
         np.testing.assert_allclose(first.data, ref, rtol=0, atol=1e-12)
         past = (cache.k.data.copy(), cache.v.data.copy())
         np.testing.assert_array_equal(past[0][:2], prefix[0])
-        step = mha(Tensor(x[4:]), Tensor(x[4:]), causal_mask(2), cache=cache)
-        ref = per_head_reference(mha, x[4:], x[4:], causal_mask(2), past)
+        step = mha(Tensor(x[4:]), Tensor(x[4:]), causal_mask(2, 8), cache=cache)
+        ref = per_head_reference(mha, x[4:], x[4:], causal_mask(2, 8), past)
         np.testing.assert_allclose(step.data, ref, rtol=0, atol=1e-12)
         assert len(cache) == 8
 
@@ -299,12 +334,12 @@ class TestHeadsByReshape:
         seed = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 4)))
         cache = KVCache(seed[:, 0, :], seed[:, 1, :])
-        gelu(mha(x, x, causal_mask(3), cache=cache)).sum().backward()
+        gelu(mha(x, x, causal_mask(3, 5), cache=cache)).sum().backward()
         assert seed.grad is not None and np.all(seed.grad != 0.0)
         assert not cache.k.requires_grad and cache.k._parents == ()
         check_gradients(
             lambda inp: gelu(
-                mha(x, x, causal_mask(3), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
+                mha(x, x, causal_mask(3, 5), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
             ).sum(),
             [seed],
         )

@@ -78,6 +78,28 @@ class TestIngest:
         with pytest.raises(IngestError, match=":1:"):
             ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
 
+    def test_undecodable_bytes_name_path_and_line(self, tmp_path):
+        good = json.dumps(narr("v", 1.0, "C opens a drawer")).encode()
+        (tmp_path / "n.jsonl").write_bytes(good + b"\n" + good[:-2] + b"\xff\"}\n")
+        write_jsonl(tmp_path / "m.jsonl", [meta("v", 50.0)])
+        with pytest.raises(IngestError, match=re.escape(f"{tmp_path / 'n.jsonl'}:2: not UTF-8")):
+            ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+
+    def test_unicode_line_separator_inside_a_string_is_not_a_line_break(self, tmp_path):
+        row = narr("v", 1.0, "C opens\u2028a drawer")
+        (tmp_path / "n.jsonl").write_text(json.dumps(row, ensure_ascii=False) + "\n", "utf-8")
+        write_jsonl(tmp_path / "m.jsonl", [meta("v", 50.0)])
+        _, grouped, _ = ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+        assert [r.narration for r in grouped["v"]] == [row["narration"]]
+
+    @pytest.mark.parametrize("missing", ["n.jsonl", "m.jsonl"])
+    def test_unreadable_file_named(self, tmp_path, missing):
+        write_jsonl(tmp_path / "n.jsonl", [narr("v", 1.0, "C opens a drawer")])
+        write_jsonl(tmp_path / "m.jsonl", [meta("v", 50.0)])
+        (tmp_path / missing).unlink()
+        with pytest.raises(IngestError, match=re.escape(f"{tmp_path / missing}: cannot read")):
+            ingest(tmp_path / "n.jsonl", tmp_path / "m.jsonl")
+
     @pytest.mark.parametrize("field, value", [("duration_sec", True), ("timestamp_sec", False)])
     def test_boolean_time_rejected_naming_line_and_key(self, tmp_path, field, value):
         narrations = [narr("v", 1.0, "C opens a drawer"), narr("v", 3.0, "C washes a plate")]

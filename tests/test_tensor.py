@@ -287,7 +287,7 @@ class TestBackward:
 
 class TestNoGrad:
     def test_op_on_parameter_records_nothing(self, rng):
-        p = parameter(rng, (3, 4), scale=1.0)
+        p = parameter(rng.standard_normal((3, 4)))
         with no_grad():
             out = layer_norm(p @ Tensor(np.ones((4, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         assert not out.requires_grad
@@ -295,7 +295,7 @@ class TestNoGrad:
         assert p.requires_grad  # leaves keep their flag
 
     def test_restored_after_nesting_and_exception(self, rng):
-        p = parameter(rng, (2,), scale=1.0)
+        p = parameter(rng.standard_normal(2))
         with no_grad():
             with no_grad():
                 pass
@@ -307,7 +307,7 @@ class TestNoGrad:
         assert (p * 2.0).requires_grad
 
     def test_backward_on_result_rejected(self, rng):
-        p = parameter(rng, (2,), scale=1.0)
+        p = parameter(rng.standard_normal(2))
         with no_grad():
             loss = (p * p).sum()
         with pytest.raises(ContractError):
