@@ -134,11 +134,24 @@ class RemoteEmbedder:
 
 
 def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPServer:
-    """HTTP server exposing ``embedder`` over the wire protocol; safe for concurrent calls."""
+    """HTTP server exposing ``embedder`` over the wire protocol; safe for concurrent calls.
+
+    A connection that sends nothing for ``READ_TIMEOUT_S`` is closed without a
+    reply, as is one whose client goes away mid-request; neither prints a
+    traceback.  A body shorter than its ``Content-Length`` is answered 400.
+    """
 
     class Handler(BaseHTTPRequestHandler):
+        timeout = READ_TIMEOUT_S  # the base class closes a connection that times out
+
         def log_message(self, *args):  # quiet
             pass
+
+        def handle(self):
+            try:
+                super().handle()
+            except ConnectionError:  # the client went away; nobody reads a reply
+                self.close_connection = True
 
         def do_POST(self):
             if self.path != "/embed":
@@ -148,7 +161,10 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
                 length = int(self.headers.get("Content-Length", "0"))
                 if length < 0:  # rfile.read(-1) would wait for the client to close
                     raise ValueError("negative Content-Length")
-                body = json.loads(self.rfile.read(length))
+                raw = self.rfile.read(length)
+                if len(raw) < length:  # the client closed its side early
+                    raise ValueError("body shorter than Content-Length")
+                body = json.loads(raw)
                 if not isinstance(body, dict):
                     raise ValueError("body must be a JSON object")
                 items = body["items"]
@@ -171,6 +187,10 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
 # serve_forever notices shutdown() only between polls, so the poll interval
 # bounds how long a server teardown blocks (the library default is 0.5 s).
 SHUTDOWN_POLL_S = 0.05
+
+# Longest wait for a client's next bytes before its connection is closed, so a
+# client that sends less than it announced cannot hold a handler thread.
+READ_TIMEOUT_S = 5.0
 
 
 def serve_forever_in_thread(server: ThreadingHTTPServer) -> threading.Thread:

@@ -10,17 +10,20 @@ positions are numbered independently of the soft prompt so prompt rows never
 shift positional slots.
 
 Every ``forward`` runs on an ``LmCache``: one ``KVCache`` per block that
-``new_cache`` opens with that block's adapter rows (prefix-tuning's layout),
-followed by the keys and values of the rows run so far.  Without a ``cache``
-argument a fresh one is used, so the adapter rows keep their graph and
-receive gradients.  With one, the first call runs the soft prompt and the
-first tokens; each later call passes only the new tokens, whose positions
-continue after the cached text.  One ``causal_mask`` per call covers every
-key, [adapter rows][cached rows][new rows]: new rows attend to every cached
-row and causally among themselves, so a prefill followed by one-token steps
-gives the logits of the full forward up to float64 round-off.  Cached rows
-are stored as constants; the cache serves inference and carries no gradient
-across calls.
+``new_cache`` opens with storage for ``LmConfig.context`` key and value
+rows, the block's adapter rows written first (prefix-tuning's layout),
+followed by the keys and values of the rows run so far.  A call writes its
+new rows into that storage after the filled ones and attends over a view of
+both, so a decode step copies no history.  Without a ``cache`` argument a
+fresh one is used, so the adapter rows keep their graph and receive
+gradients.  With one, the first call runs the soft prompt and the first
+tokens; each later call passes only the new tokens, whose positions continue
+after the cached text.  One ``causal_mask`` per call covers every key,
+[adapter rows][cached rows][new rows]: new rows attend to every cached row
+and causally among themselves, so a prefill followed by one-token steps gives
+the logits of the full forward up to float64 round-off.  Cached rows are
+stored as constants; the cache serves inference and carries no gradient
+across calls.  ``LmCache.copy`` copies the filled rows into new storage.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class MicroLm(Module):
 
     def new_cache(self) -> LmCache:
         """An empty cache: each block's ``KVCache`` holds only its adapter rows."""
-        blocks = [KVCache(a[:, 0, :], a[:, 1, :]) for a in self.adapters]
+        rows = self.config.context
+        blocks = [KVCache(a[:, 0, :], a[:, 1, :], rows) for a in self.adapters]
         return LmCache(blocks, self.config.prefix_len)
 
     def forward(

@@ -18,10 +18,11 @@ from .errors import ContractError, DimensionError
 from .tensor import (
     Tensor,
     attention,
-    concat,
     gelu,
     layer_norm,
+    linear,
     parameter,
+    write_rows,
 )
 
 
@@ -76,42 +77,65 @@ class Linear(Module):
         self.b = parameter(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
+        return linear(x, self.w, self.b)
+
+
+def _storage(filled: np.ndarray, rows: int) -> np.ndarray:
+    """Storage for ``rows`` rows (axis -2), at least the filled ones, which lead it."""
+    n = filled.shape[-2]
+    out = np.empty((*filled.shape[:-2], max(rows, n), filled.shape[-1]))
+    out[..., :n, :] = filled
+    return out
 
 
 class KVCache:
     """Projected self-attention keys and values of the rows run so far.
 
     The cache is seeded at construction with zero or more rows (a language
-    model's prefix adapter rows); the rows run so far follow them.
-    ``MultiHeadAttention`` attends over these rows followed by a call's new
-    ones, then rebinds ``k`` and ``v`` to the grown rows.  Seeded rows keep
-    their autodiff graph through the first call; the stored rows are
-    constants, so nothing links one call to the next.  Rows are rebound, never
-    mutated, so a copy shares them safely.
+    model's prefix adapter rows); the rows run so far follow them.  Key and
+    value storage holds ``rows`` rows, and grows (doubling) only when a call
+    needs more.  ``append`` writes a call's new keys and values after the
+    filled rows and returns views of the filled and new rows; once
+    ``tensor.attention`` has run on them, ``MultiHeadAttention`` rebinds ``k``
+    and ``v`` to those views, which is what counts the new rows as filled.  A
+    rejected call only writes past the filled rows, so the cache is as it
+    was.  Seeded rows keep their autodiff graph through the first call; the
+    stored rows are constants, so nothing links one call to the next.  Filled
+    rows are never written again, so views of them stay valid; ``copy`` gives
+    the copy its own storage, so the two decode independently.
     """
 
-    def __init__(self, k: Tensor, v: Tensor):
+    def __init__(self, k: Tensor, v: Tensor, rows: int = 0):
         self.k = k
         self.v = v
+        self._k = _storage(k.data, rows)
+        self._v = _storage(v.data, rows)
 
     def __len__(self) -> int:
         return self.k.shape[-2]
 
+    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Filled rows followed by those of ``k`` and ``v``, written into storage."""
+        need = len(self) + k.shape[-2]
+        if need > self._k.shape[-2]:
+            self._k = _storage(self.k.data, 2 * need)
+            self._v = _storage(self.v.data, 2 * need)
+        return write_rows(self._k, self.k, k), write_rows(self._v, self.v, v)
+
     def copy(self) -> "KVCache":
-        return KVCache(self.k, self.v)
+        return KVCache(self.k, self.v, self._k.shape[-2])
 
 
 class MultiHeadAttention(Module):
     """Multi-head attention over (..., n, dim) inputs.
 
     With a ``cache``, keys and values are laid out as [cached rows][new
-    rows], and the cache holds them all once ``tensor.attention`` returns; a
-    mask that does not fit, or that leaves a query no key to see, raises
-    there and leaves the cache as it was.  ``mask`` is None (every key
-    visible) or a boolean (n_q, n_cached + n_new) array over every key.  The
-    projections are ``Linear`` layers; every head runs inside one
-    ``tensor.attention`` node between them.
+    rows] in the cache's storage, and the cache counts them all once
+    ``tensor.attention`` returns; a mask that does not fit, or that leaves a
+    query no key to see, raises there and leaves the cache as it was.
+    ``mask`` is None (every key visible) or a boolean (n_q, n_cached + n_new)
+    array over every key.  The projections are ``Linear`` layers; every head
+    runs inside one ``tensor.attention`` node between them.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
@@ -139,8 +163,7 @@ class MultiHeadAttention(Module):
         k = self.w_k(x_kv)
         v = self.w_v(x_kv)
         if cache is not None:
-            k = concat([cache.k, k], axis=-2)
-            v = concat([cache.v, v], axis=-2)
+            k, v = cache.append(k, v)
         out = attention(q, k, v, self.heads, mask)
         if cache is not None:
             cache.k, cache.v = Tensor(k.data), Tensor(v.data)

@@ -8,11 +8,12 @@ every sample from its own copy of that cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, PromptTooLongError
+from .errors import ContractError, NumericError, PromptTooLongError
 from .lm import MicroLm
 from .tensor import Tensor, no_grad
 from .vocab import EOS
@@ -27,34 +28,47 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature < 0.0:
-            raise ContractError(f"temperature must be non-negative, got {self.temperature}")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ContractError(
+                f"temperature must be finite and non-negative, got {self.temperature}"
+            )
         if not 0.0 < self.top_p <= 1.0:
             raise ContractError(f"top_p must lie in (0, 1], got {self.top_p}")
-        if self.samples_per_prompt < 1:
-            raise ContractError("samples_per_prompt must be at least 1")
-        if self.max_new_tokens < 1:
-            raise ContractError("max_new_tokens must be at least 1")
+        for name in ("samples_per_prompt", "max_new_tokens"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ContractError(f"{name} must be an integer of at least 1, got {value!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ContractError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def sample_token(
     logits: np.ndarray, temperature: float, top_p: float, rng: np.random.Generator
 ) -> int:
-    """Nucleus sampling: keep the smallest top set with cumulative mass >= top_p."""
+    """Nucleus sampling: keep the smallest top set with cumulative mass >= top_p.
+
+    Temperature 0 is greedy.  A NaN or +inf logit (or no finite one) raises
+    ``NumericError``.  The draw is the one ``rng.choice(kept, p=kept_probs)``
+    makes after validating ``p``, so it uses the same random stream.
+    """
+    top = np.maximum.reduce(logits)
+    if not -math.inf < top < math.inf:
+        raise NumericError(f"logits need a finite maximum, got {top}")
     if temperature == 0.0:
         return int(np.argmax(logits))
-    scaled = logits / temperature
-    scaled = scaled - scaled.max()
-    probs = np.exp(scaled)
-    probs /= probs.sum()
-    order = np.argsort(-probs, kind="stable")
-    cum = np.cumsum(probs[order])
-    cutoff = int(np.searchsorted(cum, top_p))
-    cutoff = min(cutoff, len(order) - 1)
-    kept = order[: cutoff + 1]
-    kept_probs = probs[kept]
-    kept_probs /= kept_probs.sum()
-    return int(rng.choice(kept, p=kept_probs))
+    # dividing by temperature > 0 keeps the order, so max(logits / t) == top / t
+    probs = logits / temperature
+    probs -= top / temperature
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs)
+    order = (-probs).argsort(kind="stable")
+    ranked = probs[order]
+    cutoff = min(int(ranked.cumsum().searchsorted(top_p)), len(order) - 1)
+    kept_probs = ranked[: cutoff + 1]
+    kept_probs /= np.add.reduce(kept_probs)
+    cdf = kept_probs.cumsum()
+    cdf /= cdf[-1]
+    return int(order[cdf.searchsorted(rng.random(), side="right")])
 
 
 def generate(

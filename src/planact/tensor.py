@@ -8,9 +8,11 @@ float64 throughout so finite-difference checks stay meaningful.
 
 The composite operations the models run most are one node each, with an
 analytic backward: ``softmax``, ``layer_norm``, ``gelu``, ``cross_entropy``,
-``unfold_windows`` (the k-by-k windows of channels-last images) and
+``unfold_windows`` (the k-by-k windows of channels-last images),
 ``attention`` (multi-head scaled dot-product attention, its heads split and
-merged inside the node).
+merged inside the node), ``linear`` (``x @ w + b``) and ``write_rows``
+(``concat`` of cached and new rows, computed in preallocated storage).  Each
+gives the values and gradients of the chain of nodes it replaces bit for bit.
 
 A product ``x @ w`` of a left operand of rank 3 or more with a 2-d weight
 runs as one GEMM over the folded rows ``x.reshape(-1, K)``, forward and
@@ -39,6 +41,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 
 _recording = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -101,11 +104,20 @@ class Tensor:
         parents: tuple["Tensor", ...],
         grad_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]],
     ) -> "Tensor":
-        out = Tensor(data)
+        out = Tensor.__new__(Tensor)
+        if data.__class__ is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        out.data = data
+        out.grad = None
+        out.is_param = False
         if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._grad_fn = grad_fn
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._grad_fn = None
         return out
 
     def backward(self) -> None:
@@ -288,6 +300,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor._result(out, tuple(tensors), grad_fn)
 
 
+def write_rows(storage: np.ndarray, head: Tensor, new: Tensor) -> Tensor:
+    """``concat([head, new], axis=-2)`` computed in ``storage``, as one node.
+
+    The first rows of ``storage`` (axis -2) already hold ``head``'s values.
+    ``new`` is written after them, and the result is a view of rows
+    [0, n_head + n_new).  The gradient splits at n_head as ``concat``'s does.
+    """
+    n, m = head.shape[-2], new.shape[-2]
+    if n + m > storage.shape[-2]:
+        raise DimensionError(f"{n} + {m} rows do not fit storage of {storage.shape[-2]}")
+    storage[..., n : n + m, :] = new.data
+    return Tensor._result(
+        storage[..., : n + m, :], (head, new), lambda g: (g[..., :n, :], g[..., n:, :])
+    )
+
+
 def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Row lookup (embedding); gradients scatter-add back into the table."""
     idx = np.asarray(ids, dtype=np.int64)
@@ -316,15 +344,47 @@ def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor._result(out, (x,), lambda g: (_unbroadcast(g, x.shape),))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    if np.isnan(x.data).any():
-        raise NumericError("softmax received NaN input")
-    out = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, for a 2-d ``w`` and a bias ``b`` of its width.
+
+    The product folds the leading axes of ``x`` into one GEMM, as
+    ``__matmul__`` does, and the bias is added to it in place.  The gradients
+    are those of the product node and the bias-add node: the bias gradient is
+    summed over the leading axes by ``_unbroadcast``, as the add node sums it.
+    """
+    a, wd, bd = x.data, w.data, b.data
+    if a.ndim < 2 or wd.ndim != 2 or bd.shape != wd.shape[1:]:
+        raise DimensionError(
+            f"linear expects (..., K) @ (K, N) + (N,), got {a.shape}, {wd.shape}, {bd.shape}"
+        )
+    fold = a.ndim > 2
+    a2 = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) if fold else a
+    try:
+        out2 = a2 @ wd
+    except ValueError:  # inner extents disagree
+        raise DimensionError(f"linear operands do not fit: {a.shape} x {wd.shape}") from None
+    out2 += bd
+    out = out2.reshape(*a.shape[:-1], wd.shape[1]) if fold else out2
 
     def grad_fn(g: np.ndarray):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        g2 = g.reshape(out2.shape)
+        gx = (g2 @ wd.T).reshape(a.shape) if x.requires_grad else None
+        gw = a2.T @ g2 if w.requires_grad else None
+        gb = _unbroadcast(g, bd.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return Tensor._result(out, (x, w, b), grad_fn)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    if np.logical_or.reduce(np.isnan(x.data), axis=None):
+        raise NumericError("softmax received NaN input")
+    out = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=axis, keepdims=True)
+
+    def grad_fn(g: np.ndarray):
+        inner = np.add.reduce(g * out, axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
     return Tensor._result(out, (x,), grad_fn)
@@ -345,20 +405,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match last extent {d}"
         )
     inv_d = 1.0 / d
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
+    centered = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) * inv_d
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_d
     std = np.sqrt(var + 1e-5)
     normed = centered / std
-    if not np.isfinite(normed).all():
+    if not np.logical_and.reduce(np.isfinite(normed), axis=None):
         raise NumericError("layer_norm produced non-finite values")
-    out = normed * gamma.data + beta.data
+    out = normed * gamma.data
+    out += beta.data
 
     def grad_fn(g: np.ndarray):
         g_normed = g * gamma.data
         g_x = (
             g_normed
-            - g_normed.sum(axis=-1, keepdims=True) * inv_d
-            - normed * (g_normed * normed).sum(axis=-1, keepdims=True) * inv_d
+            - np.add.reduce(g_normed, axis=-1, keepdims=True) * inv_d
+            - normed * np.add.reduce(g_normed * normed, axis=-1, keepdims=True) * inv_d
         ) / std
         return (g_x, _unbroadcast(g * normed, (d,)), _unbroadcast(g, (d,)))
 
@@ -513,10 +574,20 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth tanh-form gaussian error linear unit, one node with an analytic derivative."""
+    """Smooth tanh-form gaussian error linear unit, one node with an analytic derivative.
+
+    The forward updates its temporaries in place, in the order of
+    ``d * 0.5 * (tanh((d + d * d * d * A) * C) + 1)``.
+    """
     d = x.data
-    t = np.tanh((d + d * d * d * _GELU_A) * _GELU_C)
-    out = d * 0.5 * (t + 1.0)
+    t = d * d
+    t *= d
+    t *= _GELU_A
+    t += d
+    t *= _GELU_C
+    t = np.tanh(t)  # not out=t: for a 0-d input, d * d is a numpy scalar
+    out = t + 1.0
+    out *= d * 0.5
 
     def grad_fn(g: np.ndarray):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * d * d)

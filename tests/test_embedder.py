@@ -1,5 +1,7 @@
+import contextlib
 import json
 import socket
+import struct
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -9,7 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from planact.embedder import MockEmbedder, RemoteEmbedder, serve_forever_in_thread
+from planact import embedder
+from planact.embedder import (
+    MockEmbedder,
+    RemoteEmbedder,
+    make_embed_server,
+    serve_forever_in_thread,
+)
 from planact.errors import ContractError, PipelineError
 
 
@@ -227,3 +235,49 @@ def test_reply_that_is_not_json_retried(fixed_body):
     with pytest.raises(PipelineError, match="unreachable after retries"):
         RemoteEmbedder(_url(server), retries=2).embed("text", ["a"])
     assert server.requests == 3
+
+
+SHORT_BODY = b"POST /embed HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"kind\""
+
+
+@contextlib.contextmanager
+def joined_server():
+    """A fresh embed server; leaving the block stops it and waits for its handler threads."""
+    server = make_embed_server(MockEmbedder(dim=16))
+    server.daemon_threads = False
+    serve_forever_in_thread(server)
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_stalled_body_closed_after_read_timeout(monkeypatch, capfd):
+    monkeypatch.setattr(embedder, "READ_TIMEOUT_S", 0.2)
+    with joined_server() as server:
+        # without a read timeout no reply comes, and recv raises after 3 s
+        with socket.create_connection(server.server_address, timeout=3.0) as conn:
+            conn.sendall(SHORT_BODY)
+            assert conn.recv(4096) == b""  # closed without a reply
+    assert capfd.readouterr().err == ""
+
+
+def test_client_that_resets_mid_body_prints_nothing(capfd):
+    with joined_server() as server:
+        with socket.create_connection(server.server_address, timeout=3.0) as conn:
+            conn.sendall(SHORT_BODY)
+            # linger 0: close sends a reset, so the handler's read fails
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    assert capfd.readouterr().err == ""
+
+
+def test_body_shorter_than_content_length_rejected():
+    body = b'{"kind": "text", "items": []}'
+    with joined_server() as server:
+        with socket.create_connection(server.server_address, timeout=3.0) as conn:
+            conn.sendall(b"POST /embed HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                         % (len(body) + 1, body))
+            conn.shutdown(socket.SHUT_WR)
+            reply = b"".join(iter(lambda: conn.recv(4096), b""))
+    assert reply.split(b"\r\n")[0].split()[1] == b"400"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from planact.errors import ContractError, PromptTooLongError
+from planact.errors import ContractError, NumericError, PromptTooLongError
 from planact.lm import LmConfig, MicroLm
 from planact.nn import TransformerBlock, set_trainable
 from planact.sampling import GenerationConfig, generate, sample_token
@@ -142,6 +142,36 @@ class TestSampler:
             [13, 8, 13, 5, 1, 1, 5, 8, 8, 4, 10, 9],
         ]
 
+    @pytest.mark.parametrize("top_p", [1e-9, 0.95, 1.0])
+    def test_draw_equals_generator_choice(self, top_p):
+        logit_rng = np.random.default_rng(7)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(200):
+            logits = logit_rng.standard_normal(20) * 2.0
+            want = choice_reference(logits, 0.9, top_p, theirs)
+            assert sample_token(logits, 0.9, top_p, ours) == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("temperature", [0.0, 0.9])
+    def test_nan_or_inf_logit_rejected(self, bad, temperature):
+        logits = np.array([2.0, bad, -1.0])
+        with pytest.raises(NumericError, match="finite"):
+            sample_token(logits, temperature, 0.95, np.random.default_rng(0))
+
+    def test_minus_inf_logit_never_drawn(self):
+        rng = np.random.default_rng(0)
+        logits = np.array([0.0, -np.inf, 0.5])
+        assert {sample_token(logits, 1.0, 1.0, rng) for _ in range(100)} == {0, 2}
+
+    @pytest.mark.parametrize("field, value", [
+        ("temperature", float("nan")), ("temperature", float("inf")), ("seed", -1),
+        ("seed", 1.5), ("max_new_tokens", 2.5), ("samples_per_prompt", "3"),
+    ])
+    def test_invalid_field_rejected_by_name(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            GenerationConfig(**{field: value})
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ContractError):
             GenerationConfig(temperature=-0.1)
@@ -192,6 +222,21 @@ class TestGenerateContext:
         with pytest.raises(ContractError):  # PromptTooLongError is a ContractError
             generate(model, self.PROMPT, None, cfg)
         assert calls == []
+
+
+def choice_reference(logits, temperature, top_p, rng):
+    """Nucleus sampling as it drew before: ``rng.choice`` over the kept ids."""
+    scaled = logits / temperature
+    scaled = scaled - scaled.max()
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    cum = np.cumsum(probs[order])
+    cutoff = min(int(np.searchsorted(cum, top_p)), len(order) - 1)
+    kept = order[: cutoff + 1]
+    kept_probs = probs[kept]
+    kept_probs /= kept_probs.sum()
+    return int(rng.choice(kept, p=kept_probs))
 
 
 def reference_generate(model, prompt_ids, soft_prompt, cfg):
@@ -284,6 +329,37 @@ class TestKvCache:
         assert len(twin) == 5 and len(cache) == 6
         np.testing.assert_allclose(step, model.forward(self.IDS[:5]).data[-1:], rtol=0.0,
                                    atol=1e-12)
+
+    def test_one_token_step_copies_no_history(self, model, monkeypatch):
+        cache = model.new_cache()
+        model.forward(self.IDS[:4], cache=cache)
+        before = [(c.k.data, c.v.data) for c in cache.blocks]
+        joins = []
+        concatenate = np.concatenate
+
+        def counted(*args, **kwargs):
+            joins.append(args)
+            return concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        model.forward(self.IDS[4:5], cache=cache)
+        assert joins == []
+        for (k, v), block_cache in zip(before, cache.blocks):
+            for old, new in ((k, block_cache.k.data), (v, block_cache.v.data)):
+                assert new.shape[0] == old.shape[0] + 1
+                assert new.base is old.base  # the same storage, grown in place
+                assert new[:-1].tobytes() == old.tobytes()
+
+    def test_copy_has_its_own_storage(self, model):
+        cache = model.new_cache()
+        model.forward(self.IDS[:4], cache=cache)
+        twin = cache.copy()
+        model.forward(self.IDS[4:5], cache=cache)
+        model.forward([9], cache=twin)
+        for mine, theirs in zip(cache.blocks, twin.blocks):
+            assert not np.shares_memory(mine.k.data, theirs.k.data)
+            assert not np.shares_memory(mine.v.data, theirs.v.data)
+            assert mine.k.data[:-1].tobytes() == theirs.k.data[:-1].tobytes()
 
     def test_cached_rows_carry_no_graph(self, model):
         cache = model.new_cache()

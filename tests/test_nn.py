@@ -329,6 +329,20 @@ class TestHeadsByReshape:
         np.testing.assert_allclose(step.data, ref, rtol=0, atol=1e-12)
         assert len(cache) == 8
 
+    def test_storage_grows_past_its_rows(self, rng):
+        mha = MultiHeadAttention(rng, dim=4, heads=2)
+        x = Tensor(rng.standard_normal((5, 4)))
+        empty = Tensor(np.zeros((0, 4)))
+        small, roomy = KVCache(empty, empty, rows=2), KVCache(empty, empty, rows=8)
+        for lo, hi in ((0, 2), (2, 3), (3, 5)):
+            mask = causal_mask(hi - lo, hi)
+            a = mha(x[lo:hi], x[lo:hi], mask, cache=small)
+            b = mha(x[lo:hi], x[lo:hi], mask, cache=roomy)
+            assert a.data.tobytes() == b.data.tobytes()
+        assert len(small) == len(roomy) == 5
+        assert small.k.data.tobytes() == roomy.k.data.tobytes()
+        assert small.v.data.tobytes() == roomy.v.data.tobytes()
+
     def test_seeded_rows_keep_graph_on_first_call(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         seed = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)

@@ -33,6 +33,7 @@ ALLOWED = {
     "gradcheck.check_gradients": "the finite-difference reference every gradient test uses",
     "embedder.make_embed_server.Handler.do_POST": "http.server calls it for each POST",
     "embedder.make_embed_server.Handler.log_message": "http.server calls it to log a request",
+    "embedder.make_embed_server.Handler.handle": "socketserver calls it for each connection",
 }
 
 

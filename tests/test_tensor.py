@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,11 +18,13 @@ from planact.tensor import (
     cross_entropy,
     gelu,
     layer_norm,
+    linear,
     no_grad,
     parameter,
     softmax,
     take_rows,
     unfold_windows,
+    write_rows,
 )
 from planact.vocab import Vocabulary
 
@@ -423,7 +428,93 @@ class TestShapeOps:
             unfold_windows(Tensor(rng.standard_normal((1, 5, 5, 2))), k)
 
 
+class TestLinear:
+    SHAPES = [(5, 4), (2, 3, 4)]
+    TRAINABLE = list(itertools.product([False, True], repeat=3))[1:]
+
+    @staticmethod
+    def operands(rng, shape):
+        return (rng.standard_normal(shape), rng.standard_normal((shape[-1], 3)),
+                rng.standard_normal(3))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("trainable", TRAINABLE)
+    def test_gradient(self, rng, shape, trainable):
+        tensors = [Tensor(a) for a in self.operands(rng, shape)]
+        inputs = [t for t, on in zip(tensors, trainable) if on]
+
+        def fn(inp):
+            it = iter(inp)
+            x, w, b = (next(it) if on else t for t, on in zip(tensors, trainable))
+            return gelu(linear(x, w, b)).sum()
+
+        check_gradients(fn, inputs)
+        for t, on in zip(tensors, trainable):
+            assert (t.grad is not None) == on
+
+    @pytest.mark.parametrize("shape", SHAPES + [(2, 1, 3, 4)])
+    @pytest.mark.parametrize("trainable", TRAINABLE)
+    def test_bitwise_equal_to_matmul_then_add(self, rng, shape, trainable):
+        values = self.operands(rng, shape)
+        upstream = rng.standard_normal((*shape[:-1], 3))
+        grads = []
+        for fused in (True, False):
+            x, w, b = (Tensor(a, requires_grad=on) for a, on in zip(values, trainable))
+            # the two-node chain nn.Linear ran before linear existed
+            out = linear(x, w, b) if fused else x @ w + b
+            (out * Tensor(upstream)).sum().backward()
+            grads.append([out.data] + [t.grad for t in (x, w, b)])
+        for got, want in zip(*grads):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+    def test_is_one_node(self, rng):
+        x, w, b = (Tensor(a, requires_grad=True) for a in self.operands(rng, (2, 3, 4)))
+        out = linear(x, w, b)
+        assert out._parents == (x, w, b)
+
+    @pytest.mark.parametrize("x, w, b", [((4,), (4, 3), (3,)), ((2, 4), (5, 3), (3,)),
+                                         ((2, 4), (4, 3), (2,)), ((2, 4), (4, 3, 1), (3,))])
+    def test_shapes_that_do_not_fit_rejected(self, x, w, b):
+        with pytest.raises(DimensionError):
+            linear(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
+
+
+class TestWriteRows:
+    def test_equals_concat_and_writes_only_past_the_head(self, rng):
+        storage = np.full((2, 6, 3), 7.0)
+        head = rng.standard_normal((2, 2, 3))
+        new = rng.standard_normal((2, 3, 3))
+        storage[:, :2] = head
+        out = write_rows(storage, Tensor(head), Tensor(new))
+        assert np.shares_memory(out.data, storage)
+        assert out.data.tobytes() == concat([Tensor(head), Tensor(new)], axis=-2).data.tobytes()
+        assert (storage[:, 5] == 7.0).all()
+
+    def test_gradient_splits_as_concat(self, rng):
+        head = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        new = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 3)))
+
+        def fn(inp):
+            storage = np.empty((8, 3))
+            storage[:2] = inp[0].data
+            return (gelu(write_rows(storage, inp[0], inp[1])) * w).sum()
+
+        check_gradients(fn, [head, new])
+
+    def test_rows_past_storage_rejected(self):
+        with pytest.raises(DimensionError, match="do not fit"):
+            write_rows(np.empty((3, 2)), Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
+
+
 class TestGelu:
+    @pytest.mark.parametrize("shape", [(4, 5), ()])
+    def test_bitwise_equal_to_its_formula(self, rng, shape):
+        d = np.asarray(rng.standard_normal(shape) * 3.0)
+        a, c = 0.044715, math.sqrt(2.0 / math.pi)
+        want = d * 0.5 * (np.tanh((d + d * d * d * a) * c) + 1)
+        assert gelu(Tensor(d)).data.tobytes() == want.tobytes()
+
     def test_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)) * 2.0, requires_grad=True)
         check_gradients(lambda inp: gelu(inp[0]).sum(), [x])
