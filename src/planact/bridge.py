@@ -12,25 +12,35 @@ embedding space as soft prompt rows.
 
 The bridge runs in two halves.  Nothing before the first block's
 cross-attention sees the image, so that much is the *plan side*, a function
-of the plan alone: ``plan_side`` runs the first block's self-attention over
-[queries; text] and the feed-forward of its text rows, which skip the
-cross-attention.  Text rows meet the image only through a self-attention
-after that first cross-attention.  ``extract`` runs the *image side*: it
-broadcasts the plan side to the image's leading shape, lets the query rows
-cross-attend to the visual tokens, and runs every later block.  A caller
-that keeps a plan's side (a frozen bridge) pays for it once per plan; each
-observation pays only for the image side.
+of the plan alone, and ``plan_side`` also runs every projection whose input
+is plan-only.  It runs the first block's self-attention over [queries;
+text] and the cross-attention query projection of its query rows.  Text rows
+skip the cross-attention, so their feed-forward output enters the second
+block unchanged by the image, and ``plan_side`` runs that block's key and
+value projections (and, when a later block follows, its query projection)
+on them.  Text rows first meet the image in the second block's attention
+output.  ``extract`` runs the *image side*: the image tokens' keys and
+values in the first block's cross-attention, the query rows' own
+projections in the second block, whose keys and values precede the plan's
+([queries; text], as in the unsplit block), and every later block.  A
+caller that keeps a plan's side (a frozen bridge) pays for it once per
+plan; each observation pays only for the image side.  A caller that trains
+the bridge builds the plan side once per plan per batch, and its graph
+carries the gradients of every image-side row back into it.
 
 The split is exact because every later operation sees the same values as
-when each observation carried its own copy of every row.  The plan side's
-feed-forward runs over all its rows and keeps the text rows, so its matrix
-products keep the row count, and with it the summation order, of the
-unsplit block.  The last block's text rows serve only as keys and values,
-so its query projection, feed-forward and the final norm run on the query
-rows alone.  The result is byte-identical to running every block over
-every row and slicing, except with a single query row: numpy then takes a
-matrix-vector product, whose summation order differs, and the two agree to
-round-off.
+when each observation carried its own copy of every row.  The plan side
+runs the feed-forward and every text-row projection over all its rows
+(query rows included) and keeps the text rows, so its matrix products keep
+the row count, and with it the summation order, of the unsplit block; a
+one-text-row plan would otherwise take numpy's matrix-vector product.  The
+first block's cross-attention queries are projected from the query rows
+alone, as in the unsplit block.  The last block's text rows serve only
+as keys and values, so its query projection, feed-forward and the final
+norm run on the query rows alone.  The result is byte-identical to running
+every block over every row and slicing, except with a single query row:
+numpy then takes a matrix-vector product, whose summation order differs,
+and the two agree to round-off.
 """
 
 from __future__ import annotations
@@ -45,8 +55,26 @@ from .nn import Linear, Module, TransformerBlock, LayerNorm, sinusoidal_embeddin
 from .tensor import Tensor, broadcast_to, concat, parameter, take_rows
 from .vocab import MAX_SEQUENCE_LENGTH, Vocabulary, tokenize
 
-# the plan side of ``QueryBridge``: the first block's query rows and its text rows
-PlanSide = tuple[Tensor, Tensor | None]
+
+@dataclass(frozen=True)
+class PlanSide:
+    """The image-free half of ``QueryBridge`` for one plan, unbatched.
+
+    ``queries`` (N, D) are the first block's self-attended query rows and
+    ``cross_q`` (N, D) their cross-attention queries.  ``keys`` and
+    ``values`` (T, D) are the second block's self-attention projections of
+    the text rows, None when no text row reaches that block (no text, or a
+    single block).  ``text`` (T, D), the text rows entering the second block,
+    and ``text_q`` (T, D), their queries there, are None also when that block
+    is the last, whose text rows are keys and values only.
+    """
+
+    queries: Tensor
+    cross_q: Tensor
+    keys: Tensor | None = None
+    values: Tensor | None = None
+    text: Tensor | None = None
+    text_q: Tensor | None = None
 
 
 @dataclass
@@ -81,24 +109,33 @@ class QueryBridge(Module):
         self.proj = Linear(rng, config.dim, config.lm_dim)
 
     def plan_side(self, text_ids: Sequence[int] | None) -> PlanSide:
-        """The image-free half of the bridge for one id sequence, unbatched.
-
-        Returns the first block's self-attended query rows (N, D) and its
-        feed-forward output for the text rows (T, D), or None when no text
-        row reaches a later block (no text, or a single block).
-        """
+        """The image-free half of the bridge for one id sequence (see ``PlanSide``)."""
         n = self.config.query_count
         x = self.queries
         ids = np.asarray([] if text_ids is None else text_ids, dtype=np.int64)
+        if ids.size > MAX_SEQUENCE_LENGTH:
+            raise ContractError(
+                f"plan of {ids.size} ids exceeds the bridge's {MAX_SEQUENCE_LENGTH} text positions"
+            )
         if ids.size:
             text = take_rows(self.text_embed, ids) + self.text_pos[: ids.size, :]
             x = concat([x, text], axis=0)
         first = self.blocks[0]
         # a single block is also the last, whose text rows are keys and values only
         x = first.self_attention(x, rows=n if len(self.blocks) == 1 else None)
+        queries = x[:n, :]
+        cross_q = first.cross_attn.w_q(first.ln_cross(queries))
         if x.shape[-2] == n:
-            return x, None
-        return x[:n, :], first.feed_forward(x)[n:, :]
+            return PlanSide(queries, cross_q)
+        # every row runs through each projection, and only the text rows are kept
+        x = first.feed_forward(x)
+        second = self.blocks[1]
+        attn = second.self_attn
+        normed = second.ln_self(x)
+        keys, values = attn.w_k(normed)[n:, :], attn.w_v(normed)[n:, :]
+        if len(self.blocks) == 2:
+            return PlanSide(queries, cross_q, keys, values)
+        return PlanSide(queries, cross_q, keys, values, x[n:, :], attn.w_q(normed)[n:, :])
 
     def extract(self, tokens: Tensor, side: PlanSide) -> Tensor:
         """Summarise visual tokens (..., P, D) under a plan's ``side`` into (..., N, D).
@@ -113,19 +150,38 @@ class QueryBridge(Module):
                 f"visual token width {tokens.shape[-1]} does not match bridge dim "
                 f"{self.config.dim}"
             )
-        lead = tokens.shape[:-2]
-        queries, text = side
         first = self.blocks[0]
-        x = broadcast_to(queries, (*lead, *queries.shape))
-        x = first.feed_forward(first.cross_attention(x, tokens))
-        if text is not None:
-            x = concat([x, broadcast_to(text, (*lead, *text.shape))], axis=-2)
+        cross = first.cross_attn
+        x = side.queries + cross.attend(side.cross_q, cross.w_k(tokens), cross.w_v(tokens))
+        x = first.feed_forward(x)
+        if len(self.blocks) > 1:
+            x = self._second_block(x, side, tokens.shape[:-2])
         last = len(self.blocks) - 1
-        for i, block in enumerate(self.blocks[1:], start=1):
+        for i, block in enumerate(self.blocks[2:], start=2):
             # the last block's text rows are keys and values only
             x = block.self_attention(x, rows=self.config.query_count if i == last else None)
             x = self._cross_queries(block, x, tokens) if block.has_cross else block.feed_forward(x)
         return self.ln_out(x)
+
+    def _second_block(self, x: Tensor, side: PlanSide, lead: tuple[int, ...]) -> Tensor:
+        """The second block over query rows ``x`` (..., N, D) and the plan's text rows.
+
+        The query rows' projections join the plan side's, which every leading
+        index shares; the text rows are updated only when a later block reads them.
+        """
+        block = self.blocks[1]
+        attn = block.self_attn
+        normed = block.ln_self(x)
+        q, k, v = attn.w_q(normed), attn.w_k(normed), attn.w_v(normed)
+
+        def joined(head: Tensor, plan: Tensor) -> Tensor:
+            return concat([head, broadcast_to(plan, (*lead, *plan.shape))], axis=-2)
+
+        if side.keys is not None:
+            k, v = joined(k, side.keys), joined(v, side.values)
+        if side.text is not None:
+            q, x = joined(q, side.text_q), joined(x, side.text)
+        return block.feed_forward(x + attn.attend(q, k, v))
 
     def _cross_queries(self, block: TransformerBlock, x: Tensor, tokens: Tensor) -> Tensor:
         """Cross-attention and feed-forward of a later block whose query rows see the image.

@@ -171,11 +171,15 @@ class Demonstration:
             raise ValidationError(f"demonstration {self.seed} exceeds the step limit")
         if self.steps[-1][2] != INTERACT:
             raise ValidationError(f"demonstration {self.seed} does not end with interact")
-        for obs, plan, action in self.steps:
+        for i, (obs, plan, action) in enumerate(self.steps):
             if np.shape(obs) != config.observation_shape:
                 raise ValidationError(
                     f"demonstration {self.seed} holds an observation of shape "
                     f"{np.shape(obs)}, expected {config.observation_shape}"
+                )
+            if not np.isfinite(obs).all():
+                raise ValidationError(
+                    f"demonstration {self.seed} holds a non-finite observation at step {i}"
                 )
             if action not in range(len(ACTIONS)):
                 raise ValidationError(f"demonstration {self.seed} holds an illegal action")

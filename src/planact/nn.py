@@ -135,7 +135,9 @@ class MultiHeadAttention(Module):
     query no key to see, raises there and leaves the cache as it was.
     ``mask`` is None (every key visible) or a boolean (n_q, n_cached + n_new)
     array over every key.  The projections are ``Linear`` layers; every head
-    runs inside one ``tensor.attention`` node between them.
+    runs inside one ``tensor.attention`` node between them.  ``attend`` runs
+    the heads and the output projection alone, for a caller that projects
+    some rows itself (see ``QueryBridge``).
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
@@ -164,10 +166,16 @@ class MultiHeadAttention(Module):
         v = self.w_v(x_kv)
         if cache is not None:
             k, v = cache.append(k, v)
-        out = attention(q, k, v, self.heads, mask)
+        out = self.attend(q, k, v, mask)
         if cache is not None:
             cache.k, cache.v = Tensor(k.data), Tensor(v.data)
-        return self.w_o(out)
+        return out
+
+    def attend(
+        self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None
+    ) -> Tensor:
+        """Every head over projected queries, keys and values, then the output projection."""
+        return self.w_o(attention(q, k, v, self.heads, mask))
 
 
 class FeedForward(Module):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridge import BridgeConfig, PlanSide, QueryBridge
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericError
 from .gridworld import (
     ACTIONS,
     INTERACT,
@@ -205,6 +205,10 @@ class ControlModel(Module):
             )
         if not all(isinstance(p, str) and p.strip() for p in plan_texts):
             raise ContractError("every plan must be a non-empty string")
+        finite = np.isfinite(obs).reshape(obs.shape[0], -1).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NumericError(f"observation row {bad} holds a non-finite value")
         if self.ablate_plan:
             z_instance = zeros(obs.shape[0], self.config.query_count, self.config.bridge_dim)
         elif cache is None:

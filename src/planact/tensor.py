@@ -14,14 +14,6 @@ merged inside the node), ``linear`` (``x @ w + b``) and ``write_rows``
 (``concat`` of cached and new rows, computed in preallocated storage).  Each
 gives the values and gradients of the chain of nodes it replaces bit for bit.
 
-A product ``x @ w`` of a left operand of rank 3 or more with a 2-d weight
-runs as one GEMM over the folded rows ``x.reshape(-1, K)``, forward and
-backward.  Its weight gradient is ``x2.T @ g2``: one sum over every row of
-every batch, where a batched product summed over the batch would add each
-batch's partial sum in turn.  Only summation orders differ (that one, and
-for one-row batches the BLAS kernel numpy picks), so the folded and batched
-products agree to float64 round-off, not bit for bit.
-
 Inside a ``with no_grad():`` block nothing is recorded: every operation
 returns a plain constant, without looking at its inputs' ``requires_grad``,
 so inference pays for the arithmetic only and a result computed there cannot
@@ -175,9 +167,7 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         """Matrix product over the last two axes; leading axes broadcast as in numpy.
 
-        A 2-d right operand under a left operand of rank 3 or more runs as one
-        GEMM over folded rows (see the module docstring).  No gradient is
-        computed for an operand that does not require one.
+        No gradient is computed for an operand that does not require one.
         """
         other = as_tensor(other)
         if self.ndim < 2 or other.ndim < 2:
@@ -185,24 +175,19 @@ class Tensor:
                 f"matmul expects operands of rank >= 2, got {self.shape} and {other.shape}"
             )
         a, b = self.data, other.data
-        fold = a.ndim > 2 and b.ndim == 2
-        a2 = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) if fold else a
         try:
-            out2 = a2 @ b
+            out = a @ b
         except ValueError:  # inner extents disagree or batch axes do not broadcast
             raise DimensionError(
                 f"matmul operands do not fit: {self.shape} x {other.shape}"
             ) from None
-        out = out2.reshape(*a.shape[:-1], b.shape[1]) if fold else out2
-        out2_shape = out2.shape
 
         def grad_fn(g: np.ndarray):
-            g2 = g.reshape(out2_shape)
             ga = gb = None
             if self.requires_grad:
-                ga = _unbroadcast(g2 @ np.swapaxes(b, -1, -2), a2.shape).reshape(a.shape)
+                ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
             if other.requires_grad:
-                gb = _unbroadcast(np.swapaxes(a2, -1, -2) @ g2, b.shape)
+                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
             return ga, gb
 
         return Tensor._result(out, (self, other), grad_fn)
@@ -347,10 +332,11 @@ def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one node, for a 2-d ``w`` and a bias ``b`` of its width.
 
-    The product folds the leading axes of ``x`` into one GEMM, as
-    ``__matmul__`` does, and the bias is added to it in place.  The gradients
-    are those of the product node and the bias-add node: the bias gradient is
-    summed over the leading axes by ``_unbroadcast``, as the add node sums it.
+    The product folds the leading axes of ``x`` into one GEMM over the rows
+    ``x2 = x.reshape(-1, K)``, and the bias is added to it in place.  The
+    weight gradient ``x2.T @ g2`` is one sum over every row of every leading
+    index, and the bias gradient is summed over the leading axes by
+    ``_unbroadcast``, as an add node sums it.
     """
     a, wd, bd = x.data, w.data, b.data
     if a.ndim < 2 or wd.ndim != 2 or bd.shape != wd.shape[1:]:

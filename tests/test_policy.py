@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planact.checkpoint import restore_into
-from planact.errors import ContractError, DimensionError, ValidationError
+from planact.errors import ContractError, DimensionError, NumericError, ValidationError
 from planact.gridworld import (
     ACTIONS,
     INTERACT,
@@ -131,6 +131,21 @@ class TestForward:
             model.forward(np.stack([obs, obs]), [good, plan])
         with pytest.raises(ContractError, match="non-empty string"):
             model.act(obs, plan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("ablate_plan", [False, True])
+    def test_non_finite_observation_names_its_row(
+        self, vocab, data, monkeypatch, bad, ablate_plan
+    ):
+        obs, plan, _ = data[0]
+        broken = obs.copy()
+        broken[1, 4, 5] = bad
+        model = make_model(vocab, ablate_plan=ablate_plan)
+        monkeypatch.setattr(model.global_enc, "convs", [])  # a layer that ran would fail
+        with pytest.raises(NumericError, match="observation row 1 holds a non-finite value"):
+            model.forward(np.stack([obs, broken, broken]), [plan] * 3)
+        with pytest.raises(NumericError, match="observation row 0 holds a non-finite value"):
+            model.act(broken, plan)
 
     def test_act_records_no_graph(self, vocab, data, monkeypatch):
         model = make_model(vocab, train_bridge=True)
@@ -322,6 +337,36 @@ class TestPlanSideStore:
             model.act(data[i % len(data)][0], plan)
         assert len(attention) == plan_side_runs and len(extracts) == 20
 
+    @pytest.mark.parametrize("train_bridge, plan_side_runs", [(False, 2), (True, 20)])
+    def test_act_projects_text_rows_once_per_plan(
+        self, vocab, data, monkeypatch, train_bridge, plan_side_runs
+    ):
+        model = make_model(vocab, train_bridge=train_bridge)
+        n = model.config.query_count
+        second = model.bridge.blocks[1]
+        attn = second.self_attn
+        rows = {name: [] for name in ("ln_self", "w_q", "w_k", "w_v")}
+
+        def counted(name, layer):
+            def call(x):
+                rows[name].append(x.shape[-2])
+                return layer(x)
+            return call
+
+        monkeypatch.setattr(second, "ln_self", counted("ln_self", second.ln_self))
+        for name in ("w_q", "w_k", "w_v"):
+            monkeypatch.setattr(attn, name, counted(name, getattr(attn, name)))
+        plans = [plan_for(name) for name in OBJECT_NAMES[:2]]
+        for i in range(20):
+            model.act(data[i % len(data)][0], plans[i % 2])
+        # the last block's text rows are keys and values only, so it projects
+        # queries for the query rows alone
+        assert rows.pop("w_q") == [n] * 20
+        for name, seen in rows.items():
+            with_text = [r for r in seen if r > n]
+            assert len(with_text) == plan_side_runs, name
+            assert len(seen) - len(with_text) == 20, name
+
     def test_bc_train_leaves_frozen_weights_unchanged(self, vocab):
         model = make_model(vocab)
         frozen = ("bridge.", "grid_vision.")
@@ -421,6 +466,19 @@ class TestDemoValidation:
             ValidationError,
             match=r"demonstration 0 holds an observation of shape \(4, 7, 7\), "
             r"expected \(4, 9, 9\)",
+        ):
+            run(make_model(vocab), [demo])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
+    def test_non_finite_observation_named(self, vocab, run, bad):
+        demo = collect_demos(ENV, [0])[0]
+        obs, plan, action = demo.steps[1]
+        broken = obs.copy()
+        broken[0, 2, 3] = bad
+        demo.steps[1] = (broken, plan, action)
+        with pytest.raises(
+            ValidationError, match="demonstration 0 holds a non-finite observation at step 1"
         ):
             run(make_model(vocab), [demo])
 

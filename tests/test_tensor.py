@@ -68,15 +68,15 @@ class TestMatmul:
             np.testing.assert_allclose(out[i], a[i] @ w, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(6, 1, 7), (6, 5, 7)])
-    def test_folded_weight_product_gradient(self, rng, shape):
+    def test_batched_weight_product_gradient(self, rng, shape):
         a = Tensor(rng.standard_normal(shape), requires_grad=True)
         w = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
         check_gradients(lambda inp: gelu(inp[0] @ inp[1]).sum(), [a, w])
 
     @pytest.mark.parametrize("shape", [(32, 1, 144), (32, 5, 36), (2, 3, 5, 7)])
-    def test_folded_weight_product_matches_batched_formula(self, rng, shape):
-        # the batched product of every leading index, its weight gradient
-        # summed over the leading axes one at a time
+    def test_batched_weight_product_matches_per_index_formula(self, rng, shape):
+        # the product of every leading index, its weight gradient summed over
+        # the leading axes one at a time
         a = rng.standard_normal(shape)
         w = rng.standard_normal((shape[-1], 4))
         g = rng.standard_normal((*shape[:-1], 4))
@@ -454,18 +454,22 @@ class TestLinear:
 
     @pytest.mark.parametrize("shape", SHAPES + [(2, 1, 3, 4)])
     @pytest.mark.parametrize("trainable", TRAINABLE)
-    def test_bitwise_equal_to_matmul_then_add(self, rng, shape, trainable):
+    def test_bitwise_equal_to_folded_formula(self, rng, shape, trainable):
         values = self.operands(rng, shape)
-        upstream = rng.standard_normal((*shape[:-1], 3))
-        grads = []
-        for fused in (True, False):
-            x, w, b = (Tensor(a, requires_grad=on) for a, on in zip(values, trainable))
-            # the two-node chain nn.Linear ran before linear existed
-            out = linear(x, w, b) if fused else x @ w + b
-            (out * Tensor(upstream)).sum().backward()
-            grads.append([out.data] + [t.grad for t in (x, w, b)])
-        for got, want in zip(*grads):
-            assert (got is None and want is None) or got.tobytes() == want.tobytes()
+        g = rng.standard_normal((*shape[:-1], 3))
+        x, w, b = (Tensor(a, requires_grad=on) for a, on in zip(values, trainable))
+        out = linear(x, w, b)
+        (out * Tensor(g)).sum().backward()
+        # one GEMM over the rows of every leading index, forward and backward
+        a, wd, bd = values
+        a2, g2 = a.reshape(-1, shape[-1]), g.reshape(-1, 3)
+        gb = g
+        while gb.ndim > 1:
+            gb = gb.sum(axis=0)
+        want = [(a2 @ wd + bd).reshape(g.shape), (g2 @ wd.T).reshape(shape), a2.T @ g2, gb]
+        got = [out.data, x.grad, w.grad, b.grad]
+        for have, ref, on in zip(got, want, (True, *trainable)):
+            assert (have is None and not on) or have.tobytes() == ref.tobytes()
 
     def test_is_one_node(self, rng):
         x, w, b = (Tensor(a, requires_grad=True) for a in self.operands(rng, (2, 3, 4)))

@@ -7,7 +7,7 @@ from planact.gradcheck import check_gradients
 from planact.nn import set_trainable
 from planact.tensor import Tensor, broadcast_to, concat, gelu, take_rows
 from planact.vision import VisionConfig, VisualEncoder, sinusoidal_grid_embedding
-from planact.vocab import Vocabulary, tokenize
+from planact.vocab import MAX_SEQUENCE_LENGTH, Vocabulary, tokenize
 
 SMALL_VISION = VisionConfig(channels=3, image_size=32, patch_size=8, dim=16, blocks=3, heads=2)
 
@@ -250,7 +250,7 @@ class TestPlanSideOncePerPlan:
             atol=1e-13,
         )
 
-    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_gradient_check(self, rng, vocab, depth):
         cfg = BridgeConfig(query_count=2, dim=6, lm_dim=4, blocks=depth, heads=2)
         bridge = QueryBridge(rng, len(vocab), cfg)
@@ -260,10 +260,22 @@ class TestPlanSideOncePerPlan:
             z = bridge.extract(inp[0], bridge.plan_side([1, 4, 2]))
             return gelu(bridge.project_to_lm(z[1])).mean()
 
-        # the plan side's feed-forward and the last block's query-only projection
+        # the plan side's projections and feed-forward, shared by every leading
+        # index, and the last block's query-only projection
         first, last = bridge.blocks[0], bridge.blocks[-1]
-        params = [tokens, bridge.queries, bridge.text_embed, first.ffn.lin2.w, last.self_attn.w_q.w]
+        params = [tokens, bridge.queries, bridge.text_embed, first.ln_cross.gamma,
+                  first.cross_attn.w_q.w, first.ffn.lin2.w, last.self_attn.w_q.w]
+        if depth > 1:  # the second block's keys and values of the text rows
+            second = bridge.blocks[1]
+            params += [second.ln_self.gamma, second.self_attn.w_k.w, second.self_attn.w_v.w]
+        if depth > 2:  # and their queries, since a later block reads the text rows
+            params.append(second.self_attn.w_q.w)
         check_gradients(fn, params)
+
+    def test_over_long_plan_rejected(self, bridge):
+        with pytest.raises(ContractError, match="plan of 257 ids exceeds the bridge's 256"):
+            bridge.plan_side([1] * (MAX_SEQUENCE_LENGTH + 1))
+        assert bridge.plan_side([1] * MAX_SEQUENCE_LENGTH).keys.shape == (MAX_SEQUENCE_LENGTH, 16)
 
     def test_first_self_attention_runs_once_per_distinct_plan(
         self, encoder, bridge, vocab, rng, monkeypatch
