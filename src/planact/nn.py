@@ -73,6 +73,8 @@ def causal_mask(n: int, keys: int | None = None, prefix: int = 0) -> np.ndarray:
 
 class Linear(Module):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
+        if d_in < 1 or d_out < 1:
+            raise ContractError(f"Linear widths must be at least 1, got {d_in} -> {d_out}")
         self.w = parameter(rng.standard_normal((d_in, d_out)) * math.sqrt(1.0 / d_in))
         self.b = parameter(np.zeros(d_out))
 
@@ -141,6 +143,8 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
+        if heads < 1:
+            raise ContractError(f"head count must be at least 1, got {heads}")
         if dim % heads != 0:
             raise ContractError(f"model dim {dim} not divisible by head count {heads}")
         self.dim = dim
@@ -199,10 +203,10 @@ class LayerNorm(Module):
 class TransformerBlock(Module):
     """Pre-norm residual block: self-attention, optional cross-attention, feed-forward.
 
-    Each sublayer is a method that returns its residual update, and
-    ``__call__`` composes self-attention and feed-forward on one path.  A block
-    with cross-attention has no single composition: its caller decides which
-    rows cross-attend and runs the sublayers itself (see ``QueryBridge``).
+    ``self_attention`` and ``feed_forward`` return their residual updates, and
+    ``__call__`` composes them.  A block with cross-attention only allocates
+    ``ln_cross`` and ``cross_attn`` between the two; its caller runs them,
+    since it decides which rows cross-attend (see ``QueryBridge``).
     """
 
     def __init__(
@@ -227,26 +231,16 @@ class TransformerBlock(Module):
         x: Tensor,
         mask: np.ndarray | None = None,
         cache: KVCache | None = None,
-        rows: int | None = None,
     ) -> Tensor:
-        """Self-attention update of the leading ``rows`` rows of ``x`` (all when None).
+        """Self-attention update of every row of ``x``.
 
-        Every row of ``x`` is a key and value; only the updated rows are
-        returned.  ``cache`` holds the keys and values of earlier rows (seeded
-        rows, then the rows run so far); ``x`` then carries only the new rows,
-        and their keys and values are appended to it.  ``mask`` is None or a
-        boolean (rows, n_cached + n) array over every key.
+        ``cache`` holds the keys and values of earlier rows (seeded rows, then
+        the rows run so far); ``x`` then carries only the new rows, and their
+        keys and values are appended to it.  ``mask`` is None or a boolean
+        (n, n_cached + n) array over every key.
         """
         normed = self.ln_self(x)
-        if rows is None:
-            return x + self.self_attn(normed, normed, mask, cache=cache)
-        return x[..., :rows, :] + self.self_attn(normed[..., :rows, :], normed, mask, cache=cache)
-
-    def cross_attention(self, x: Tensor, kv: Tensor) -> Tensor:
-        """Cross-attention update of every row of ``x`` over the rows of ``kv``."""
-        if not self.has_cross:
-            raise ContractError("block was built without cross-attention")
-        return x + self.cross_attn(self.ln_cross(x), kv)
+        return x + self.self_attn(normed, normed, mask, cache=cache)
 
     def feed_forward(self, x: Tensor) -> Tensor:
         return x + self.ffn(self.ln_ffn(x))

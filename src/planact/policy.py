@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,11 +38,10 @@ class PolicyConfig:
     hidden_dim: int = 64
     bridge_dim: int = 64
     query_count: int = 8
-    bridge_blocks: int = 2
     bridge_heads: int = 4
     ff_mult: int = 2
     train_bridge: bool = False
-    augment_symmetry: bool = True
+    augment_symmetry: ClassVar[bool] = True  # bc_train always augments
     bc_batch: int = 32
     bc_peak_lr: float = 2e-3
     bc_warmup_ratio: float = 0.05
@@ -140,9 +140,6 @@ class ControlModel(Module):
                 image_size=env_config.height,
                 patch_size=1,
                 dim=config.bridge_dim,
-                blocks=1,
-                heads=config.bridge_heads,
-                ff_mult=config.ff_mult,
             ),
         )
         self.bridge = QueryBridge(
@@ -152,7 +149,6 @@ class ControlModel(Module):
                 query_count=config.query_count,
                 dim=config.bridge_dim,
                 lm_dim=config.bridge_dim,
-                blocks=config.bridge_blocks,
                 heads=config.bridge_heads,
                 ff_mult=config.ff_mult,
             ),
@@ -287,8 +283,9 @@ def bc_train(
 ) -> TrainLog:
     """Minimise the negative log-likelihood of expert actions under the policy.
 
-    Training triples are expanded over the grid's eight dihedral symmetries
-    (exact invariances of the environment) when ``augment_symmetry`` is set.
+    Training triples are always expanded over the grid's eight dihedral
+    symmetries (exact invariances of the environment; see
+    ``PolicyConfig.augment_symmetry``).
     With the bridge frozen, instance features are computed once per distinct
     (observation, plan) pair and reused across epochs and by the logged
     initial and final losses.

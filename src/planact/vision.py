@@ -1,10 +1,9 @@
 """Patch-based visual encoder for single images or batches of images.
 
-Images are cut into non-overlapping patches, linearly embedded, tagged with
-fixed 2-D sinusoidal position codes (half the width for the row, half for the
-column) and passed through self-attention blocks.  Features are read from the
-penultimate layer of a ``blocks``-deep encoder, so the last block is never
-allocated (as BLIP-2 removes the last ViT layer): ``blocks - 1`` blocks run.
+Images are cut into non-overlapping patches, linearly embedded and tagged
+with fixed 2-D sinusoidal position codes (half the width for the row, half
+for the column).  Those tokens are the encoder's features: no attention
+block runs here, and the bridge's attention is the first to mix patches.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .nn import Linear, Module, TransformerBlock, sinusoidal_embedding
+from .nn import Linear, Module, sinusoidal_embedding
 from .tensor import Tensor, as_tensor
 
 
@@ -24,9 +23,6 @@ class VisionConfig:
     image_size: int = 32
     patch_size: int = 8
     dim: int = 64
-    blocks: int = 3  # full encoder depth; features come from its penultimate layer
-    heads: int = 4
-    ff_mult: int = 4
 
 
 def sinusoidal_grid_embedding(side: int, dim: int) -> Tensor:
@@ -41,8 +37,8 @@ def sinusoidal_grid_embedding(side: int, dim: int) -> Tensor:
 
 class VisualEncoder(Module):
     def __init__(self, rng: np.random.Generator, config: VisionConfig):
-        if config.blocks < 1:
-            raise ContractError(f"vision encoder needs at least 1 block, got {config.blocks}")
+        if config.patch_size < 1:
+            raise ContractError(f"patch_size must be at least 1, got {config.patch_size}")
         if config.image_size % config.patch_size != 0:
             raise ContractError(
                 f"image size {config.image_size} not divisible by patch {config.patch_size}"
@@ -52,10 +48,6 @@ class VisualEncoder(Module):
         patch_dim = config.channels * config.patch_size**2
         self.patch_embed = Linear(rng, patch_dim, config.dim)
         self.pos = sinusoidal_grid_embedding(side, config.dim)
-        self.blocks = [
-            TransformerBlock(rng, config.dim, config.heads, ff_mult=config.ff_mult)
-            for _ in range(config.blocks - 1)
-        ]
 
     def _patchify(self, image: Tensor) -> Tensor:
         """(..., c, H, W) -> (..., patches, c * p * p)."""
@@ -77,7 +69,4 @@ class VisualEncoder(Module):
 
     def encode_image(self, image) -> Tensor:
         """Tokens (..., patches, dim) of an image or a batch of images (..., c, H, W)."""
-        x = self.patch_embed(self._patchify(as_tensor(image))) + self.pos
-        for block in self.blocks:
-            x = block(x)
-        return x
+        return self.patch_embed(self._patchify(as_tensor(image))) + self.pos

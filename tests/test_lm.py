@@ -76,6 +76,20 @@ class TestLmForward:
         with pytest.raises(ContractError, match=field):
             LmConfig(vocab_size=len(VOCAB), **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("heads", "head count must be at least 1, got 0"),
+            ("ff_mult", "Linear widths must be at least 1, got 16 -> 0"),
+            ("dim", "Linear widths must be at least 1, got 0 -> 0"),
+        ],
+        ids=["heads", "ff_mult", "dim"],
+    )
+    def test_zero_width_fails_by_name(self, rng, field, message):
+        cfg = LmConfig(vocab_size=len(VOCAB), dim=16, heads=2, context=8)
+        with pytest.raises(ContractError, match=message):
+            MicroLm(rng, LmConfig(**{**vars(cfg), field: 0}))
+
     def test_soft_prompt_gradient_flows_upstream(self, model):
         prompt = Tensor(np.zeros((3, 16)), requires_grad=True)
         logits = model.forward([4, 5], soft_prompt=prompt)

@@ -398,9 +398,6 @@ class TestTransformerBlock:
         )
 
     def test_cross_kv_contract(self, rng):
-        plain = TransformerBlock(rng, dim=4, heads=2)
-        with pytest.raises(ContractError):
-            plain.cross_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
         # a cross block has no single composition; its caller runs the sublayers
         crossed = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)
         with pytest.raises(ContractError):
@@ -421,48 +418,11 @@ class TestTransformerBlock:
         out_b = block(Tensor(tampered), causal_mask(5))
         assert out_a.data[:3].tobytes() == out_b.data[:3].tobytes()
 
-    def test_batched_sublayers_match_unbatched(self, rng):
-        block = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)
-        x = rng.standard_normal((3, 5, 4))
-        kv = rng.standard_normal((3, 2, 4))
-
-        def run(x, kv):
-            h = block.self_attention(Tensor(x))
-            return block.feed_forward(block.cross_attention(h, Tensor(kv)))
-
-        out = run(x, kv)
-        for b in range(3):
-            np.testing.assert_allclose(out.data[b], run(x[b], kv[b]).data, rtol=0, atol=1e-12)
-
-    def test_self_attention_rows_are_the_leading_rows(self, rng):
-        block = TransformerBlock(rng, dim=4, heads=2)
-        x = Tensor(rng.standard_normal((3, 5, 4)))
-        every = block.self_attention(x, causal_mask(5))
-        leading = block.self_attention(x, causal_mask(5)[:2], rows=2)
-        assert leading.shape == (3, 2, 4)
-        assert leading.data.tobytes() == every.data[:, :2].tobytes()
-        with pytest.raises(DimensionError):
-            block.self_attention(x, causal_mask(5), rows=2)
-
     def test_gradient_full_block(self, rng):
-        self._check_block_gradient(rng, rows=None)
-
-    def test_gradient_leading_rows(self, rng):
-        self._check_block_gradient(rng, rows=2)
-
-    @staticmethod
-    def _check_block_gradient(rng, rows):
-        block = TransformerBlock(rng, dim=4, heads=2, cross_attention=True)
+        block = TransformerBlock(rng, dim=4, heads=2)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        kv = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         params = list(block.named_parameters().values())
-        mask = causal_mask(3)[:rows]
-
-        def fn(inp):
-            h = block.self_attention(inp[0], mask, rows=rows)
-            return gelu(block.feed_forward(block.cross_attention(h, inp[1]))).mean()
-
-        check_gradients(fn, [x, kv] + params)
+        check_gradients(lambda inp: gelu(block(inp[0], causal_mask(3))).mean(), [x] + params)
 
 
 class TestPositionalEmbedding:

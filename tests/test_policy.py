@@ -314,6 +314,93 @@ class TestTrainableParameters:
         assert [name for name, p in params.items() if p.grad is None] == []
 
 
+# every parameter of the default ControlModel, in registration order: name,
+# shape, then whether it trains with the bridge frozen and with train_bridge
+DEFAULT_PARAMETERS = """
+grid_vision.patch_embed.w            4x64     0 1
+grid_vision.patch_embed.b            64       0 1
+bridge.queries                       8x64     0 1
+bridge.text_embed                    33x64    0 1
+bridge.blocks.0.ln_self.gamma        64       0 1
+bridge.blocks.0.ln_self.beta         64       0 1
+bridge.blocks.0.self_attn.w_q.w      64x64    0 1
+bridge.blocks.0.self_attn.w_q.b      64       0 1
+bridge.blocks.0.self_attn.w_k.w      64x64    0 1
+bridge.blocks.0.self_attn.w_k.b      64       0 1
+bridge.blocks.0.self_attn.w_v.w      64x64    0 1
+bridge.blocks.0.self_attn.w_v.b      64       0 1
+bridge.blocks.0.self_attn.w_o.w      64x64    0 1
+bridge.blocks.0.self_attn.w_o.b      64       0 1
+bridge.blocks.0.ln_cross.gamma       64       0 1
+bridge.blocks.0.ln_cross.beta        64       0 1
+bridge.blocks.0.cross_attn.w_q.w     64x64    0 1
+bridge.blocks.0.cross_attn.w_q.b     64       0 1
+bridge.blocks.0.cross_attn.w_k.w     64x64    0 1
+bridge.blocks.0.cross_attn.w_k.b     64       0 1
+bridge.blocks.0.cross_attn.w_v.w     64x64    0 1
+bridge.blocks.0.cross_attn.w_v.b     64       0 1
+bridge.blocks.0.cross_attn.w_o.w     64x64    0 1
+bridge.blocks.0.cross_attn.w_o.b     64       0 1
+bridge.blocks.0.ln_ffn.gamma         64       0 1
+bridge.blocks.0.ln_ffn.beta          64       0 1
+bridge.blocks.0.ffn.lin1.w           64x128   0 1
+bridge.blocks.0.ffn.lin1.b           128      0 1
+bridge.blocks.0.ffn.lin2.w           128x64   0 1
+bridge.blocks.0.ffn.lin2.b           64       0 1
+bridge.blocks.1.ln_self.gamma        64       0 1
+bridge.blocks.1.ln_self.beta         64       0 1
+bridge.blocks.1.self_attn.w_q.w      64x64    0 1
+bridge.blocks.1.self_attn.w_q.b      64       0 1
+bridge.blocks.1.self_attn.w_k.w      64x64    0 1
+bridge.blocks.1.self_attn.w_k.b      64       0 1
+bridge.blocks.1.self_attn.w_v.w      64x64    0 1
+bridge.blocks.1.self_attn.w_v.b      64       0 1
+bridge.blocks.1.self_attn.w_o.w      64x64    0 1
+bridge.blocks.1.self_attn.w_o.b      64       0 1
+bridge.blocks.1.ln_ffn.gamma         64       0 1
+bridge.blocks.1.ln_ffn.beta          64       0 1
+bridge.blocks.1.ffn.lin1.w           64x128   0 1
+bridge.blocks.1.ffn.lin1.b           128      0 1
+bridge.blocks.1.ffn.lin2.w           128x64   0 1
+bridge.blocks.1.ffn.lin2.b           64       0 1
+bridge.ln_out.gamma                  64       0 1
+bridge.ln_out.beta                   64       0 1
+bridge.proj.w                        64x64    0 0
+bridge.proj.b                        64       0 0
+global_enc.convs.0.w                 36x16    1 1
+global_enc.convs.0.b                 16       1 1
+global_enc.convs.1.w                 144x16   1 1
+global_enc.convs.1.b                 16       1 1
+global_enc.convs.2.w                 144x16   1 1
+global_enc.convs.2.b                 16       1 1
+global_enc.convs.3.w                 144x32   1 1
+global_enc.convs.3.b                 32       1 1
+head.lin1.w                          544x64   1 1
+head.lin1.b                          64       1 1
+head.lin2.w                          64x64    1 1
+head.lin2.b                          64       1 1
+head.lin3.w                          64x5     1 1
+head.lin3.b                          5        1 1
+"""
+
+
+class TestDefaultParameters:
+    """A refactor must keep every weight's name, shape, order and trainable flag."""
+
+    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
+    def test_names_shapes_and_flags_pinned(self, train_bridge):
+        vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
+        config = PolicyConfig(train_bridge=train_bridge)
+        model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
+        rows = [line.split() for line in DEFAULT_PARAMETERS.strip().splitlines()]
+        expected = [(name, shape, flags[train_bridge]) for name, shape, *flags in rows]
+        actual = [
+            (name, "x".join(map(str, p.shape)), str(int(p.requires_grad)))
+            for name, p in model.named_parameters().items()
+        ]
+        assert actual == expected
+
+
 class TestPlanSideStore:
     """A frozen bridge keeps each plan's side for the model's life; a trained one does not."""
 

@@ -9,11 +9,11 @@ from planact.tensor import Tensor, broadcast_to, concat, gelu, take_rows
 from planact.vision import VisionConfig, VisualEncoder, sinusoidal_grid_embedding
 from planact.vocab import MAX_SEQUENCE_LENGTH, Vocabulary, tokenize
 
-SMALL_VISION = VisionConfig(channels=3, image_size=32, patch_size=8, dim=16, blocks=3, heads=2)
+SMALL_VISION = VisionConfig(channels=3, image_size=32, patch_size=8, dim=16)
 
 
 def reference_extract(bridge, tokens, ids):
-    """The unsplit bridge: every row copied per observation through every block, then sliced."""
+    """The unsplit bridge: every row copied per observation through both blocks, then sliced."""
     n = bridge.config.query_count
     lead = tokens.shape[:-2]
     rows = [bridge.queries]
@@ -44,7 +44,7 @@ def vocab():
 
 @pytest.fixture
 def bridge(rng, vocab):
-    cfg = BridgeConfig(query_count=4, dim=16, lm_dim=12, blocks=2, heads=2)
+    cfg = BridgeConfig(query_count=4, dim=16, lm_dim=12, heads=2)
     return QueryBridge(rng, vocab_size=len(vocab), config=cfg)
 
 
@@ -58,14 +58,13 @@ class TestVisualEncoder:
             encoder.encode_image(Tensor(rng.standard_normal((3, 30, 32))))
 
     def test_patchify_layout(self, rng):
-        enc = VisualEncoder(rng, VisionConfig(channels=1, image_size=4, patch_size=2, dim=4, blocks=2, heads=1))
+        enc = VisualEncoder(rng, VisionConfig(channels=1, image_size=4, patch_size=2, dim=4))
         img = np.arange(16.0).reshape(1, 4, 4)
         patches = enc._patchify(Tensor(img))
         np.testing.assert_array_equal(patches.data[0], [0, 1, 4, 5])
         np.testing.assert_array_equal(patches.data[3], [10, 11, 14, 15])
 
-    def test_allocates_only_the_blocks_it_runs(self, encoder, rng):
-        assert len(encoder.blocks) == SMALL_VISION.blocks - 1
+    def test_every_parameter_gets_a_gradient(self, encoder, rng):
         images = Tensor(rng.standard_normal((2, 3, 32, 32)))
         encoder.encode_image(images).sum().backward()
         missing = [name for name, p in encoder.named_parameters().items() if p.grad is None]
@@ -74,13 +73,15 @@ class TestVisualEncoder:
     def test_position_code_is_fixed_2d_table(self, encoder):
         np.testing.assert_array_equal(encoder.pos.data, sinusoidal_grid_embedding(4, 16).data)
         assert not encoder.pos.requires_grad
-        assert {name.split(".")[0] for name in encoder.named_parameters()} == {
-            "patch_embed", "blocks"
-        }
+        assert list(encoder.named_parameters()) == ["patch_embed.w", "patch_embed.b"]
 
-    def test_zero_blocks_rejected(self, rng):
-        with pytest.raises(ContractError):
-            VisualEncoder(rng, VisionConfig(channels=1, image_size=4, patch_size=2, dim=4, blocks=0))
+    def test_zero_patch_size_rejected(self, rng):
+        with pytest.raises(ContractError, match="patch_size must be at least 1, got 0"):
+            VisualEncoder(rng, VisionConfig(channels=1, image_size=4, patch_size=0, dim=4))
+
+    def test_zero_channels_rejected(self, rng):
+        with pytest.raises(ContractError, match="got 0 -> 4"):
+            VisualEncoder(rng, VisionConfig(channels=0, image_size=4, patch_size=2, dim=4))
 
 
 class TestQueryBridge:
@@ -126,7 +127,7 @@ class TestQueryBridge:
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_projection_identity(self, rng, vocab):
-        cfg = BridgeConfig(query_count=2, dim=8, lm_dim=8, blocks=2, heads=2)
+        cfg = BridgeConfig(query_count=2, dim=8, lm_dim=8, heads=2)
         b = QueryBridge(rng, len(vocab), cfg)
         b.proj.w.data[...] = np.eye(8)
         b.proj.b.data[...] = 0.0
@@ -202,7 +203,7 @@ class TestQueryBridge:
         assert all(p.grad is None for p in encoder.named_parameters().values())
 
     def test_gradient_check_through_bridge(self, rng, vocab):
-        cfg = BridgeConfig(query_count=2, dim=6, lm_dim=4, blocks=2, heads=2)
+        cfg = BridgeConfig(query_count=2, dim=6, lm_dim=4, heads=2)
         bridge = QueryBridge(rng, len(vocab), cfg)
         tokens = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
 
@@ -213,22 +214,26 @@ class TestQueryBridge:
         params = [tokens, bridge.queries, bridge.proj.w, bridge.proj.b]
         check_gradients(fn, params)
 
+    def test_zero_query_count_rejected(self, rng, vocab):
+        with pytest.raises(ContractError, match="query_count must be at least 1, got 0"):
+            QueryBridge(rng, len(vocab), BridgeConfig(query_count=0))
+
+    def test_zero_heads_rejected(self, rng, vocab):
+        with pytest.raises(ContractError, match="head count must be at least 1, got 0"):
+            QueryBridge(rng, len(vocab), BridgeConfig(heads=0))
+
 
 class TestPlanSideOncePerPlan:
     """``plan_side`` then ``extract`` must equal the unsplit bridge."""
 
     @pytest.mark.parametrize("lead", [(), (1,), (5,)], ids=["unbatched", "one", "batched"])
     @pytest.mark.parametrize("text", [0, 1, 43], ids=lambda t: f"text{t}")
-    # depth 5 has a cross block between the first and the last
-    @pytest.mark.parametrize("depth", [1, 2, 3, 5])
     @pytest.mark.parametrize(
         "shape", [(16, 2, 4, 4), (64, 4, 8, 2)], ids=["small", "policy"]
     )
-    def test_bitwise_equal_to_unsplit_bridge(self, rng, shape, depth, text, lead):
+    def test_bitwise_equal_to_unsplit_bridge(self, rng, shape, text, lead):
         dim, heads, queries, ff_mult = shape
-        cfg = BridgeConfig(
-            query_count=queries, dim=dim, lm_dim=dim, blocks=depth, heads=heads, ff_mult=ff_mult
-        )
+        cfg = BridgeConfig(query_count=queries, dim=dim, lm_dim=dim, heads=heads, ff_mult=ff_mult)
         bridge = QueryBridge(rng, 50, cfg)
         ids = [int(i) for i in rng.integers(0, 50, text)]
         tokens = Tensor(rng.standard_normal((*lead, 81, dim)))
@@ -236,11 +241,10 @@ class TestPlanSideOncePerPlan:
         assert out.shape == (*lead, queries, dim)
         assert out.data.tobytes() == reference_extract(bridge, tokens, ids).data.tobytes()
 
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_single_query_row_matches_to_round_off(self, rng, vocab, depth):
+    def test_single_query_row_matches_to_round_off(self, rng, vocab):
         # one query row takes numpy's matrix-vector product, whose summation
         # order differs from the unsplit bridge's matrix product
-        cfg = BridgeConfig(query_count=1, dim=16, lm_dim=16, blocks=depth, heads=2)
+        cfg = BridgeConfig(query_count=1, dim=16, lm_dim=16, heads=2)
         bridge = QueryBridge(rng, len(vocab), cfg)
         tokens = Tensor(rng.standard_normal((3, 9, 16)))
         np.testing.assert_allclose(
@@ -250,9 +254,8 @@ class TestPlanSideOncePerPlan:
             atol=1e-13,
         )
 
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_gradient_check(self, rng, vocab, depth):
-        cfg = BridgeConfig(query_count=2, dim=6, lm_dim=4, blocks=depth, heads=2)
+    def test_gradient_check(self, rng, vocab):
+        cfg = BridgeConfig(query_count=2, dim=6, lm_dim=4, heads=2)
         bridge = QueryBridge(rng, len(vocab), cfg)
         tokens = Tensor(rng.standard_normal((2, 3, 6)), requires_grad=True)
 
@@ -260,16 +263,15 @@ class TestPlanSideOncePerPlan:
             z = bridge.extract(inp[0], bridge.plan_side([1, 4, 2]))
             return gelu(bridge.project_to_lm(z[1])).mean()
 
-        # the plan side's projections and feed-forward, shared by every leading
-        # index, and the last block's query-only projection
-        first, last = bridge.blocks[0], bridge.blocks[-1]
+        # the cross-attention over the image tokens; the plan side's projections
+        # and feed-forward, shared by every leading index; block 1's query-only
+        # projection and its keys and values of the text rows
+        first, second = bridge.blocks
+        cross = first.cross_attn
         params = [tokens, bridge.queries, bridge.text_embed, first.ln_cross.gamma,
-                  first.cross_attn.w_q.w, first.ffn.lin2.w, last.self_attn.w_q.w]
-        if depth > 1:  # the second block's keys and values of the text rows
-            second = bridge.blocks[1]
-            params += [second.ln_self.gamma, second.self_attn.w_k.w, second.self_attn.w_v.w]
-        if depth > 2:  # and their queries, since a later block reads the text rows
-            params.append(second.self_attn.w_q.w)
+                  cross.w_q.w, cross.w_k.w, cross.w_v.w, cross.w_o.w, first.ffn.lin2.w,
+                  second.ln_self.gamma, second.self_attn.w_q.w, second.self_attn.w_k.w,
+                  second.self_attn.w_v.w]
         check_gradients(fn, params)
 
     def test_over_long_plan_rejected(self, bridge):
@@ -297,7 +299,3 @@ class TestPlanSideOncePerPlan:
         calls.clear()
         bridge.instance_features(tokens, ["go to the red block"] * 5, vocab)
         assert len(calls) == 1
-
-    def test_zero_blocks_rejected(self, rng, vocab):
-        with pytest.raises(ContractError):
-            QueryBridge(rng, len(vocab), BridgeConfig(blocks=0))
