@@ -418,6 +418,15 @@ class TestTransformerBlock:
         out_b = block(Tensor(tampered), causal_mask(5))
         assert out_a.data[:3].tobytes() == out_b.data[:3].tobytes()
 
+    def test_batched_sublayers_match_unbatched(self, rng):
+        block = TransformerBlock(rng, dim=4, heads=2)
+        x = rng.standard_normal((3, 5, 4))
+        out = block(Tensor(x), causal_mask(5))
+        for b in range(3):
+            np.testing.assert_allclose(
+                out.data[b], block(Tensor(x[b]), causal_mask(5)).data, rtol=0, atol=1e-12
+            )
+
     def test_gradient_full_block(self, rng):
         block = TransformerBlock(rng, dim=4, heads=2)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)

@@ -222,31 +222,48 @@ class TestQueryBridge:
         with pytest.raises(ContractError, match="head count must be at least 1, got 0"):
             QueryBridge(rng, len(vocab), BridgeConfig(heads=0))
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("dim", "positional table needs positive extents, got 256x0"),
+            ("lm_dim", "Linear widths must be at least 1, got 64 -> 0"),
+            ("ff_mult", "Linear widths must be at least 1, got 64 -> 0"),
+        ],
+        ids=["dim", "lm_dim", "ff_mult"],
+    )
+    def test_zero_width_fails_by_name(self, rng, vocab, field, message):
+        with pytest.raises(ContractError, match=message):
+            QueryBridge(rng, len(vocab), BridgeConfig(**{field: 0}))
+
 
 class TestPlanSideOncePerPlan:
     """``plan_side`` then ``extract`` must equal the unsplit bridge."""
 
     @pytest.mark.parametrize("lead", [(), (1,), (5,)], ids=["unbatched", "one", "batched"])
     @pytest.mark.parametrize("text", [0, 1, 43], ids=lambda t: f"text{t}")
+    # one image token, fewer than the policy's query rows, the small
+    # encoder's 4x4 grid and the policy's 9x9 grid
+    @pytest.mark.parametrize("patches", [1, 4, 16, 81], ids=lambda p: f"patches{p}")
     @pytest.mark.parametrize(
         "shape", [(16, 2, 4, 4), (64, 4, 8, 2)], ids=["small", "policy"]
     )
-    def test_bitwise_equal_to_unsplit_bridge(self, rng, shape, text, lead):
+    def test_bitwise_equal_to_unsplit_bridge(self, rng, shape, patches, text, lead):
         dim, heads, queries, ff_mult = shape
         cfg = BridgeConfig(query_count=queries, dim=dim, lm_dim=dim, heads=heads, ff_mult=ff_mult)
         bridge = QueryBridge(rng, 50, cfg)
         ids = [int(i) for i in rng.integers(0, 50, text)]
-        tokens = Tensor(rng.standard_normal((*lead, 81, dim)))
+        tokens = Tensor(rng.standard_normal((*lead, patches, dim)))
         out = bridge.extract(tokens, bridge.plan_side(ids or None))
         assert out.shape == (*lead, queries, dim)
         assert out.data.tobytes() == reference_extract(bridge, tokens, ids).data.tobytes()
 
-    def test_single_query_row_matches_to_round_off(self, rng, vocab):
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["unbatched", "one", "batched"])
+    def test_single_query_row_matches_to_round_off(self, rng, vocab, lead):
         # one query row takes numpy's matrix-vector product, whose summation
         # order differs from the unsplit bridge's matrix product
         cfg = BridgeConfig(query_count=1, dim=16, lm_dim=16, heads=2)
         bridge = QueryBridge(rng, len(vocab), cfg)
-        tokens = Tensor(rng.standard_normal((3, 9, 16)))
+        tokens = Tensor(rng.standard_normal((*lead, 9, 16)))
         np.testing.assert_allclose(
             bridge.extract(tokens, bridge.plan_side([1, 4, 2])).data,
             reference_extract(bridge, tokens, [1, 4, 2]).data,
