@@ -1,0 +1,98 @@
+"""Closed-loop gate: the plan is what makes the policy succeed (ROADMAP item 1).
+
+``ControlModel`` with ``train_bridge=True`` is trained by behavioural cloning
+on 200 expert demonstrations (seeds 0-199) for 4 epochs, with train seed 1,
+for each of model seeds 0-4, and evaluated greedily on 100 episodes from
+seed 10,000.  The gate passes when:
+
+- on every model seed the Wilson lower bound of success is above the
+  success rate of ``goal_chance_policy`` on the same episodes;
+- the mean success over the seeds is at least 0.9;
+- the same model with its plan ablated succeeds at most goal chance + 0.1
+  on every seed, both at 4 epochs and at 15, where its loss has converged.
+
+Per-seed success and failure causes are printed.  The gate trains about
+7,200 joint and 34,400 ablated minibatch steps, about six minutes on one
+core, so it lives outside the tier-1 ``testpaths``.  Run it with
+
+    PYTHONPATH=src python -m pytest -q -s gates/
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from planact.gridworld import OBJECT_NAMES, EnvConfig, collect_demos, plan_for
+from planact.policy import (
+    ControlModel,
+    PolicyConfig,
+    bc_train,
+    evaluate_policy,
+    goal_chance_policy,
+    model_policy,
+)
+from planact.vocab import Vocabulary
+
+ENV = EnvConfig()
+DEMOS = 200
+EPOCHS = 4
+CONVERGED_EPOCHS = 15
+MODEL_SEEDS = range(5)
+TRAIN_SEED = 1
+EPISODES = 100
+BASE_SEED = 10_000
+
+
+@pytest.fixture(scope="module")
+def demos():
+    return collect_demos(ENV, list(range(DEMOS)))
+
+
+@pytest.fixture(scope="module")
+def chance():
+    rate = evaluate_policy(goal_chance_policy(), ENV, EPISODES, BASE_SEED)["success_rate"]
+    print(f"\ngoal chance {rate:.2f}")
+    return rate
+
+
+def train_and_evaluate(demos, model_seed: int, epochs: int, ablate_plan: bool) -> dict:
+    vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
+    model = ControlModel(
+        np.random.default_rng(model_seed), ENV, vocab, PolicyConfig(train_bridge=True),
+        ablate_plan=ablate_plan,
+    )
+    log = bc_train(model, demos, seed=TRAIN_SEED, epochs=epochs)
+    result = evaluate_policy(model_policy(model), ENV, EPISODES, BASE_SEED)
+    causes = Counter(r["cause"] for r in result["per_seed"] if not r["success"])
+    print(
+        f"{'ablated' if ablate_plan else 'plan'} {DEMOS}x{epochs} s{model_seed}: "
+        f"success {result['success_rate']:.2f} (Wilson low {result['wilson_low']:.3f}), "
+        f"final loss {log.final_loss:.2f}, failures {dict(sorted(causes.items()))}"
+    )
+    return result
+
+
+@pytest.fixture(scope="module")
+def planned(demos):
+    return {seed: train_and_evaluate(demos, seed, EPOCHS, False) for seed in MODEL_SEEDS}
+
+
+def test_every_seed_beats_goal_chance(planned, chance):
+    low = {seed: result["wilson_low"] for seed, result in planned.items()}
+    assert all(bound > chance for bound in low.values()), low
+
+
+def test_mean_success_at_least_0_9(planned):
+    mean = np.mean([result["success_rate"] for result in planned.values()])
+    print(f"mean plan-conditioned success {mean:.3f}")
+    assert mean >= 0.9
+
+
+@pytest.mark.parametrize("epochs", [EPOCHS, CONVERGED_EPOCHS])
+def test_ablated_success_near_chance(demos, chance, epochs):
+    rates = {
+        seed: train_and_evaluate(demos, seed, epochs, True)["success_rate"]
+        for seed in MODEL_SEEDS
+    }
+    assert all(rate <= chance + 0.1 for rate in rates.values()), rates

@@ -1,9 +1,11 @@
 """Query-token bridge between visual tokens and the language model.
 
-A fixed set of learnable query vectors is concatenated with embedded text and
+The bridge works on text ids: tokenizing a plan and grouping observations
+by plan belong to its caller, ``ControlModel.instance_features``.  A fixed
+set of learnable query vectors is concatenated with the embedded ids and
 run through two pre-norm blocks.  Block 0 self-attends over [queries; text]
 with every row visible, cross-attends (query rows only) to the visual tokens,
-the ``(..., patches, dim)`` tensor that ``VisualEncoder.encode_image``
+the ``(..., cells, dim)`` tensor that ``VisualEncoder.encode_image``
 returns, and runs its feed-forward over every row.  Block 1 self-attends and
 runs its feed-forward.  Text positions use a fixed table of
 ``MAX_SEQUENCE_LENGTH`` rows, the length ``tokenize`` truncates to.  Only
@@ -36,9 +38,12 @@ products keep the row count, and with it the summation order, of the
 unsplit block; a one-text-row plan would otherwise take numpy's
 matrix-vector product.  The cross-attention queries are projected from the
 query rows alone, as in the unsplit block.  The result is byte-identical to
-running both blocks over every row and slicing, except with a single query
-row: numpy then takes a matrix-vector product, whose summation order
-differs, and the two agree to round-off.
+running both blocks over every row and slicing for the plans the program
+runs (at the policy's 8 query rows and width 64, up to 173 text ids;
+``plan_for`` plans are 43 ids long).  Two cases agree only to round-off,
+about 1e-15.  With a single query row numpy takes a matrix-vector product,
+whose summation order differs.  Past about 170 text ids numpy's matrix
+products over the longer unsplit rows may sum in another order.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .nn import Linear, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
 from .tensor import Tensor, broadcast_to, concat, parameter, take_rows
-from .vocab import MAX_SEQUENCE_LENGTH, Vocabulary, tokenize
+from .vocab import MAX_SEQUENCE_LENGTH
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,8 @@ class QueryBridge(Module):
         ``side`` comes from ``plan_side`` and is shared by every leading
         index of ``tokens``; only the image side runs here.
         """
+        if tokens.ndim < 2:
+            raise DimensionError(f"expected visual tokens (..., P, D), got shape {tokens.shape}")
         if tokens.shape[-2] == 0:
             raise ContractError("visual token set is empty")
         if tokens.shape[-1] != self.config.dim:
@@ -153,37 +160,3 @@ class QueryBridge(Module):
                 f"summary shape {summary.shape} does not match bridge dim {self.config.dim}"
             )
         return self.proj(summary)
-
-    def instance_features(
-        self,
-        tokens: Tensor,
-        plan_texts: Sequence[str],
-        vocab: Vocabulary,
-        sides: dict[str, PlanSide] | None = None,
-    ) -> Tensor:
-        """Re-query each image's tokens (B, P, D) with its own plan as the text input.
-
-        Feeds the policy.  Rows with the same plan text share one ``extract``
-        call; the result is (B, N, D) in the order of the rows.  Each distinct
-        plan's side is looked up in ``sides`` and misses are stored there, so
-        a caller whose bridge weights do not change can keep it across calls;
-        without it the plan side runs once per distinct plan in this call.
-        """
-        if tokens.ndim != 3 or tokens.shape[0] != len(plan_texts):
-            raise DimensionError(f"{len(plan_texts)} plans for visual tokens {tokens.shape}")
-        by_plan: dict[str, list[int]] = {}
-        for i, plan_text in enumerate(plan_texts):
-            if not plan_text.strip():
-                raise ContractError("plan text must be non-empty")
-            by_plan.setdefault(plan_text, []).append(i)
-        sides = {} if sides is None else sides
-        for plan_text in by_plan:
-            if plan_text not in sides:
-                sides[plan_text] = self.plan_side(tokenize(plan_text, vocab))
-        if len(by_plan) == 1:
-            return self.extract(tokens, sides[plan_texts[0]])
-        parts, order = [], []
-        for plan_text, rows in by_plan.items():
-            parts.append(self.extract(tokens[rows], sides[plan_text]))
-            order += rows
-        return take_rows(concat(parts, axis=0), np.argsort(order))

@@ -25,9 +25,9 @@ from .gridworld import (
 from .seeding import stable_seed
 from .nn import Linear, Module, gelu, set_trainable
 from .optim import AdamW, AdamWConfig, LrSchedule
-from .tensor import Tensor, concat, cross_entropy, no_grad, unfold_windows, zeros
-from .vision import VisionConfig, VisualEncoder
-from .vocab import Vocabulary
+from .tensor import Tensor, concat, cross_entropy, no_grad, take_rows, unfold_windows, zeros
+from .vision import VisualEncoder
+from .vocab import Vocabulary, tokenize
 
 
 @dataclass
@@ -100,6 +100,11 @@ class PolicyHead(Module):
 class ControlModel(Module):
     """Closed-loop policy: plan text re-queries the observation for instance features.
 
+    ``grid_vision`` turns each grid cell into a token, and the model owns the
+    plan text: ``instance_features`` checks each plan, tokenizes it and
+    groups the batch's rows by plan, so the bridge, which sees only ids,
+    runs once per distinct plan.
+
     With the bridge frozen (``train_bridge`` off), ``plan_sides`` keeps each
     plan's bridge plan side for the model's whole life, shared by ``act``,
     ``dataset_loss`` and ``bc_train``; it is never invalidated, so weights
@@ -133,15 +138,7 @@ class ControlModel(Module):
         # cell-level tokens with fixed 2-d position codes: attention selects cells
         # by content (which object sits there) while the position code carries
         # per-cell coordinates the policy head can decode directions from
-        self.grid_vision = VisualEncoder(
-            rng,
-            VisionConfig(
-                channels=channels,
-                image_size=env_config.height,
-                patch_size=1,
-                dim=config.bridge_dim,
-            ),
-        )
+        self.grid_vision = VisualEncoder(rng, channels, env_config.height, config.bridge_dim)
         self.bridge = QueryBridge(
             rng,
             vocab_size=len(vocab),
@@ -168,11 +165,52 @@ class ControlModel(Module):
             {k: v for k, v in self.named_parameters().items() if k.startswith(frozen)}, False
         )
 
-    def instance_features(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
-        """Bridge features (B, N, D) of observations (B, c, H, W) under one plan each."""
+    def instance_features(
+        self, obs: np.ndarray, plan_texts: list[str], cache: dict | None = None
+    ) -> Tensor:
+        """Bridge features (B, N, D) of observations (B, c, H, W) under one plan each.
+
+        An ablated model reads no plan and returns zeros.  Otherwise rows with
+        the same plan share one ``extract`` call, and the rows keep their
+        order.  With a ``cache`` the bridge is treated as frozen: features are
+        computed once per distinct (observation, plan) pair, the misses
+        grouped as above, and reused as constants.
+        """
+        if len(obs) != len(plan_texts):
+            raise DimensionError(
+                f"{len(plan_texts)} plans for observations of shape {np.shape(obs)}"
+            )
+        if not all(isinstance(p, str) and p.strip() for p in plan_texts):
+            raise ContractError("every plan must be a non-empty string")
+        if self.ablate_plan:
+            return zeros(len(obs), self.config.query_count, self.config.bridge_dim)
+        if cache is None:
+            return self._extract_by_plan(obs, plan_texts)
+        keys = [(o.tobytes(), p) for o, p in zip(obs, plan_texts)]
+        misses = {key: i for i, key in enumerate(keys) if key not in cache}
+        if misses:
+            rows = list(misses.values())
+            computed = self._extract_by_plan(obs[rows], [plan_texts[i] for i in rows])
+            cache.update(zip(misses, map(Tensor, computed.data)))
+        return Tensor(np.stack([cache[key].data for key in keys]))
+
+    def _extract_by_plan(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
+        """One ``plan_side`` (unless kept) and one ``extract`` per distinct plan."""
         tokens = self.grid_vision.encode_image(Tensor(obs))
-        sides = None if self.config.train_bridge else self.plan_sides
-        return self.bridge.instance_features(tokens, plan_texts, self.vocab, sides)
+        rows_by_plan: dict[str, list[int]] = {}
+        for i, plan_text in enumerate(plan_texts):
+            rows_by_plan.setdefault(plan_text, []).append(i)
+        sides = {} if self.config.train_bridge else self.plan_sides
+        for plan_text in rows_by_plan:
+            if plan_text not in sides:
+                sides[plan_text] = self.bridge.plan_side(tokenize(plan_text, self.vocab))
+        if len(rows_by_plan) == 1:
+            return self.bridge.extract(tokens, sides[plan_texts[0]])
+        parts, order = [], []
+        for plan_text, rows in rows_by_plan.items():
+            parts.append(self.bridge.extract(tokens[rows], sides[plan_text]))
+            order += rows
+        return take_rows(concat(parts, axis=0), np.argsort(order))
 
     def policy_logits(self, z_instance: Tensor, z_global: Tensor) -> Tensor:
         """Head over the flattened N x D query rows (B, N * D) and the context (B, G)."""
@@ -184,10 +222,7 @@ class ControlModel(Module):
     ) -> Tensor:
         """Action logits (B x actions) for observations (B, c, H, W) and one plan each.
 
-        An ablated model reads no plan and uses zero instance features.  With
-        a ``cache`` the bridge is treated as frozen: instance features are
-        computed once per distinct (observation, plan) pair, the batch's misses
-        in one ``instance_features`` call, and reused as constants.
+        ``cache`` is as in ``instance_features``.
         """
         obs = np.asarray(obs, dtype=np.float64)
         if obs.shape[1:] != self.env_config.observation_shape:
@@ -195,28 +230,11 @@ class ControlModel(Module):
                 f"observations of shape {obs.shape} do not match "
                 f"(B, {', '.join(map(str, self.env_config.observation_shape))})"
             )
-        if obs.shape[0] != len(plan_texts):
-            raise DimensionError(
-                f"{len(plan_texts)} plans for observations of shape {obs.shape}"
-            )
-        if not all(isinstance(p, str) and p.strip() for p in plan_texts):
-            raise ContractError("every plan must be a non-empty string")
         finite = np.isfinite(obs).reshape(obs.shape[0], -1).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
             raise NumericError(f"observation row {bad} holds a non-finite value")
-        if self.ablate_plan:
-            z_instance = zeros(obs.shape[0], self.config.query_count, self.config.bridge_dim)
-        elif cache is None:
-            z_instance = self.instance_features(obs, plan_texts)
-        else:
-            keys = [(o.tobytes(), p) for o, p in zip(obs, plan_texts)]
-            misses = {key: i for i, key in enumerate(keys) if key not in cache}
-            if misses:
-                rows = list(misses.values())
-                computed = self.instance_features(obs[rows], [plan_texts[i] for i in rows])
-                cache.update(zip(misses, map(Tensor, computed.data)))
-            z_instance = Tensor(np.stack([cache[key].data for key in keys]))
+        z_instance = self.instance_features(obs, plan_texts, cache)
         return self.policy_logits(z_instance, self.global_enc(Tensor(obs)))
 
     def act(self, obs: np.ndarray, plan_text: str) -> int:

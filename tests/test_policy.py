@@ -28,7 +28,7 @@ from planact.policy import (
     wilson_interval,
 )
 from planact.tensor import Tensor
-from planact.vocab import Vocabulary
+from planact.vocab import Vocabulary, tokenize
 
 ENV = EnvConfig(step_limit=6)
 SMALL = dict(bridge_dim=16, query_count=2, hidden_dim=16, global_dim=8, conv_channels=4)
@@ -257,6 +257,70 @@ class TestBatchedForward:
         cache = {}
         sizes = [len(_topo_order(_batch_loss(model, triples[:b], cache))) for b in (1, 32)]
         assert sizes[0] == sizes[1]
+
+
+class TestInstanceFeatures:
+    """The policy tokenizes each plan and groups rows by plan before the bridge runs."""
+
+    PLANS = [plan_for(name) for name in OBJECT_NAMES[:3]]
+
+    def test_one_plan_matches_bridge_extract(self, vocab, data):
+        model = make_model(vocab)
+        obs, plan, _ = data[0]
+        features = model.instance_features(obs[None], [plan])
+        tokens = model.grid_vision.encode_image(Tensor(obs[None]))
+        expected = model.bridge.extract(tokens, model.bridge.plan_side(tokenize(plan, vocab)))
+        assert features.shape == (1, model.config.query_count, model.config.bridge_dim)
+        assert features.data.tobytes() == expected.data.tobytes()
+
+    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
+    def test_mixed_plans_match_one_plan_calls(self, vocab, data, train_bridge):
+        model = make_model(vocab, train_bridge=train_bridge)
+        obs = np.stack([o for o, _, _ in data])
+        plans = [self.PLANS[i % 3] for i in range(len(data))]
+        batched = model.instance_features(obs, plans).data
+        for i, plan in enumerate(plans):
+            one = model.instance_features(obs[i : i + 1], [plan]).data[0]
+            np.testing.assert_allclose(batched[i], one, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
+    def test_plan_count_must_match(self, vocab, data, cache, ablate_plan):
+        model = make_model(vocab, ablate_plan=ablate_plan)
+        obs = np.stack([data[0][0], data[1][0]])
+        with pytest.raises(DimensionError, match=r"1 plans for observations of shape \(2, 4, 9, 9\)"):
+            model.instance_features(obs, [data[0][1]], cache)
+
+    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
+    def test_empty_plan_rejected(self, vocab, data, cache, ablate_plan):
+        model = make_model(vocab, ablate_plan=ablate_plan)
+        obs = np.stack([data[0][0], data[1][0]])
+        with pytest.raises(ContractError, match="every plan must be a non-empty string"):
+            model.instance_features(obs, [data[0][1], "   "], cache)
+
+    @pytest.mark.parametrize(
+        "train_bridge, kept", [(False, True), (True, False)], ids=["frozen", "joint"]
+    )
+    def test_one_plan_side_per_distinct_plan(self, vocab, data, monkeypatch, train_bridge, kept):
+        model = make_model(vocab, train_bridge=train_bridge)
+        first = model.bridge.blocks[0]
+        calls = []
+        original = first.self_attention
+
+        def counted(x, *args, **kwargs):
+            calls.append(x.shape)
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(first, "self_attention", counted)
+        obs = np.stack([o for o, _, _ in data[:5]])
+        model.instance_features(obs, [self.PLANS[0], self.PLANS[1]] * 2 + [self.PLANS[0]])
+        # two distinct plans, each run unbatched
+        assert len(calls) == 2 and all(len(shape) == 2 for shape in calls)
+        calls.clear()
+        model.instance_features(obs, [self.PLANS[1]] * 5)
+        # a frozen bridge keeps each plan's side; a trained one builds it per call
+        assert len(calls) == (0 if kept else 1)
 
 
 class TestFreezing:
@@ -489,13 +553,13 @@ class TestBcTrain:
         model = make_model(vocab)
         initial = dataset_loss(make_model(vocab), demos)
         keys = []
-        original = model.instance_features
+        original = model._extract_by_plan
 
         def recorded(obs, plan_texts):
             keys.extend((o.tobytes(), p) for o, p in zip(obs, plan_texts))
             return original(obs, plan_texts)
 
-        monkeypatch.setattr(model, "instance_features", recorded)
+        monkeypatch.setattr(model, "_extract_by_plan", recorded)
         calls = count_extract_calls(model, monkeypatch)
         log = bc_train(model, demos, seed=0, epochs=1)
         assert keys and len(keys) == len(set(keys)) >= len(calls) > 0
