@@ -31,6 +31,10 @@ class EnvConfig:
     step_limit: int = 50
 
     def __post_init__(self):
+        if self.height < 1 or self.width < 1:
+            raise ContractError(
+                f"grid height and width must be at least 1, got {self.height}x{self.width}"
+            )
         if self.object_count < 1 or self.object_count > len(OBJECT_NAMES):
             raise ContractError(
                 f"object_count must lie in [1, {len(OBJECT_NAMES)}], got {self.object_count}"

@@ -29,6 +29,7 @@ across calls.  ``LmCache.copy`` copies the filled rows into new storage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,7 +46,8 @@ class LmConfig:
     heads: int = 4
     context: int = 256
     prefix_len: int = 4
-    ff_mult: int = 4
+    # the ClassVar is a constant, not a settable field
+    ff_mult: ClassVar[int] = 4
 
     def __post_init__(self):
         if self.prefix_len < 0:
@@ -54,6 +56,10 @@ class LmConfig:
             raise ContractError(f"blocks must be at least 1, got {self.blocks}")
         if self.context < 1:
             raise ContractError(f"context must be at least 1, got {self.context}")
+        if self.prefix_len >= self.context:
+            raise ContractError(
+                f"prefix_len must be below context {self.context}, got {self.prefix_len}"
+            )
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Attention, transformer blocks and embeddings shared by the vision encoder, bridge and LM.
+"""Attention, transformer blocks and embeddings shared by the bridge and the LM.
 
 An attention mask is None (every key visible) or a boolean (queries, keys)
 array over every key a call attends to, cached keys included;
@@ -82,22 +82,15 @@ class Linear(Module):
         return linear(x, self.w, self.b)
 
 
-def _storage(filled: np.ndarray, rows: int) -> np.ndarray:
-    """Storage for ``rows`` rows (axis -2), at least the filled ones, which lead it."""
-    n = filled.shape[-2]
-    out = np.empty((*filled.shape[:-2], max(rows, n), filled.shape[-1]))
-    out[..., :n, :] = filled
-    return out
-
-
 class KVCache:
     """Projected self-attention keys and values of the rows run so far.
 
     The cache is seeded at construction with zero or more rows (a language
     model's prefix adapter rows); the rows run so far follow them.  Key and
-    value storage holds ``rows`` rows, and grows (doubling) only when a call
-    needs more.  ``append`` writes a call's new keys and values after the
-    filled rows and returns views of the filled and new rows; once
+    value storage holds ``rows`` rows, sized once: a call that needs more
+    raises ``DimensionError`` (a language model rejects such a call before
+    it reaches the cache).  ``append`` writes a call's new keys and values
+    after the filled rows and returns views of the filled and new rows; once
     ``tensor.attention`` has run on them, ``MultiHeadAttention`` rebinds ``k``
     and ``v`` to those views, which is what counts the new rows as filled.  A
     rejected call only writes past the filled rows, so the cache is as it
@@ -107,21 +100,22 @@ class KVCache:
     the copy its own storage, so the two decode independently.
     """
 
-    def __init__(self, k: Tensor, v: Tensor, rows: int = 0):
+    def __init__(self, k: Tensor, v: Tensor, rows: int):
+        n = k.shape[-2]
+        if rows < n:
+            raise ContractError(f"storage of {rows} rows cannot hold {n} seeded rows")
         self.k = k
         self.v = v
-        self._k = _storage(k.data, rows)
-        self._v = _storage(v.data, rows)
+        self._k = np.empty((*k.shape[:-2], rows, k.shape[-1]))
+        self._v = np.empty((*v.shape[:-2], rows, v.shape[-1]))
+        self._k[..., :n, :] = k.data
+        self._v[..., :n, :] = v.data
 
     def __len__(self) -> int:
         return self.k.shape[-2]
 
     def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Filled rows followed by those of ``k`` and ``v``, written into storage."""
-        need = len(self) + k.shape[-2]
-        if need > self._k.shape[-2]:
-            self._k = _storage(self.k.data, 2 * need)
-            self._v = _storage(self.v.data, 2 * need)
         return write_rows(self._k, self.k, k), write_rows(self._v, self.v, v)
 
     def copy(self) -> "KVCache":

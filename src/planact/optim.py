@@ -8,7 +8,8 @@ flat buffer and updates every parameter with a few whole-buffer operations.
 The update is elementwise, so it equals a per-tensor update bit for bit.
 Code that writes parameter values in place (``t.data[...] = ...``) writes
 through the views; code that rebinds ``t.data`` detaches that parameter from
-the optimizer.
+the optimizer.  Its hyperparameters are the constants ``BETA1``, ``BETA2``,
+``WEIGHT_DECAY`` and ``EPS``.
 """
 
 from __future__ import annotations
@@ -21,13 +22,10 @@ import numpy as np
 from .errors import ContractError, DimensionError, NumericError
 from .tensor import Tensor
 
-
-@dataclass
-class AdamWConfig:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    weight_decay: float = 0.05
-    eps: float = 1e-8
+BETA1 = 0.9
+BETA2 = 0.98
+WEIGHT_DECAY = 0.05
+EPS = 1e-8
 
 
 @dataclass
@@ -65,11 +63,10 @@ class LrSchedule:
 class AdamW:
     """Decoupled-weight-decay Adam over an explicit list of distinct parameter tensors."""
 
-    def __init__(self, params: list[Tensor], config: AdamWConfig | None = None):
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("AdamW was given the same parameter tensor more than once")
-        self.config = config or AdamWConfig()
         self.t = 0
         offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self._bounds = list(zip(offsets[:-1], offsets[1:]))
@@ -110,25 +107,23 @@ class AdamW:
         if not (math.isfinite(lr) and lr >= 0.0):
             raise ContractError(f"learning rate must be finite and non-negative, got {lr}")
         grad = self._gather_grads()
-        c = self.config
         self.t += 1
-        bc1 = 1.0 - c.beta1**self.t
-        bc2 = 1.0 - c.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         flat, m, v, u, d = self.flat, self.m, self.v, self._u, self._d
         # per element the same operations, in the same order, as
         #   p -= lr * wd * p;  m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         #   p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         # with products commuted; the work buffers u and d spare the allocations
-        if c.weight_decay:
-            flat -= np.multiply(flat, lr * c.weight_decay, out=u)
-        m *= c.beta1
-        m += np.multiply(grad, 1.0 - c.beta1, out=u)
-        v *= c.beta2
-        np.multiply(grad, 1.0 - c.beta2, out=d)
+        flat -= np.multiply(flat, lr * WEIGHT_DECAY, out=u)
+        m *= BETA1
+        m += np.multiply(grad, 1.0 - BETA1, out=u)
+        v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, out=d)
         v += np.multiply(d, grad, out=d)
         np.divide(v, bc2, out=d)
         np.sqrt(d, out=d)
-        d += c.eps
+        d += EPS
         np.divide(m, bc1, out=u)
         u *= lr
         flat -= np.divide(u, d, out=u)

@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,23 +55,20 @@ class VideoMeta:
 
 @dataclass
 class PipelineConfig:
-    min_words: int = 3
-    unsure_tag: str = "#unsure"
-    excluded_scenarios: tuple[str, ...] = ("watching tv", "walking")
     similarity_threshold: float = 0.0
-    candidates_per_prompt: int = 5
-    keyframes_per_clip: int = 8
-    embed_dim: int = 16
+    # the ClassVars are constants, not settable fields
+    min_words: ClassVar[int] = 3
+    unsure_tag: ClassVar[str] = "#unsure"
+    excluded_scenarios: ClassVar[tuple[str, ...]] = ("watching tv", "walking")
+    candidates_per_prompt: ClassVar[int] = 5
+    keyframes_per_clip: ClassVar[int] = 8
+    embed_dim: ClassVar[int] = 16
 
     def __post_init__(self):
         if not -1.0 <= self.similarity_threshold <= 1.0:
             raise ContractError(
                 f"similarity threshold must lie in [-1, 1], got {self.similarity_threshold}"
             )
-        if self.candidates_per_prompt < 1:
-            raise ContractError("candidates_per_prompt must be at least 1")
-        if self.keyframes_per_clip < 1:
-            raise ContractError("keyframes_per_clip must be at least 1")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .gridworld import (
 )
 from .seeding import stable_seed
 from .nn import Linear, Module, gelu, set_trainable
-from .optim import AdamW, AdamWConfig, LrSchedule
+from .optim import AdamW, LrSchedule
 from .tensor import Tensor, concat, cross_entropy, no_grad, take_rows, unfold_windows, zeros
 from .vision import VisualEncoder
 from .vocab import Vocabulary, tokenize
@@ -38,19 +38,18 @@ class PolicyConfig:
     hidden_dim: int = 64
     bridge_dim: int = 64
     query_count: int = 8
-    bridge_heads: int = 4
-    ff_mult: int = 2
     train_bridge: bool = False
+    # the ClassVars are constants, not settable fields
+    bridge_heads: ClassVar[int] = 4
+    ff_mult: ClassVar[int] = 2
     augment_symmetry: ClassVar[bool] = True  # bc_train always augments
-    bc_batch: int = 32
-    bc_peak_lr: float = 2e-3
-    bc_warmup_ratio: float = 0.05
+    bc_batch: ClassVar[int] = 32
+    bc_peak_lr: ClassVar[float] = 2e-3
+    bc_warmup_ratio: ClassVar[float] = 0.05
 
     def __post_init__(self):
-        for name in (
-            "global_dim", "conv_channels", "conv_depth", "hidden_dim", "bridge_dim",
-            "query_count", "bridge_heads", "ff_mult", "bc_batch",
-        ):
+        for name in ("global_dim", "conv_channels", "conv_depth", "hidden_dim", "bridge_dim",
+                     "query_count"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -176,6 +175,8 @@ class ControlModel(Module):
         computed once per distinct (observation, plan) pair, the misses
         grouped as above, and reused as constants.
         """
+        if len(obs) == 0:
+            raise ContractError("the batch is empty: the policy needs at least one observation")
         if len(obs) != len(plan_texts):
             raise DimensionError(
                 f"{len(plan_texts)} plans for observations of shape {np.shape(obs)}"
@@ -230,7 +231,7 @@ class ControlModel(Module):
                 f"observations of shape {obs.shape} do not match "
                 f"(B, {', '.join(map(str, self.env_config.observation_shape))})"
             )
-        finite = np.isfinite(obs).reshape(obs.shape[0], -1).all(axis=1)
+        finite = np.isfinite(obs).all(axis=(1, 2, 3))
         if not finite.all():
             bad = int(np.argmin(finite))
             raise NumericError(f"observation row {bad} holds a non-finite value")
@@ -318,7 +319,7 @@ def bc_train(
         warmup_ratio=cfg.bc_warmup_ratio,
     )
     params = model.trainable_parameters()
-    optimizer = AdamW(list(params.values()), AdamWConfig())
+    optimizer = AdamW(list(params.values()))
     cache = None if cfg.train_bridge else {}
     log = TrainLog()
     log.initial_loss = dataset_loss(model, demos, cache=cache)
@@ -337,7 +338,8 @@ def bc_train(
     return log
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    z = 1.96  # 95% two-sided
     if n == 0:
         return 0.0, 1.0
     p = successes / n

@@ -53,6 +53,11 @@ class TestEnv:
         with pytest.raises(ContractError, match="grid 2x2 cannot hold 5 objects"):
             EnvConfig(height=2, width=2, object_count=5)
 
+    @pytest.mark.parametrize("height, width", [(-3, -3), (0, 9), (9, 0), (1, -4)])
+    def test_grid_side_below_one_rejected(self, height, width):
+        with pytest.raises(ContractError, match="height and width must be at least 1, got"):
+            EnvConfig(height=height, width=width)
+
     def test_interact_on_target_succeeds(self):
         env = GoalGridEnv()
         env.reset(1)

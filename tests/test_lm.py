@@ -71,7 +71,9 @@ class TestLmForward:
             else:
                 assert p.grad is None, name
 
-    @pytest.mark.parametrize("field, value", [("prefix_len", -1), ("blocks", 0), ("context", 0)])
+    @pytest.mark.parametrize(
+        "field, value", [("prefix_len", -1), ("prefix_len", 256), ("blocks", 0), ("context", 0)]
+    )
     def test_invalid_config_rejected(self, field, value):
         with pytest.raises(ContractError, match=field):
             LmConfig(vocab_size=len(VOCAB), **{field: value})
@@ -80,15 +82,18 @@ class TestLmForward:
         "field, message",
         [
             ("heads", "head count must be at least 1, got 0"),
-            ("ff_mult", "Linear widths must be at least 1, got 16 -> 0"),
             ("dim", "Linear widths must be at least 1, got 0 -> 0"),
         ],
-        ids=["heads", "ff_mult", "dim"],
+        ids=["heads", "dim"],
     )
     def test_zero_width_fails_by_name(self, rng, field, message):
         cfg = LmConfig(vocab_size=len(VOCAB), dim=16, heads=2, context=8)
         with pytest.raises(ContractError, match=message):
             MicroLm(rng, LmConfig(**{**vars(cfg), field: 0}))
+
+    def test_feed_forward_width_cannot_be_set(self):
+        with pytest.raises(TypeError, match="ff_mult"):
+            LmConfig(vocab_size=len(VOCAB), ff_mult=LmConfig.ff_mult)
 
     def test_soft_prompt_gradient_flows_upstream(self, model):
         prompt = Tensor(np.zeros((3, 16)), requires_grad=True)

@@ -66,7 +66,7 @@ class TestMask:
     def test_bad_mask_leaves_cache_unchanged(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         x = Tensor(rng.standard_normal((3, 4)))
-        cache = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        cache = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), rows=8)
         mha(x, x, causal_mask(3), cache=cache)
         k, v = cache.k, cache.v
         with pytest.raises(DimensionError):
@@ -76,14 +76,16 @@ class TestMask:
     def test_fully_masked_row_leaves_cache_unchanged(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         x = Tensor(rng.standard_normal((2, 4)))
-        cache = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        cache = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), rows=8)
         k, v = cache.k, cache.v
         blind = np.array([[True, False], [False, False]])
         with pytest.raises(ContractError, match="fully masked"):
             mha(x, x, blind, cache=cache)
         assert len(cache) == 0 and cache.k is k and cache.v is v
         # the mask covers the cached row too: a query that sees only it has a key
-        seeded = KVCache(Tensor(rng.standard_normal((1, 4))), Tensor(rng.standard_normal((1, 4))))
+        seeded = KVCache(
+            Tensor(rng.standard_normal((1, 4))), Tensor(rng.standard_normal((1, 4))), rows=8
+        )
         sees_cached = np.concatenate([np.ones((2, 1), dtype=bool), blind], axis=1)
         assert mha(x, x, sees_cached, cache=seeded).shape == (2, 4)
         assert len(seeded) == 3
@@ -96,9 +98,9 @@ class TestMask:
         # a cached row the mask hides adds nothing, as if it had never run
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         x = Tensor(rng.standard_normal((3, 4)))
-        hidden = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        hidden = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), rows=8)
         mha(x[:2], x[:2], causal_mask(2), cache=hidden)
-        skipped = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        skipped = KVCache(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), rows=8)
         mha(x[:1], x[:1], causal_mask(1), cache=skipped)
         step = mha(x[2:], x[2:], np.array([[True, False, True]]), cache=hidden)
         np.testing.assert_allclose(
@@ -318,7 +320,7 @@ class TestHeadsByReshape:
         mha = MultiHeadAttention(rng, dim=8, heads=4)
         prefix = (rng.standard_normal((2, 8)), rng.standard_normal((2, 8)))
         x = rng.standard_normal((6, 8))
-        cache = KVCache(Tensor(prefix[0]), Tensor(prefix[1]))
+        cache = KVCache(Tensor(prefix[0]), Tensor(prefix[1]), rows=8)
         first = mha(Tensor(x[:4]), Tensor(x[:4]), causal_mask(4, 6), cache=cache)
         ref = per_head_reference(mha, x[:4], x[:4], causal_mask(4, 6), prefix)
         np.testing.assert_allclose(first.data, ref, rtol=0, atol=1e-12)
@@ -329,31 +331,35 @@ class TestHeadsByReshape:
         np.testing.assert_allclose(step.data, ref, rtol=0, atol=1e-12)
         assert len(cache) == 8
 
-    def test_storage_grows_past_its_rows(self, rng):
+    def test_append_past_storage_leaves_cache_unchanged(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         x = Tensor(rng.standard_normal((5, 4)))
         empty = Tensor(np.zeros((0, 4)))
-        small, roomy = KVCache(empty, empty, rows=2), KVCache(empty, empty, rows=8)
-        for lo, hi in ((0, 2), (2, 3), (3, 5)):
-            mask = causal_mask(hi - lo, hi)
-            a = mha(x[lo:hi], x[lo:hi], mask, cache=small)
-            b = mha(x[lo:hi], x[lo:hi], mask, cache=roomy)
-            assert a.data.tobytes() == b.data.tobytes()
-        assert len(small) == len(roomy) == 5
-        assert small.k.data.tobytes() == roomy.k.data.tobytes()
-        assert small.v.data.tobytes() == roomy.v.data.tobytes()
+        cache = KVCache(empty, empty, rows=4)
+        mha(x[:3], x[:3], causal_mask(3), cache=cache)
+        k, v = cache.k, cache.v
+        before = k.data.tobytes(), v.data.tobytes()
+        with pytest.raises(DimensionError, match="3 \\+ 2 rows do not fit storage of 4"):
+            mha(x[3:], x[3:], causal_mask(2, 5), cache=cache)
+        assert len(cache) == 3 and cache.k is k and cache.v is v
+        assert (k.data.tobytes(), v.data.tobytes()) == before
+
+    def test_storage_below_seeded_rows_rejected(self):
+        seeded = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ContractError, match="storage of 1 rows cannot hold 2 seeded rows"):
+            KVCache(seeded, seeded, rows=1)
 
     def test_seeded_rows_keep_graph_on_first_call(self, rng):
         mha = MultiHeadAttention(rng, dim=4, heads=2)
         seed = Tensor(rng.standard_normal((2, 2, 4)), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 4)))
-        cache = KVCache(seed[:, 0, :], seed[:, 1, :])
+        cache = KVCache(seed[:, 0, :], seed[:, 1, :], rows=5)
         gelu(mha(x, x, causal_mask(3, 5), cache=cache)).sum().backward()
         assert seed.grad is not None and np.all(seed.grad != 0.0)
         assert not cache.k.requires_grad and cache.k._parents == ()
         check_gradients(
             lambda inp: gelu(
-                mha(x, x, causal_mask(3, 5), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :]))
+                mha(x, x, causal_mask(3, 5), cache=KVCache(inp[0][:, 0, :], inp[0][:, 1, :], 5))
             ).sum(),
             [seed],
         )

@@ -480,6 +480,16 @@ class TestStage2Filter:
             stage2_filter(clip, 0.0, [vector], vector)
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field", ["min_words", "unsure_tag", "excluded_scenarios", "candidates_per_prompt",
+                  "keyframes_per_clip", "embed_dim"],
+    )
+    def test_constants_cannot_be_set(self, field):
+        with pytest.raises(TypeError, match=field):
+            PipelineConfig(**{field: getattr(PipelineConfig, field)})
+
+
 FIXTURE_NARRATIONS = [
     narr("va", 2.0, "C opens a drawer"),
     narr("va", 5.0, "C picks up a cup"),

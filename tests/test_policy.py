@@ -194,6 +194,13 @@ class TestForward:
         with pytest.raises(DimensionError):
             make_model(vocab).forward(obs[None], [plan, plan])
 
+    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
+    def test_rejects_empty_batch(self, vocab, cache, ablate_plan):
+        model = make_model(vocab, ablate_plan=ablate_plan)
+        with pytest.raises(ContractError, match="the batch is empty"):
+            model.forward(np.zeros((0, *ENV.observation_shape)), [], cache)
+
 
 class TestBatchedForward:
     """One batched ``forward`` gives the rows of one-sample ``forward`` calls."""
@@ -299,6 +306,13 @@ class TestInstanceFeatures:
         with pytest.raises(ContractError, match="every plan must be a non-empty string"):
             model.instance_features(obs, [data[0][1], "   "], cache)
 
+    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
+    def test_empty_batch_rejected(self, vocab, cache, ablate_plan):
+        model = make_model(vocab, ablate_plan=ablate_plan)
+        with pytest.raises(ContractError, match="the batch is empty"):
+            model.instance_features(np.zeros((0, *ENV.observation_shape)), [], cache)
+
     @pytest.mark.parametrize(
         "train_bridge, kept", [(False, True), (True, False)], ids=["frozen", "joint"]
     )
@@ -344,19 +358,20 @@ class TestFreezing:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("bc_batch", [0, -1])
-    def test_rejects_empty_minibatch(self, bc_batch):
-        with pytest.raises(ContractError, match="bc_batch"):
-            PolicyConfig(bc_batch=bc_batch)
-
     @pytest.mark.parametrize(
-        "field",
-        ["global_dim", "conv_channels", "hidden_dim", "bridge_dim", "query_count",
-         "bridge_heads", "ff_mult"],
+        "field", ["global_dim", "conv_channels", "hidden_dim", "bridge_dim", "query_count"]
     )
     def test_rejects_width_below_one(self, field):
         with pytest.raises(ContractError, match=f"{field} must be at least 1, got 0"):
             PolicyConfig(**{field: 0})
+
+    @pytest.mark.parametrize(
+        "field", ["bridge_heads", "ff_mult", "augment_symmetry", "bc_batch", "bc_peak_lr",
+                  "bc_warmup_ratio"],
+    )
+    def test_constants_cannot_be_set(self, field):
+        with pytest.raises(TypeError, match=field):
+            PolicyConfig(**{field: getattr(PolicyConfig, field)})
 
 
 class TestTrainableParameters:
