@@ -12,8 +12,9 @@ seed 10,000.  The gate passes when:
   on every seed, both at 4 epochs and at 15, where its loss has converged.
 
 Per-seed success and failure causes are printed.  The gate trains about
-7,200 joint and 34,400 ablated minibatch steps, about six minutes on one
-core, so it lives outside the tier-1 ``testpaths``.  Run it with
+7,200 joint and 34,400 ablated minibatch steps; alone on one pinned core of
+a 2-core x86-64 host it ran in 260 s, so it lives outside the tier-1
+``testpaths``.  Run it with
 
     PYTHONPATH=src python -m pytest -q -s gates/
 """

@@ -105,10 +105,10 @@ class ControlModel(Module):
     runs once per distinct plan.
 
     With the bridge frozen (``train_bridge`` off), ``plan_sides`` keeps each
-    plan's bridge plan side for the model's whole life, shared by ``act``,
-    ``dataset_loss`` and ``bc_train``; it is never invalidated, so weights
-    are restored only into a freshly built model, never into one that has
-    already run.
+    plan's bridge plan side for the model's whole life, so ``act`` runs it
+    once per plan, not once per decision; it is never invalidated, so
+    weights are restored only into a freshly built model, never into one
+    that has already run.
     """
 
     def __init__(
@@ -164,16 +164,12 @@ class ControlModel(Module):
             {k: v for k, v in self.named_parameters().items() if k.startswith(frozen)}, False
         )
 
-    def instance_features(
-        self, obs: np.ndarray, plan_texts: list[str], cache: dict | None = None
-    ) -> Tensor:
+    def instance_features(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
         """Bridge features (B, N, D) of observations (B, c, H, W) under one plan each.
 
         An ablated model reads no plan and returns zeros.  Otherwise rows with
-        the same plan share one ``extract`` call, and the rows keep their
-        order.  With a ``cache`` the bridge is treated as frozen: features are
-        computed once per distinct (observation, plan) pair, the misses
-        grouped as above, and reused as constants.
+        the same plan share one ``plan_side`` (unless kept) and one
+        ``extract`` call, and the rows keep their order.
         """
         if len(obs) == 0:
             raise ContractError("the batch is empty: the policy needs at least one observation")
@@ -185,18 +181,6 @@ class ControlModel(Module):
             raise ContractError("every plan must be a non-empty string")
         if self.ablate_plan:
             return zeros(len(obs), self.config.query_count, self.config.bridge_dim)
-        if cache is None:
-            return self._extract_by_plan(obs, plan_texts)
-        keys = [(o.tobytes(), p) for o, p in zip(obs, plan_texts)]
-        misses = {key: i for i, key in enumerate(keys) if key not in cache}
-        if misses:
-            rows = list(misses.values())
-            computed = self._extract_by_plan(obs[rows], [plan_texts[i] for i in rows])
-            cache.update(zip(misses, map(Tensor, computed.data)))
-        return Tensor(np.stack([cache[key].data for key in keys]))
-
-    def _extract_by_plan(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
-        """One ``plan_side`` (unless kept) and one ``extract`` per distinct plan."""
         tokens = self.grid_vision.encode_image(Tensor(obs))
         rows_by_plan: dict[str, list[int]] = {}
         for i, plan_text in enumerate(plan_texts):
@@ -218,13 +202,8 @@ class ControlModel(Module):
         fused = concat([z_instance.reshape(z_instance.shape[0], -1), z_global], axis=-1)
         return self.head(fused)
 
-    def forward(
-        self, obs: np.ndarray, plan_texts: list[str], cache: dict | None = None
-    ) -> Tensor:
-        """Action logits (B x actions) for observations (B, c, H, W) and one plan each.
-
-        ``cache`` is as in ``instance_features``.
-        """
+    def forward(self, obs: np.ndarray, plan_texts: list[str]) -> Tensor:
+        """Action logits (B x actions) for observations (B, c, H, W) and one plan each."""
         obs = np.asarray(obs, dtype=np.float64)
         if obs.shape[1:] != self.env_config.observation_shape:
             raise DimensionError(
@@ -235,7 +214,7 @@ class ControlModel(Module):
         if not finite.all():
             bad = int(np.argmin(finite))
             raise NumericError(f"observation row {bad} holds a non-finite value")
-        z_instance = self.instance_features(obs, plan_texts, cache)
+        z_instance = self.instance_features(obs, plan_texts)
         return self.policy_logits(z_instance, self.global_enc(Tensor(obs)))
 
     def act(self, obs: np.ndarray, plan_text: str) -> int:
@@ -257,41 +236,31 @@ class TrainLog:
 
 def _dataset_from_demos(
     demos: list[Demonstration], env_config: EnvConfig, augment: bool
-) -> list[tuple[np.ndarray, str, int]]:
-    """Training triples of ``demos``, each validated against ``env_config`` first."""
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Observations (N, c, H, W), plans and actions (N,) of ``demos``, each
+    validated against ``env_config`` first."""
     if not demos:
         raise ContractError("behavioral cloning requires at least one demonstration")
-    data = []
+    obs, plans, actions = [], [], []
     for demo in demos:
         demo.validate(env_config)
-        for obs, plan, action in demo.steps:
-            if augment:
-                data.extend((o, plan, a) for o, a in symmetry_views(obs, action))
-            else:
-                data.append((obs, plan, action))
-    return data
+        for o, plan, action in demo.steps:
+            views = symmetry_views(o, action) if augment else [(o, action)]
+            for view, a in views:
+                obs.append(view)
+                plans.append(plan)
+                actions.append(a)
+    return np.stack(obs).astype(np.float64, copy=False), plans, np.asarray(actions)
 
 
-def _batch_loss(
-    model: ControlModel,
-    batch: list[tuple[np.ndarray, str, int]],
-    cache: dict | None = None,
-) -> Tensor:
-    obs = np.stack([obs for obs, _, _ in batch])
-    logits = model.forward(obs, [plan for _, plan, _ in batch], cache)
-    return cross_entropy(logits, [action for _, _, action in batch])
-
-
-def dataset_loss(
-    model: ControlModel, demos: list[Demonstration], cache: dict | None = None
-) -> float:
-    """Mean NLL of the first 256 unaugmented expert actions; ``cache`` as in ``forward``.
+def dataset_loss(model: ControlModel, demos: list[Demonstration]) -> float:
+    """Mean NLL of the first 256 unaugmented expert actions.
 
     Only the value is returned, so no autodiff graph is recorded.
     """
-    data = _dataset_from_demos(demos, model.env_config, augment=False)[:256]
+    obs, plans, actions = _dataset_from_demos(demos, model.env_config, augment=False)
     with no_grad():
-        return _batch_loss(model, data, cache).item()
+        return cross_entropy(model.forward(obs[:256], plans[:256]), actions[:256]).item()
 
 
 def bc_train(
@@ -305,14 +274,14 @@ def bc_train(
     Training triples are always expanded over the grid's eight dihedral
     symmetries (exact invariances of the environment; see
     ``PolicyConfig.augment_symmetry``).
-    With the bridge frozen, instance features are computed once per distinct
-    (observation, plan) pair and reused across epochs and by the logged
-    initial and final losses.
+    With the bridge frozen, instance features are constants: they are
+    computed once per training row, in ``bc_batch`` chunks in data order,
+    before the first step, and each step indexes them by row.
     """
     cfg = model.config
-    data = _dataset_from_demos(demos, model.env_config, augment=cfg.augment_symmetry)
+    obs, plans, actions = _dataset_from_demos(demos, model.env_config, cfg.augment_symmetry)
     rng = np.random.default_rng(seed)
-    batches_per_epoch = math.ceil(len(data) / cfg.bc_batch)
+    batches_per_epoch = math.ceil(len(obs) / cfg.bc_batch)
     schedule = LrSchedule(
         peak_lr=cfg.bc_peak_lr,
         total_steps=epochs * batches_per_epoch,
@@ -320,21 +289,32 @@ def bc_train(
     )
     params = model.trainable_parameters()
     optimizer = AdamW(list(params.values()))
-    cache = None if cfg.train_bridge else {}
     log = TrainLog()
-    log.initial_loss = dataset_loss(model, demos, cache=cache)
+    log.initial_loss = dataset_loss(model, demos)
+    features = None
+    if not cfg.train_bridge:
+        chunks = [slice(i, i + cfg.bc_batch) for i in range(0, len(obs), cfg.bc_batch)]
+        with no_grad():
+            features = np.concatenate(
+                [model.instance_features(obs[c], plans[c]).data for c in chunks]
+            )
     step = 0
     for _ in range(epochs):
-        order = rng.permutation(len(data))
+        order = rng.permutation(len(obs))
         for b in range(batches_per_epoch):
-            batch = [data[i] for i in order[b * cfg.bc_batch : (b + 1) * cfg.bc_batch]]
+            rows = order[b * cfg.bc_batch : (b + 1) * cfg.bc_batch]
+            if features is None:
+                z = model.instance_features(obs[rows], [plans[i] for i in rows])
+            else:
+                z = Tensor(features[rows])
             optimizer.zero_grad()
-            loss = _batch_loss(model, batch, cache)
+            logits = model.policy_logits(z, model.global_enc(Tensor(obs[rows])))
+            loss = cross_entropy(logits, actions[rows])
             loss.backward()
             optimizer.step(schedule.lr_at(step))
             step += 1
             log.losses.append(loss.item())
-    log.final_loss = dataset_loss(model, demos, cache=cache)
+    log.final_loss = dataset_loss(model, demos)
     return log
 
 

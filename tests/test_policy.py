@@ -1,4 +1,5 @@
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from planact.gridworld import (
     collect_demos,
     expert_action_toward,
     plan_for,
+    symmetry_views,
 )
+from planact.optim import AdamW, LrSchedule
 from planact.policy import (
     ControlModel,
     PolicyConfig,
-    _batch_loss,
     _dataset_from_demos,
     bc_train,
     dataset_loss,
@@ -27,7 +29,7 @@ from planact.policy import (
     model_policy,
     wilson_interval,
 )
-from planact.tensor import Tensor
+from planact.tensor import Tensor, _topo_order, cross_entropy, no_grad
 from planact.vocab import Vocabulary, tokenize
 
 ENV = EnvConfig(step_limit=6)
@@ -41,7 +43,10 @@ def vocab():
 
 @pytest.fixture(scope="module")
 def data():
-    return _dataset_from_demos(collect_demos(EnvConfig(), [0, 1]), EnvConfig(), augment=False)[:6]
+    obs, plans, actions = _dataset_from_demos(
+        collect_demos(EnvConfig(), [0, 1]), EnvConfig(), augment=False
+    )
+    return list(zip(obs, plans, actions))[:6]
 
 
 def make_model(vocab, seed=0, ablate_plan=False, **overrides):
@@ -61,12 +66,12 @@ def count_extract_calls(model, monkeypatch):
     return calls
 
 
-def forward_one(model, obs, plan, cache=None):
-    return model.forward(obs[None], [plan], cache)
+def forward_one(model, obs, plan):
+    return model.forward(obs[None], [plan])
 
 
-def forward_rows(model, rows, cache=None):
-    return model.forward(np.stack([obs for obs, _ in rows]), [plan for _, plan in rows], cache)
+def forward_rows(model, rows):
+    return model.forward(np.stack([obs for obs, _ in rows]), [plan for _, plan in rows])
 
 
 class TestForward:
@@ -77,40 +82,12 @@ class TestForward:
         assert forward_rows(model, [(o, p) for o, p, _ in data]).shape == (len(data), len(ACTIONS))
         assert 0 <= model.act(obs, plan) < len(ACTIONS)
 
-    def test_cached_equals_uncached_bitwise(self, vocab, data):
-        model = make_model(vocab)
-        cache = {}
-        for obs, plan, _ in data:
-            uncached = forward_one(model, obs, plan).data
-            first = forward_one(model, obs, plan, cache).data
-            hit = forward_one(model, obs, plan, cache).data
-            assert uncached.tobytes() == first.tobytes() == hit.tobytes()
-        assert len(cache) == len({(o.tobytes(), p) for o, p, _ in data})
-
-    def test_cache_hit_skips_bridge(self, vocab, data, monkeypatch):
-        model = make_model(vocab)
-        calls = count_extract_calls(model, monkeypatch)
-        obs, plan, _ = data[0]
-        cache = {}
-        forward_one(model, obs, plan, cache)
-        forward_one(model, obs, plan, cache)
-        assert len(calls) == 1
-
-    def test_cached_features_are_constants(self, vocab, data):
-        model = make_model(vocab)
-        obs, plan, _ = data[0]
-        cache = {}
-        forward_one(model, obs, plan, cache)
-        (z_instance,) = cache.values()
-        assert not z_instance.requires_grad
-
-    def test_ablated_uses_zeros_without_cache(self, vocab, data, monkeypatch):
+    def test_ablated_uses_zeros(self, vocab, data, monkeypatch):
         obs, plan, _ = data[0]
         ablated = make_model(vocab, ablate_plan=True)
         calls = count_extract_calls(ablated, monkeypatch)
-        cache = {}
-        logits = forward_one(ablated, obs, plan, cache).data
-        assert cache == {} and calls == []
+        logits = forward_one(ablated, obs, plan).data
+        assert calls == []
         np.testing.assert_array_equal(logits, forward_one(ablated, obs, "go to the red block").data)
         features = np.zeros((1, ablated.config.query_count, ablated.config.bridge_dim))
         zero = ablated.policy_logits(Tensor(features), ablated.global_enc(Tensor(obs[None])))
@@ -194,12 +171,11 @@ class TestForward:
         with pytest.raises(DimensionError):
             make_model(vocab).forward(obs[None], [plan, plan])
 
-    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
     @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
-    def test_rejects_empty_batch(self, vocab, cache, ablate_plan):
+    def test_rejects_empty_batch(self, vocab, ablate_plan):
         model = make_model(vocab, ablate_plan=ablate_plan)
         with pytest.raises(ContractError, match="the batch is empty"):
-            model.forward(np.zeros((0, *ENV.observation_shape)), [], cache)
+            model.forward(np.zeros((0, *ENV.observation_shape)), [])
 
 
 class TestBatchedForward:
@@ -218,16 +194,11 @@ class TestBatchedForward:
         "overrides",
         [{}, {"query_count": 3}, {"train_bridge": True}, {"train_bridge": True, "query_count": 3}],
     )
-    @pytest.mark.parametrize("cached", [False, True])
-    def test_rows_match_single_calls(self, vocab, data, overrides, cached):
+    def test_rows_match_single_calls(self, vocab, data, overrides):
         model = make_model(vocab, **overrides)
         rows = self.rows(data)
         single = np.concatenate([forward_one(model, obs, plan).data for obs, plan in rows])
-        cache = None
-        if cached:  # half of the rows are hits, half misses
-            cache = {}
-            forward_rows(model, rows[::2], cache)
-        batched = forward_rows(model, rows, cache).data
+        batched = forward_rows(model, rows).data
         np.testing.assert_allclose(batched, single, rtol=0, atol=1e-10)
 
     def test_ablated_rows_match_single_calls(self, vocab, data):
@@ -239,31 +210,11 @@ class TestBatchedForward:
     def test_one_extract_per_distinct_plan(self, vocab, data, monkeypatch):
         model = make_model(vocab)
         calls = count_extract_calls(model, monkeypatch)
-        cache = {}
         rows = self.rows(data)
         # three distinct plans, two of them of one token length
         assert len({plan for _, plan in rows}) == 3
-        forward_rows(model, rows, cache)
+        forward_rows(model, rows)
         assert len(calls) == 3
-        forward_rows(model, rows, cache)
-        assert len(calls) == 3
-
-    def test_duplicate_rows_computed_once(self, vocab, data):
-        model = make_model(vocab)
-        obs, plan, _ = data[0]
-        cache = {}
-        forward_rows(model, [(obs, plan), (obs, plan)], cache)
-        assert len(cache) == 1
-
-    def test_batch_loss_graph_size_independent_of_batch(self, vocab):
-        from planact.tensor import _topo_order
-
-        demos = collect_demos(EnvConfig(), [0, 1, 2])
-        triples = _dataset_from_demos(demos, EnvConfig(), augment=True)
-        model = make_model(vocab)
-        cache = {}
-        sizes = [len(_topo_order(_batch_loss(model, triples[:b], cache))) for b in (1, 32)]
-        assert sizes[0] == sizes[1]
 
 
 class TestInstanceFeatures:
@@ -290,28 +241,25 @@ class TestInstanceFeatures:
             one = model.instance_features(obs[i : i + 1], [plan]).data[0]
             np.testing.assert_allclose(batched[i], one, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
     @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
-    def test_plan_count_must_match(self, vocab, data, cache, ablate_plan):
+    def test_plan_count_must_match(self, vocab, data, ablate_plan):
         model = make_model(vocab, ablate_plan=ablate_plan)
         obs = np.stack([data[0][0], data[1][0]])
         with pytest.raises(DimensionError, match=r"1 plans for observations of shape \(2, 4, 9, 9\)"):
-            model.instance_features(obs, [data[0][1]], cache)
+            model.instance_features(obs, [data[0][1]])
 
-    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
     @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
-    def test_empty_plan_rejected(self, vocab, data, cache, ablate_plan):
+    def test_empty_plan_rejected(self, vocab, data, ablate_plan):
         model = make_model(vocab, ablate_plan=ablate_plan)
         obs = np.stack([data[0][0], data[1][0]])
         with pytest.raises(ContractError, match="every plan must be a non-empty string"):
-            model.instance_features(obs, [data[0][1], "   "], cache)
+            model.instance_features(obs, [data[0][1], "   "])
 
-    @pytest.mark.parametrize("cache", [None, {}], ids=["uncached", "cached"])
     @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
-    def test_empty_batch_rejected(self, vocab, cache, ablate_plan):
+    def test_empty_batch_rejected(self, vocab, ablate_plan):
         model = make_model(vocab, ablate_plan=ablate_plan)
         with pytest.raises(ContractError, match="the batch is empty"):
-            model.instance_features(np.zeros((0, *ENV.observation_shape)), [], cache)
+            model.instance_features(np.zeros((0, *ENV.observation_shape)), [])
 
     @pytest.mark.parametrize(
         "train_bridge, kept", [(False, True), (True, False)], ids=["frozen", "joint"]
@@ -389,7 +337,8 @@ class TestTrainableParameters:
     def test_every_trainable_parameter_gets_a_gradient(self, vocab, data):
         model = make_model(vocab, train_bridge=True)
         params = model.trainable_parameters()
-        _batch_loss(model, data).backward()
+        rows = [(o, p) for o, p, _ in data]
+        cross_entropy(forward_rows(model, rows), [a for _, _, a in data]).backward()
         assert [name for name, p in params.items() if p.grad is None] == []
 
 
@@ -562,25 +511,162 @@ class TestPlanSideStore:
         assert forward_rows(model, rows).data.tobytes() == forward_rows(fresh, rows).data.tobytes()
 
 
+def reference_bc_train(model, demos, seed, epochs):
+    """``bc_train`` as one plain ``forward`` per minibatch, with no feature table."""
+    cfg = model.config
+    triples = [
+        (view, plan, a)
+        for demo in demos
+        for obs, plan, action in demo.steps
+        for view, a in symmetry_views(obs, action)
+    ]
+    logged = [step for demo in demos for step in demo.steps][:256]
+
+    def loss_of(rows):
+        logits = model.forward(np.stack([o for o, _, _ in rows]), [p for _, p, _ in rows])
+        return cross_entropy(logits, [a for _, _, a in rows])
+
+    rng = np.random.default_rng(seed)
+    batches = math.ceil(len(triples) / cfg.bc_batch)
+    schedule = LrSchedule(cfg.bc_peak_lr, epochs * batches, cfg.bc_warmup_ratio)
+    optimizer = AdamW(list(model.trainable_parameters().values()))
+    with no_grad():
+        initial = loss_of(logged).item()
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(triples))
+        for b in range(batches):
+            optimizer.zero_grad()
+            loss = loss_of([triples[i] for i in order[b * cfg.bc_batch : (b + 1) * cfg.bc_batch]])
+            loss.backward()
+            optimizer.step(schedule.lr_at(len(losses)))
+            losses.append(loss.item())
+    with no_grad():
+        final = loss_of(logged).item()
+    return losses, initial, final
+
+
+def record_bc_train(model, demos, monkeypatch, epochs=1):
+    """Run ``bc_train`` and return its log and the events it went through, in order:
+    ``("logged",)`` and ``("/logged",)`` around each logged loss, ``("features", rows)``
+    per ``instance_features`` call, ``("extract",)`` and ``("step",)``."""
+    events = []
+
+    def wrap(name, call, rows=False):
+        def recorded(*args, **kwargs):
+            events.append((name, len(args[0])) if rows else (name,))
+            return call(*args, **kwargs)
+        return recorded
+
+    def logged_loss(*args):
+        events.append(("logged",))
+        value = dataset_loss(*args)
+        events.append(("/logged",))
+        return value
+
+    monkeypatch.setattr(model.bridge, "extract", wrap("extract", model.bridge.extract))
+    monkeypatch.setattr(
+        model, "instance_features", wrap("features", model.instance_features, rows=True)
+    )
+    monkeypatch.setattr(AdamW, "step", wrap("step", AdamW.step))
+    monkeypatch.setattr("planact.policy.dataset_loss", logged_loss)
+    log = bc_train(model, demos, seed=0, epochs=epochs)
+    monkeypatch.undo()
+    return log, events
+
+
+def outside_logged(events):
+    """``events`` outside the logged losses, and the events inside each of them."""
+    outside, logged, inside = [], [], False
+    for event in events:
+        if event in (("logged",), ("/logged",)):
+            inside = event == ("logged",)
+            if inside:
+                logged.append([])
+        elif inside:
+            logged[-1].append(event)
+        else:
+            outside.append(event)
+    return outside, logged
+
+
+# 112 training rows on ENV: three full minibatches and one of 16
+TRAIN_DEMOS = [0, 4, 6]
+
+
 class TestBcTrain:
-    def test_logged_losses_reuse_frozen_features(self, vocab, monkeypatch):
-        demos = collect_demos(EnvConfig(), [0])
+    @pytest.mark.parametrize(
+        "seeds", [[0], [0, 1]], ids=["16-rows", "72-rows"]  # one batch of 16; 32, 32 and 8
+    )
+    @pytest.mark.parametrize(
+        "train_bridge, ablate_plan",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["frozen", "joint", "ablated-frozen", "ablated-joint"],
+    )
+    def test_matches_one_forward_per_minibatch(self, seeds, train_bridge, ablate_plan):
+        # the default config
+        vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
+        demos = collect_demos(EnvConfig(), seeds)
+
+        def fresh():
+            config = PolicyConfig(train_bridge=train_bridge)
+            return ControlModel(
+                np.random.default_rng(0), EnvConfig(), vocab, config, ablate_plan=ablate_plan
+            )
+
+        model, reference = fresh(), fresh()
+        log = bc_train(model, demos, seed=1, epochs=2)
+        expected = reference_bc_train(reference, demos, seed=1, epochs=2)
+        assert (log.losses, log.initial_loss, log.final_loss) == expected
+        for p, q in zip(model.parameters(), reference.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_frozen_features_computed_once_per_row(self, vocab, monkeypatch, epochs):
+        demos = collect_demos(ENV, TRAIN_DEMOS)
+        rows = len(_dataset_from_demos(demos, ENV, augment=True)[0])
         model = make_model(vocab)
         initial = dataset_loss(make_model(vocab), demos)
-        keys = []
-        original = model._extract_by_plan
-
-        def recorded(obs, plan_texts):
-            keys.extend((o.tobytes(), p) for o, p in zip(obs, plan_texts))
-            return original(obs, plan_texts)
-
-        monkeypatch.setattr(model, "_extract_by_plan", recorded)
-        calls = count_extract_calls(model, monkeypatch)
-        log = bc_train(model, demos, seed=0, epochs=1)
-        assert keys and len(keys) == len(set(keys)) >= len(calls) > 0
-        monkeypatch.undo()
+        log, events = record_bc_train(model, demos, monkeypatch, epochs=epochs)
+        outside, _ = outside_logged(events)
+        table = [event[1] for event in outside if event[0] == "features"]
+        assert rows == 112 and table == [32, 32, 32, 16]
         assert log.initial_loss == initial
         assert log.final_loss == dataset_loss(model, demos)
+
+    def test_frozen_bridge_extracts_only_before_the_first_step(self, vocab, monkeypatch):
+        model = make_model(vocab)
+        log, events = record_bc_train(model, collect_demos(ENV, TRAIN_DEMOS), monkeypatch)
+        outside, logged = outside_logged(events)
+        first = outside.index(("step",))
+        assert ("extract",) in outside[:first]
+        assert outside[first:] == [("step",)] * len(log.losses)
+        assert len(logged) == 2 and all(("extract",) in span for span in logged)
+        assert [e for span in logged for e in span if e[0] == "step"] == []
+
+    def test_joint_bridge_extracts_every_step(self, vocab, monkeypatch):
+        model = make_model(vocab, train_bridge=True)
+        log, events = record_bc_train(model, collect_demos(ENV, TRAIN_DEMOS), monkeypatch)
+        outside, _ = outside_logged(events)
+        # each minibatch runs one extract per distinct plan, then its step
+        kinds = "".join("s" if e == ("step",) else "e" for e in outside if e[0] != "features")
+        runs = kinds.split("s")
+        assert len(runs) == len(log.losses) + 1 and runs[-1] == ""
+        assert all(1 <= len(run) <= len(TRAIN_DEMOS) for run in runs[:-1])
+
+    def test_step_graph_size_independent_of_batch(self, vocab, monkeypatch):
+        demos = collect_demos(ENV, TRAIN_DEMOS)
+        graphs = []
+
+        def recorded(logits, targets):
+            loss = cross_entropy(logits, targets)
+            if loss.requires_grad:
+                graphs.append((logits.shape[0], len(_topo_order(loss))))
+            return loss
+
+        monkeypatch.setattr("planact.policy.cross_entropy", recorded)
+        bc_train(make_model(vocab), demos, seed=0, epochs=1)
+        assert {b for b, _ in graphs} == {32, 16} and len({n for _, n in graphs}) == 1
 
     def test_logged_losses_record_no_graph(self, vocab, monkeypatch):
         demos = collect_demos(EnvConfig(), [0])
@@ -589,11 +675,11 @@ class TestBcTrain:
             losses = []
 
             def recorded(*args, **kwargs):
-                losses.append(_batch_loss(*args, **kwargs))
+                losses.append(cross_entropy(*args, **kwargs))
                 return losses[-1]
 
             with monkeypatch.context() as patch:
-                patch.setattr("planact.policy._batch_loss", recorded)
+                patch.setattr("planact.policy.cross_entropy", recorded)
                 if graph_on_logged:
                     patch.setattr("planact.policy.no_grad", contextlib.nullcontext)
                 log = bc_train(make_model(vocab), demos, seed=0, epochs=1)
@@ -607,6 +693,43 @@ class TestBcTrain:
         assert all(loss.requires_grad for loss in graph_logged)
         assert (log.initial_loss, log.final_loss) == (graph_log.initial_loss, graph_log.final_loss)
         assert log.losses == graph_log.losses
+
+
+class TestTrainingRows:
+    @pytest.mark.parametrize("augment, views", [(False, 1), (True, 8)])
+    def test_rows_in_demo_order(self, augment, views):
+        demos = collect_demos(ENV, TRAIN_DEMOS)
+        obs, plans, actions = _dataset_from_demos(demos, ENV, augment=augment)
+        steps = [step for demo in demos for step in demo.steps]
+        assert obs.shape == (views * len(steps), *ENV.observation_shape)
+        assert obs.dtype == np.float64 and actions.shape == (len(obs),)
+        assert plans == [plan for _, plan, _ in steps for _ in range(views)]
+        expected = [(o, a) for o, _, action in steps
+                    for o, a in (symmetry_views(o, action) if augment else [(o, action)])]
+        assert obs.tobytes() == np.stack([o for o, _ in expected]).tobytes()
+        assert actions.tolist() == [a for _, a in expected]
+
+    def test_logged_loss_reads_the_first_256_steps(self, vocab):
+        demos = collect_demos(EnvConfig(), list(range(40)))
+        steps = [step for demo in demos for step in demo.steps]
+        assert len(steps) > 256
+        model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, PolicyConfig(**SMALL))
+        with no_grad():
+            logits = model.forward(np.stack([o for o, _, _ in steps[:256]]),
+                                   [p for _, p, _ in steps[:256]])
+            expected = cross_entropy(logits, [a for _, _, a in steps[:256]]).item()
+        assert dataset_loss(model, demos) == expected
+
+    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
+    def test_integer_observations_train_as_floats(self, vocab, run):
+        demos = collect_demos(ENV, TRAIN_DEMOS)
+        as_int = collect_demos(ENV, TRAIN_DEMOS)
+        for demo in as_int:
+            demo.steps = [(obs.astype(np.int8), plan, a) for obs, plan, a in demo.steps]
+        model, twin = make_model(vocab), make_model(vocab)
+        assert run(model, as_int) == run(twin, demos)
+        for p, q in zip(model.parameters(), twin.parameters()):
+            assert p.data.tobytes() == q.data.tobytes()
 
 
 class TestDemoValidation:
