@@ -14,9 +14,10 @@ seed 10,000.  The gate passes when:
 Per-seed success and failure causes are printed.  The gate trains about
 7,200 joint and 34,400 ablated minibatch steps; alone on one pinned core of
 a 2-core x86-64 host it ran in 260 s, so it lives outside the tier-1
-``testpaths``.  Run it with
+``testpaths``.  Joint training's bits depend on the BLAS thread count, and
+the recorded per-seed lines come from one OpenBLAS thread.  Run it with
 
-    PYTHONPATH=src python -m pytest -q -s gates/
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q -s gates/
 """
 
 from collections import Counter

@@ -2,8 +2,9 @@
 
 The bridge works on text ids: tokenizing a plan and grouping observations
 by plan belong to its caller, ``ControlModel.instance_features``.  A fixed
-set of learnable query vectors is concatenated with the embedded ids and
-run through two pre-norm blocks.  Block 0 self-attends over [queries; text]
+set of learnable query vectors is concatenated with the embedded ids (at
+least one; ``tokenize`` always gives BOS and EOS) and run through two
+pre-norm blocks.  Block 0 self-attends over [queries; text]
 with every row visible, cross-attends (query rows only) to the visual tokens,
 the ``(..., cells, dim)`` tensor that ``VisualEncoder.encode_image``
 returns, and runs its feed-forward over every row.  Block 1 self-attends and
@@ -65,14 +66,13 @@ class PlanSide:
 
     ``queries`` (N, D) are block 0's self-attended query rows and ``cross_q``
     (N, D) their cross-attention queries.  ``keys`` and ``values`` (T, D) are
-    block 1's self-attention projections of the plan's T text rows, None for
-    a plan with no text.
+    block 1's self-attention projections of the plan's T >= 1 text rows.
     """
 
     queries: Tensor
     cross_q: Tensor
-    keys: Tensor | None = None
-    values: Tensor | None = None
+    keys: Tensor
+    values: Tensor
 
 
 @dataclass
@@ -101,24 +101,21 @@ class QueryBridge(Module):
         self.ln_out = LayerNorm(config.dim)
         self.proj = Linear(rng, config.dim, config.lm_dim)
 
-    def plan_side(self, text_ids: Sequence[int] | None) -> PlanSide:
-        """The image-free half of the bridge for one id sequence (see ``PlanSide``)."""
+    def plan_side(self, text_ids: Sequence[int]) -> PlanSide:
+        """The image-free half of the bridge for one non-empty id sequence (see ``PlanSide``)."""
         n = self.config.query_count
-        x = self.queries
-        ids = np.asarray([] if text_ids is None else text_ids, dtype=np.int64)
+        ids = np.asarray(text_ids, dtype=np.int64)
+        if ids.size == 0:
+            raise ContractError("a plan side needs at least one text id")
         if ids.size > MAX_SEQUENCE_LENGTH:
             raise ContractError(
                 f"plan of {ids.size} ids exceeds the bridge's {MAX_SEQUENCE_LENGTH} text positions"
             )
-        if ids.size:
-            text = take_rows(self.text_embed, ids) + self.text_pos[: ids.size, :]
-            x = concat([x, text], axis=0)
+        text = take_rows(self.text_embed, ids) + self.text_pos[: ids.size, :]
         first, second = self.blocks
-        x = first.self_attention(x)
+        x = first.self_attention(concat([self.queries, text], axis=0))
         queries = x[:n, :]
         cross_q = first.cross_attn.w_q(first.ln_cross(queries))
-        if not ids.size:
-            return PlanSide(queries, cross_q)
         # every row runs through each projection, and only the text rows are kept
         normed = second.ln_self(first.feed_forward(x))
         attn = second.self_attn
@@ -146,11 +143,10 @@ class QueryBridge(Module):
         attn = second.self_attn
         normed = second.ln_self(x)
         q, k, v = attn.w_q(normed), attn.w_k(normed), attn.w_v(normed)
-        if side.keys is not None:
-            # the plan's keys and values, shared by every leading index, follow the queries'
-            lead = tokens.shape[:-2]
-            k = concat([k, broadcast_to(side.keys, (*lead, *side.keys.shape))], axis=-2)
-            v = concat([v, broadcast_to(side.values, (*lead, *side.values.shape))], axis=-2)
+        # the plan's keys and values, shared by every leading index, follow the queries'
+        lead = tokens.shape[:-2]
+        k = concat([k, broadcast_to(side.keys, (*lead, *side.keys.shape))], axis=-2)
+        v = concat([v, broadcast_to(side.values, (*lead, *side.values.shape))], axis=-2)
         return self.ln_out(second.feed_forward(x + attn.attend(q, k, v)))
 
     def project_to_lm(self, summary: Tensor) -> Tensor:

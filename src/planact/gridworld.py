@@ -87,9 +87,13 @@ class GoalGridEnv:
 
     @property
     def target_name(self) -> str:
+        if not self._active:
+            raise ContractError("target_name read before reset")
         return OBJECT_NAMES[self.target_idx]
 
     def observation(self) -> np.ndarray:
+        if not self._active:
+            raise ContractError("observation read before reset")
         cfg = self.config
         obs = np.zeros(cfg.observation_shape)
         for i, (r, c) in enumerate(self.object_pos):

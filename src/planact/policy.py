@@ -42,7 +42,9 @@ class PolicyConfig:
     # the ClassVars are constants, not settable fields
     bridge_heads: ClassVar[int] = 4
     ff_mult: ClassVar[int] = 2
-    augment_symmetry: ClassVar[bool] = True  # bc_train always augments
+    # bc_train always augments and no code in src/ branches on this; it stays
+    # because the benchmark reads it
+    augment_symmetry: ClassVar[bool] = True
     bc_batch: ClassVar[int] = 32
     bc_peak_lr: ClassVar[float] = 2e-3
     bc_warmup_ratio: ClassVar[float] = 0.05
@@ -235,32 +237,23 @@ class TrainLog:
 
 
 def _dataset_from_demos(
-    demos: list[Demonstration], env_config: EnvConfig, augment: bool
+    demos: list[Demonstration], env_config: EnvConfig
 ) -> tuple[np.ndarray, list[str], np.ndarray]:
     """Observations (N, c, H, W), plans and actions (N,) of ``demos``, each
-    validated against ``env_config`` first."""
+    validated against ``env_config`` first.  Each step gives its eight
+    ``symmetry_views``, the step as recorded first, so rows 0, 8, 16, ... are
+    the recorded steps in order."""
     if not demos:
         raise ContractError("behavioral cloning requires at least one demonstration")
     obs, plans, actions = [], [], []
     for demo in demos:
         demo.validate(env_config)
         for o, plan, action in demo.steps:
-            views = symmetry_views(o, action) if augment else [(o, action)]
-            for view, a in views:
+            for view, a in symmetry_views(o, action):
                 obs.append(view)
                 plans.append(plan)
                 actions.append(a)
     return np.stack(obs).astype(np.float64, copy=False), plans, np.asarray(actions)
-
-
-def dataset_loss(model: ControlModel, demos: list[Demonstration]) -> float:
-    """Mean NLL of the first 256 unaugmented expert actions.
-
-    Only the value is returned, so no autodiff graph is recorded.
-    """
-    obs, plans, actions = _dataset_from_demos(demos, model.env_config, augment=False)
-    with no_grad():
-        return cross_entropy(model.forward(obs[:256], plans[:256]), actions[:256]).item()
 
 
 def bc_train(
@@ -272,25 +265,15 @@ def bc_train(
     """Minimise the negative log-likelihood of expert actions under the policy.
 
     Training triples are always expanded over the grid's eight dihedral
-    symmetries (exact invariances of the environment; see
-    ``PolicyConfig.augment_symmetry``).
-    With the bridge frozen, instance features are constants: they are
-    computed once per training row, in ``bc_batch`` chunks in data order,
-    before the first step, and each step indexes them by row.
+    symmetries (exact invariances of the environment).  With the bridge
+    frozen, instance features are constants: they are computed once per
+    training row, in ``bc_batch`` chunks in data order, before the first
+    step, and each step indexes them by row.  The initial and final logged
+    losses are the mean NLL of the first 256 recorded (unaugmented) steps,
+    through the same loss as the steps, with no autodiff graph.
     """
     cfg = model.config
-    obs, plans, actions = _dataset_from_demos(demos, model.env_config, cfg.augment_symmetry)
-    rng = np.random.default_rng(seed)
-    batches_per_epoch = math.ceil(len(obs) / cfg.bc_batch)
-    schedule = LrSchedule(
-        peak_lr=cfg.bc_peak_lr,
-        total_steps=epochs * batches_per_epoch,
-        warmup_ratio=cfg.bc_warmup_ratio,
-    )
-    params = model.trainable_parameters()
-    optimizer = AdamW(list(params.values()))
-    log = TrainLog()
-    log.initial_loss = dataset_loss(model, demos)
+    obs, plans, actions = _dataset_from_demos(demos, model.env_config)
     features = None
     if not cfg.train_bridge:
         chunks = [slice(i, i + cfg.bc_batch) for i in range(0, len(obs), cfg.bc_batch)]
@@ -298,23 +281,37 @@ def bc_train(
             features = np.concatenate(
                 [model.instance_features(obs[c], plans[c]).data for c in chunks]
             )
-    step = 0
+
+    def loss_of(rows: np.ndarray) -> Tensor:
+        if features is None:
+            z = model.instance_features(obs[rows], [plans[i] for i in rows])
+        else:
+            z = Tensor(features[rows])
+        return cross_entropy(model.policy_logits(z, model.global_enc(Tensor(obs[rows]))),
+                             actions[rows])
+
+    logged = np.arange(0, len(obs), 8)[:256]  # the recorded steps (see _dataset_from_demos)
+    rng = np.random.default_rng(seed)
+    batches_per_epoch = math.ceil(len(obs) / cfg.bc_batch)
+    schedule = LrSchedule(
+        peak_lr=cfg.bc_peak_lr,
+        total_steps=epochs * batches_per_epoch,
+        warmup_ratio=cfg.bc_warmup_ratio,
+    )
+    optimizer = AdamW(list(model.trainable_parameters().values()))
+    log = TrainLog()
+    with no_grad():
+        log.initial_loss = loss_of(logged).item()
     for _ in range(epochs):
         order = rng.permutation(len(obs))
         for b in range(batches_per_epoch):
-            rows = order[b * cfg.bc_batch : (b + 1) * cfg.bc_batch]
-            if features is None:
-                z = model.instance_features(obs[rows], [plans[i] for i in rows])
-            else:
-                z = Tensor(features[rows])
             optimizer.zero_grad()
-            logits = model.policy_logits(z, model.global_enc(Tensor(obs[rows])))
-            loss = cross_entropy(logits, actions[rows])
+            loss = loss_of(order[b * cfg.bc_batch : (b + 1) * cfg.bc_batch])
             loss.backward()
-            optimizer.step(schedule.lr_at(step))
-            step += 1
+            optimizer.step(schedule.lr_at(len(log.losses)))
             log.losses.append(loss.item())
-    log.final_loss = dataset_loss(model, demos)
+    with no_grad():
+        log.final_loss = loss_of(logged).item()
     return log
 
 

@@ -87,6 +87,14 @@ class TestEnv:
         with pytest.raises(ContractError):
             env.step(0)
 
+    def test_target_name_before_reset_rejected(self):
+        with pytest.raises(ContractError, match="target_name read before reset"):
+            GoalGridEnv().target_name
+
+    def test_observation_before_reset_rejected(self):
+        with pytest.raises(ContractError, match="observation read before reset"):
+            GoalGridEnv().observation()
+
     def test_moves_clamp_at_walls(self):
         env = GoalGridEnv()
         env.reset(0)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from planact.policy import (
     PolicyConfig,
     _dataset_from_demos,
     bc_train,
-    dataset_loss,
     evaluate_policy,
     expert_policy,
     model_policy,
@@ -43,10 +43,8 @@ def vocab():
 
 @pytest.fixture(scope="module")
 def data():
-    obs, plans, actions = _dataset_from_demos(
-        collect_demos(EnvConfig(), [0, 1]), EnvConfig(), augment=False
-    )
-    return list(zip(obs, plans, actions))[:6]
+    obs, plans, actions = _dataset_from_demos(collect_demos(EnvConfig(), [0, 1]), EnvConfig())
+    return list(zip(obs[::8], plans[::8], actions[::8]))[:6]
 
 
 def make_model(vocab, seed=0, ablate_plan=False, **overrides):
@@ -548,46 +546,46 @@ def reference_bc_train(model, demos, seed, epochs):
 
 def record_bc_train(model, demos, monkeypatch, epochs=1):
     """Run ``bc_train`` and return its log and the events it went through, in order:
-    ``("logged",)`` and ``("/logged",)`` around each logged loss, ``("features", rows)``
-    per ``instance_features`` call, ``("extract",)`` and ``("step",)``."""
+    ``("features", rows)`` per ``instance_features`` call, ``("extract", rows)``,
+    ``("loss", logged)`` per loss, where a logged loss is one that records no
+    graph, and ``("step",)`` per optimizer step."""
     events = []
 
-    def wrap(name, call, rows=False):
+    def wrap(name, call, rows=True):
         def recorded(*args, **kwargs):
-            events.append((name, len(args[0])) if rows else (name,))
+            events.append((name, args[0].shape[0]) if rows else (name,))
             return call(*args, **kwargs)
         return recorded
 
-    def logged_loss(*args):
-        events.append(("logged",))
-        value = dataset_loss(*args)
-        events.append(("/logged",))
+    def loss(*args):
+        value = cross_entropy(*args)
+        events.append(("loss", not value.requires_grad))
         return value
 
     monkeypatch.setattr(model.bridge, "extract", wrap("extract", model.bridge.extract))
-    monkeypatch.setattr(
-        model, "instance_features", wrap("features", model.instance_features, rows=True)
-    )
-    monkeypatch.setattr(AdamW, "step", wrap("step", AdamW.step))
-    monkeypatch.setattr("planact.policy.dataset_loss", logged_loss)
+    monkeypatch.setattr(model, "instance_features", wrap("features", model.instance_features))
+    monkeypatch.setattr(AdamW, "step", wrap("step", AdamW.step, rows=False))
+    monkeypatch.setattr("planact.policy.cross_entropy", loss)
     log = bc_train(model, demos, seed=0, epochs=epochs)
     monkeypatch.undo()
     return log, events
 
 
-def outside_logged(events):
-    """``events`` outside the logged losses, and the events inside each of them."""
-    outside, logged, inside = [], [], False
-    for event in events:
-        if event in (("logged",), ("/logged",)):
-            inside = event == ("logged",)
-            if inside:
-                logged.append([])
-        elif inside:
-            logged[-1].append(event)
-        else:
-            outside.append(event)
-    return outside, logged
+def kinds(events):
+    """``events`` as one letter each: ``f``eatures, ``e``xtract, ``l``ogged loss,
+    ``t``raining loss and optimizer ``s``tep."""
+    letters = {"features": "f", "extract": "e", "step": "s"}
+    return "".join(
+        ("l" if e[1] else "t") if e[0] == "loss" else letters[e[0]] for e in events
+    )
+
+
+def recorded_loss(model, demos):
+    """Mean NLL under ``model.forward`` of the first 256 recorded steps of ``demos``."""
+    steps = [step for demo in demos for step in demo.steps][:256]
+    with no_grad():
+        logits = model.forward(np.stack([o for o, _, _ in steps]), [p for _, p, _ in steps])
+        return cross_entropy(logits, [a for _, _, a in steps]).item()
 
 
 # 112 training rows on ENV: three full minibatches and one of 16
@@ -624,34 +622,38 @@ class TestBcTrain:
     @pytest.mark.parametrize("epochs", [1, 3])
     def test_frozen_features_computed_once_per_row(self, vocab, monkeypatch, epochs):
         demos = collect_demos(ENV, TRAIN_DEMOS)
-        rows = len(_dataset_from_demos(demos, ENV, augment=True)[0])
+        rows = len(_dataset_from_demos(demos, ENV)[0])
         model = make_model(vocab)
-        initial = dataset_loss(make_model(vocab), demos)
+        initial = recorded_loss(make_model(vocab), demos)
         log, events = record_bc_train(model, demos, monkeypatch, epochs=epochs)
-        outside, _ = outside_logged(events)
-        table = [event[1] for event in outside if event[0] == "features"]
+        table = [event[1] for event in events if event[0] == "features"]
         assert rows == 112 and table == [32, 32, 32, 16]
         assert log.initial_loss == initial
-        assert log.final_loss == dataset_loss(model, demos)
+        assert log.final_loss == recorded_loss(model, demos)
+
+    def test_frozen_bridge_extracts_each_training_row_once(self, vocab, monkeypatch):
+        demos = collect_demos(ENV, TRAIN_DEMOS)
+        _, events = record_bc_train(make_model(vocab), demos, monkeypatch)
+        first = events.index(("step",))
+        extracted = [event[1] for event in events if event[0] == "extract"]
+        assert sum(extracted) == 112
+        assert not any(event[0] == "extract" for event in events[first:])
 
     def test_frozen_bridge_extracts_only_before_the_first_step(self, vocab, monkeypatch):
         model = make_model(vocab)
         log, events = record_bc_train(model, collect_demos(ENV, TRAIN_DEMOS), monkeypatch)
-        outside, logged = outside_logged(events)
-        first = outside.index(("step",))
-        assert ("extract",) in outside[:first]
-        assert outside[first:] == [("step",)] * len(log.losses)
-        assert len(logged) == 2 and all(("extract",) in span for span in logged)
+        # the feature table, then the logged losses and the steps read it
+        seen = kinds(events)
+        assert re.fullmatch(r"(fe+)+l(ts)+l", seen) and seen.count("s") == len(log.losses)
 
     def test_joint_bridge_extracts_every_step(self, vocab, monkeypatch):
         model = make_model(vocab, train_bridge=True)
         log, events = record_bc_train(model, collect_demos(ENV, TRAIN_DEMOS), monkeypatch)
-        outside, _ = outside_logged(events)
-        # each minibatch runs one extract per distinct plan, then its step
-        kinds = "".join("s" if e == ("step",) else "e" for e in outside if e[0] != "features")
-        runs = kinds.split("s")
-        assert len(runs) == len(log.losses) + 1 and runs[-1] == ""
-        assert all(1 <= len(run) <= len(TRAIN_DEMOS) for run in runs[:-1])
+        # each loss, logged or trained, runs one extract per distinct plan of its rows
+        per_loss = rf"fe{{1,{len(TRAIN_DEMOS)}}}"
+        seen = kinds(events)
+        assert re.fullmatch(rf"{per_loss}l({per_loss}ts)+{per_loss}l", seen)
+        assert seen.count("s") == len(log.losses)
 
     def test_step_graph_size_independent_of_batch(self, vocab, monkeypatch):
         demos = collect_demos(ENV, TRAIN_DEMOS)
@@ -695,59 +697,54 @@ class TestBcTrain:
 
 
 class TestTrainingRows:
-    @pytest.mark.parametrize("augment, views", [(False, 1), (True, 8)])
-    def test_rows_in_demo_order(self, augment, views):
+    def test_rows_in_demo_order(self):
         demos = collect_demos(ENV, TRAIN_DEMOS)
-        obs, plans, actions = _dataset_from_demos(demos, ENV, augment=augment)
+        obs, plans, actions = _dataset_from_demos(demos, ENV)
         steps = [step for demo in demos for step in demo.steps]
-        assert obs.shape == (views * len(steps), *ENV.observation_shape)
+        assert obs.shape == (8 * len(steps), *ENV.observation_shape)
         assert obs.dtype == np.float64 and actions.shape == (len(obs),)
-        assert plans == [plan for _, plan, _ in steps for _ in range(views)]
-        expected = [(o, a) for o, _, action in steps
-                    for o, a in (symmetry_views(o, action) if augment else [(o, action)])]
+        assert plans == [plan for _, plan, _ in steps for _ in range(8)]
+        expected = [view for o, _, action in steps for view in symmetry_views(o, action)]
         assert obs.tobytes() == np.stack([o for o, _ in expected]).tobytes()
         assert actions.tolist() == [a for _, a in expected]
+        # each step's eight views start with the step as recorded
+        assert obs[::8].tobytes() == np.stack([o for o, _, _ in steps]).tobytes()
+        assert actions[::8].tolist() == [a for _, _, a in steps]
 
     def test_logged_loss_reads_the_first_256_steps(self, vocab):
         demos = collect_demos(EnvConfig(), list(range(40)))
-        steps = [step for demo in demos for step in demo.steps]
-        assert len(steps) > 256
-        model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, PolicyConfig(**SMALL))
-        with no_grad():
-            logits = model.forward(np.stack([o for o, _, _ in steps[:256]]),
-                                   [p for _, p, _ in steps[:256]])
-            expected = cross_entropy(logits, [a for _, _, a in steps[:256]]).item()
-        assert dataset_loss(model, demos) == expected
+        assert sum(len(demo.steps) for demo in demos) > 256
 
-    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
-    def test_integer_observations_train_as_floats(self, vocab, run):
+        def fresh():
+            return ControlModel(np.random.default_rng(0), EnvConfig(), vocab, PolicyConfig(**SMALL))
+
+        assert bc_train(fresh(), demos, epochs=1).initial_loss == recorded_loss(fresh(), demos)
+
+    def test_integer_observations_train_as_floats(self, vocab):
         demos = collect_demos(ENV, TRAIN_DEMOS)
         as_int = collect_demos(ENV, TRAIN_DEMOS)
         for demo in as_int:
             demo.steps = [(obs.astype(np.int8), plan, a) for obs, plan, a in demo.steps]
         model, twin = make_model(vocab), make_model(vocab)
-        assert run(model, as_int) == run(twin, demos)
+        assert bc_train(model, as_int) == bc_train(twin, demos)
         for p, q in zip(model.parameters(), twin.parameters()):
             assert p.data.tobytes() == q.data.tobytes()
 
 
 class TestDemoValidation:
-    # bc_train and dataset_loss validate every demo against the model's grid first
-    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
-    def test_demo_without_steps_named(self, vocab, run):
+    # bc_train validates every demo against the model's grid first
+    def test_demo_without_steps_named(self, vocab):
         with pytest.raises(ValidationError, match="demonstration 0 did not succeed"):
-            run(make_model(vocab), [Demonstration(seed=0)])
+            bc_train(make_model(vocab), [Demonstration(seed=0)])
 
-    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
-    def test_illegal_action_named(self, vocab, run):
+    def test_illegal_action_named(self, vocab):
         demo = collect_demos(ENV, [0])[0]
         obs, plan, _ = demo.steps[0]
         demo.steps.insert(0, (obs, plan, 7))
         with pytest.raises(ValidationError, match="demonstration 0 holds an illegal action"):
-            run(make_model(vocab), [demo])
+            bc_train(make_model(vocab), [demo])
 
-    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
-    def test_observation_shape_named(self, vocab, run):
+    def test_observation_shape_named(self, vocab):
         demo = collect_demos(ENV, [0])[0]
         demo.steps = [(obs[:, :7, :7], plan, action) for obs, plan, action in demo.steps]
         with pytest.raises(
@@ -755,11 +752,10 @@ class TestDemoValidation:
             match=r"demonstration 0 holds an observation of shape \(4, 7, 7\), "
             r"expected \(4, 9, 9\)",
         ):
-            run(make_model(vocab), [demo])
+            bc_train(make_model(vocab), [demo])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
-    def test_non_finite_observation_named(self, vocab, run, bad):
+    def test_non_finite_observation_named(self, vocab, bad):
         demo = collect_demos(ENV, [0])[0]
         obs, plan, action = demo.steps[1]
         broken = obs.copy()
@@ -768,12 +764,11 @@ class TestDemoValidation:
         with pytest.raises(
             ValidationError, match="demonstration 0 holds a non-finite observation at step 1"
         ):
-            run(make_model(vocab), [demo])
+            bc_train(make_model(vocab), [demo])
 
-    @pytest.mark.parametrize("run", [bc_train, dataset_loss])
-    def test_no_demos_rejected(self, vocab, run):
+    def test_no_demos_rejected(self, vocab):
         with pytest.raises(ContractError, match="at least one demonstration"):
-            run(make_model(vocab), [])
+            bc_train(make_model(vocab), [])
 
 
 class TestEvaluation:
