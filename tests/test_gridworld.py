@@ -95,6 +95,14 @@ class TestEnv:
         with pytest.raises(ContractError, match="observation read before reset"):
             GoalGridEnv().observation()
 
+    def test_target_and_observation_readable_after_the_episode_ends(self):
+        env = GoalGridEnv(EnvConfig(step_limit=1))
+        env.reset(0)
+        name = env.target_name
+        obs, done, _ = env.step(0)
+        assert done and env.target_name == name
+        assert env.observation().tobytes() == obs.tobytes()
+
     def test_moves_clamp_at_walls(self):
         env = GoalGridEnv()
         env.reset(0)

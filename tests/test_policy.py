@@ -711,21 +711,28 @@ class TestTrainingRows:
         assert obs[::8].tobytes() == np.stack([o for o, _, _ in steps]).tobytes()
         assert actions[::8].tolist() == [a for _, _, a in steps]
 
-    def test_logged_loss_reads_the_first_256_steps(self, vocab):
+    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
+    def test_logged_loss_reads_the_first_256_steps(self, vocab, train_bridge):
         demos = collect_demos(EnvConfig(), list(range(40)))
         assert sum(len(demo.steps) for demo in demos) > 256
 
         def fresh():
-            return ControlModel(np.random.default_rng(0), EnvConfig(), vocab, PolicyConfig(**SMALL))
+            config = PolicyConfig(train_bridge=train_bridge, **SMALL)
+            return ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
 
-        assert bc_train(fresh(), demos, epochs=1).initial_loss == recorded_loss(fresh(), demos)
+        model = fresh()
+        log = bc_train(model, demos, epochs=1)
+        assert log.initial_loss == recorded_loss(fresh(), demos)
+        assert log.final_loss == recorded_loss(model, demos)
 
-    def test_integer_observations_train_as_floats(self, vocab):
+    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
+    def test_integer_observations_train_as_floats(self, vocab, train_bridge):
         demos = collect_demos(ENV, TRAIN_DEMOS)
         as_int = collect_demos(ENV, TRAIN_DEMOS)
         for demo in as_int:
             demo.steps = [(obs.astype(np.int8), plan, a) for obs, plan, a in demo.steps]
-        model, twin = make_model(vocab), make_model(vocab)
+        model = make_model(vocab, train_bridge=train_bridge)
+        twin = make_model(vocab, train_bridge=train_bridge)
         assert bc_train(model, as_int) == bc_train(twin, demos)
         for p, q in zip(model.parameters(), twin.parameters()):
             assert p.data.tobytes() == q.data.tobytes()

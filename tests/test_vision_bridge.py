@@ -104,9 +104,11 @@ class TestQueryBridge:
         with pytest.raises(DimensionError, match=r"expected visual tokens \(\.\.\., P, D\)"):
             bridge.extract(Tensor(np.zeros(16)), bridge.plan_side([1, 2]))
 
-    def test_empty_text_rejected(self, bridge):
+    @pytest.mark.parametrize("ids", [[], (), np.array([], dtype=np.int64)],
+                             ids=["list", "tuple", "array"])
+    def test_empty_text_rejected(self, bridge, ids):
         with pytest.raises(ContractError, match="a plan side needs at least one text id"):
-            bridge.plan_side([])
+            bridge.plan_side(ids)
 
     def test_visual_permutation_invariance(self, bridge, rng):
         tokens = rng.standard_normal((10, 16))
@@ -222,7 +224,9 @@ class TestPlanSideOncePerPlan:
     """``plan_side`` then ``extract`` must equal the unsplit bridge."""
 
     @pytest.mark.parametrize("lead", [(), (1,), (5,)], ids=["unbatched", "one", "batched"])
-    @pytest.mark.parametrize("text", [1, 43], ids=lambda t: f"text{t}")
+    # one id, the two ids (BOS, EOS) that ``tokenize`` gives an empty text,
+    # and a plan longer than any query row count
+    @pytest.mark.parametrize("text", [1, 2, 43], ids=lambda t: f"text{t}")
     # one image token, fewer than the policy's query rows, the small
     # encoder's 4x4 grid and the policy's 9x9 grid
     @pytest.mark.parametrize("patches", [1, 4, 16, 81], ids=lambda p: f"patches{p}")
