@@ -1,7 +1,11 @@
 """Embedding providers: a pure seeded mock, an HTTP client, and a mock server.
 
-Wire protocol: POST /embed with body {"kind": "text"|"frame", "items": [...]}
-returns {"vectors": [[...], ...]}.  Every provider mirrors it as
+Wire protocol: POST /embed with body {"kind": "text"|"frame", "items": [...]},
+where every item is a string, returns {"dim": d, "vectors": "<base64>"}.  The
+base64 string decodes to the n*d little-endian float64 values of the n
+vectors, one row of width d per item in request order, so every bit of every
+value arrives as the provider computed it.  An empty request is answered
+{"dim": 0, "vectors": ""}.  Every provider mirrors the protocol as
 ``embed(kind, items) -> list of vectors``.  Clients normalise vectors to unit
 length unless the service already guarantees it.  A vector depends only on
 ``(kind, item)``, never on the rest of the batch, so one request may carry a
@@ -10,8 +14,10 @@ whole build's keyframes or texts.
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -53,6 +59,12 @@ class RemoteEmbedder:
         retries: int = 2,
         normalize: bool = True,
     ):
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise ContractError(f"retries must be an int >= 0, got {retries!r}")
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
+            0 < timeout < math.inf
+        ):
+            raise ContractError(f"timeout must be a finite number of seconds > 0, got {timeout!r}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.retries = retries
@@ -79,10 +91,15 @@ class RemoteEmbedder:
         raise PipelineError(f"embedding service unreachable after retries: {last_error}")
 
     def _vectors(self, kind: str, items: list[str], reply) -> list[np.ndarray]:
-        """A JSON object whose ``vectors`` list holds one finite 1-D row of a common
-        width per item, else an error naming the kind and, for a bad row, the item.
+        """The rows of the reply's ``(len(items), dim)`` float64 block, one per item.
 
-        A malformed answer is not retried: the service would give it again.
+        Raises ``PipelineError`` naming the kind when the reply is not a JSON
+        object, has no ``vectors`` field, ``vectors`` is not a string, ``dim``
+        is not an int (at least 1 unless the request was empty), ``vectors``
+        is not valid base64, or it does not decode to 8 * len(items) * dim
+        bytes; and naming the item as well for a row with a NaN or an
+        infinity, or, with ``normalize``, a row of zeros.  A malformed answer
+        is not retried: the service would give it again.
         """
         if not isinstance(reply, dict):
             raise PipelineError(
@@ -93,41 +110,52 @@ class RemoteEmbedder:
             raise PipelineError(
                 f"embedding service answered a {kind} request without a \"vectors\" field"
             )
-        rows = reply["vectors"]
-        if not isinstance(rows, list):
+        encoded, dim = reply["vectors"], reply.get("dim")
+        if not isinstance(encoded, str):
             raise PipelineError(
                 f"embedding service answered a {kind} request with \"vectors\" of type "
-                f"{type(rows).__name__}, not a list"
+                f"{type(encoded).__name__}, not a base64 string"
             )
-        if len(rows) != len(items):
+        least = 1 if items else 0  # an empty request is answered with dim 0
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < least:
             raise PipelineError(
-                f"embedding service returned {len(rows)} {kind} vectors for {len(items)} items"
+                f"embedding service answered a {kind} request with \"dim\" {dim!r}, "
+                f"not an int >= {least}"
             )
-        vectors = []
-        for item, row in zip(items, rows):
-            try:
-                v = np.asarray(row, dtype=np.float64)
-            except (TypeError, ValueError):
+        try:
+            raw = base64.b64decode(encoded, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise PipelineError(
+                f"embedding service answered a {kind} request with invalid base64: {exc}"
+            ) from None
+        if len(raw) != 8 * len(items) * dim:
+            if dim and len(raw) % (8 * dim) == 0:
                 raise PipelineError(
-                    f"embedding service returned a non-numeric {kind} vector for {item!r}"
-                ) from None
-            if v.ndim != 1 or (vectors and v.shape != vectors[0].shape):
-                raise PipelineError(
-                    f"embedding service returned a {kind} vector of shape {v.shape} for "
-                    f"{item!r}; each must be a 1-D row of the batch's common width"
+                    f"embedding service returned {len(raw) // (8 * dim)} {kind} vectors "
+                    f"for {len(items)} items"
                 )
-            if not np.isfinite(v).all():
-                raise PipelineError(
-                    f"embedding service returned a non-finite {kind} vector for {item!r}"
-                )
-            vectors.append(v)
+            raise PipelineError(
+                f"embedding service returned {len(raw)} bytes for {len(items)} {kind} "
+                f"vectors of width {dim}, not whole float64 rows"
+            )
+        block = np.frombuffer(raw, dtype="<f8").reshape(len(items), dim)
+        bad = ~np.isfinite(block).all(axis=1)
+        if bad.any():
+            item = items[int(bad.argmax())]
+            raise PipelineError(
+                f"embedding service returned a non-finite {kind} vector for {item!r}"
+            )
         if self.normalize:
-            norms = [np.linalg.norm(v) for v in vectors]
-            if 0.0 in norms:
-                item = items[norms.index(0.0)]
-                raise PipelineError(f"embedding service returned a zero {kind} vector for {item!r}")
-            vectors = [v / n for v, n in zip(vectors, norms)]
-        return vectors
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            if (norms == 0.0).any():
+                item = items[int((norms == 0.0).argmax())]
+                raise PipelineError(
+                    f"embedding service returned a zero {kind} vector for {item!r}"
+                )
+            block = block / norms
+        else:
+            block = block.astype(np.float64)  # a writable, native-order copy
+        return list(block)
 
     def embed(self, kind: str, items: list[str]) -> list[np.ndarray]:
         return self._post(kind, items)
@@ -138,7 +166,9 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
 
     A connection that sends nothing for ``READ_TIMEOUT_S`` is closed without a
     reply, as is one whose client goes away mid-request; neither prints a
-    traceback.  A body shorter than its ``Content-Length`` is answered 400.
+    traceback.  A body shorter than its ``Content-Length``, or one that is not
+    ``{"kind": ..., "items": [str, ...]}``, is answered 400.  Vectors that do
+    not stack into one float64 block of width at least 1 are answered 500.
     """
 
     class Handler(BaseHTTPRequestHandler):
@@ -168,13 +198,23 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
                 if not isinstance(body, dict):
                     raise ValueError("body must be a JSON object")
                 items = body["items"]
-                if not isinstance(items, list):
-                    raise ValueError("items must be a list")
-                vectors = embedder.embed(body["kind"], [str(item) for item in items])
+                if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
+                    raise ValueError("items must be a list of strings")
+                vectors = embedder.embed(body["kind"], items)
             except (ValueError, KeyError, ContractError):
-                self.send_error(400, "expected {kind: text|frame, items: [...]}")
+                self.send_error(400, "expected {kind: text|frame, items: [str, ...]}")
                 return
-            payload = json.dumps({"vectors": [v.tolist() for v in vectors]}).encode("utf-8")
+            try:  # ragged, scalar or non-numeric rows do not stack
+                block = np.asarray(vectors, dtype="<f8")
+                if len(block) and (block.ndim != 2 or block.shape[1] < 1):
+                    raise ValueError("each vector must be a row of one width >= 1")
+            except (TypeError, ValueError):
+                self.send_error(500, "provider vectors are not one float64 block")
+                return
+            payload = json.dumps({
+                "dim": block.shape[1] if len(block) else 0,
+                "vectors": base64.b64encode(block.tobytes()).decode("ascii"),
+            }).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))

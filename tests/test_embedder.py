@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import json
 import socket
@@ -8,8 +9,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from planact import embedder
 from planact.embedder import (
@@ -78,28 +80,26 @@ class TestEmbedServer:
         with pytest.raises(PipelineError, match="retries"):
             remote.embed("text", ["x"])
 
+    def test_empty_request_gets_empty_block(self, server_url):
+        assert _post_json(server_url, {"kind": "text", "items": []}) == {"dim": 0, "vectors": ""}
+        assert RemoteEmbedder(server_url).embed("text", []) == []
+
+    def test_reply_is_little_endian_float64_rows(self, server_url, mock):
+        reply = _post_json(server_url, {"kind": "frame", "items": ["a", "b"]})
+        assert reply["dim"] == 16
+        raw = base64.b64decode(reply["vectors"], validate=True)
+        assert raw == np.asarray(mock.embed("frame", ["a", "b"]), dtype="<f8").tobytes()
+
     def test_bad_request_rejected(self, server_url):
-        request = urllib.request.Request(
-            f"{server_url}/embed",
-            data=json.dumps({"kind": "audio", "items": []}).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(request, timeout=5.0)
-        assert info.value.code == 400
-        info.value.close()
+        assert _status(server_url, {"kind": "audio", "items": []}) == 400
 
     @pytest.mark.parametrize("body", [[1, 2], "x"])
     def test_body_that_is_not_an_object_rejected(self, server_url, body):
-        request = urllib.request.Request(
-            f"{server_url}/embed",
-            data=json.dumps(body).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as info:
-            urllib.request.urlopen(request, timeout=5.0)
-        assert info.value.code == 400
-        info.value.close()
+        assert _status(server_url, body) == 400
+
+    @pytest.mark.parametrize("items", [[1, None], ["a", 1.5], ["a", ["b"]], "ab"])
+    def test_items_that_are_not_strings_rejected(self, server_url, items):
+        assert _status(server_url, {"kind": "text", "items": items}) == 400
 
     def test_negative_content_length_rejected(self, server_url):
         host, port = server_url.removeprefix("http://").split(":")
@@ -112,6 +112,36 @@ class TestEmbedServer:
         remote = RemoteEmbedder(server_url, retries=1)
         with pytest.raises(PipelineError, match="retries.*400"):
             remote._post("audio", ["x"])
+
+
+def _post_json(url, body):
+    request = urllib.request.Request(
+        f"{url}/embed",
+        data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=5.0) as resp:
+        return json.loads(resp.read())
+
+
+def _status(url, body):
+    """The HTTP status of an /embed request that the server refuses."""
+    with pytest.raises(urllib.error.HTTPError) as info:
+        _post_json(url, body)
+    info.value.close()
+    return info.value.code
+
+
+@pytest.mark.parametrize("retries", [-1, 1.5, True, "2", None])
+def test_retries_must_be_a_count(retries):
+    with pytest.raises(ContractError, match="retries"):
+        RemoteEmbedder("http://127.0.0.1:9", retries=retries)
+
+
+@pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan"), float("inf"), True, "5", None])
+def test_timeout_must_be_finite_and_positive(timeout):
+    with pytest.raises(ContractError, match="timeout"):
+        RemoteEmbedder("http://127.0.0.1:9", timeout=timeout)
 
 
 @given(st.sampled_from(["text", "frame"]), st.lists(st.text(), max_size=6))
@@ -134,6 +164,33 @@ class FixedRows:
         return [np.asarray(row, dtype=object) for row in self.rows[: len(items)]]
 
 
+@pytest.fixture(scope="module")
+def rows_server(serve):
+    """One server for every example: a test sets the provider's ``rows``."""
+    provider = FixedRows([])
+    return provider, serve(provider)
+
+
+# finite float64 values, with -0.0, subnormals and values near the largest finite
+# float drawn often
+FINITE = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(1, 6)), elements=FINITE))
+@example(np.zeros((0, 3)))
+@example(np.array([[-0.0, 5e-324, -2.5e-310], [2.2250738585072014e-308, 1.7e308, -1.7e308]]))
+def test_any_finite_block_arrives_bit_for_bit(rows_server, block):
+    provider, url = rows_server
+    provider.rows = block
+    items = [f"vid@{i}.000" for i in range(len(block))]
+    got = RemoteEmbedder(url, normalize=False).embed("frame", items)
+    assert [v.tobytes() for v in got] == [row.tobytes() for row in block]
+    assert all(v.dtype == np.float64 and v.flags.writeable for v in got)
+
+
 class ZeroEmbedder(FixedRows):
     """Stub provider whose every vector is zero."""
 
@@ -154,11 +211,6 @@ def test_zero_vector_rejected_when_normalizing(serve):
     [
         ([[1.0, 0.0], [0.5, float("nan")]], "non-finite text vector for 'b'"),
         ([[1.0, 0.0], [float("inf"), 0.0]], "non-finite text vector for 'b'"),
-        ([[1.0, 0.0], [1.0, 0.0, 0.0]], r"text vector of shape \(3,\) for 'b'"),
-        ([[[1.0, 0.0]], [[1.0, 0.0]]], r"text vector of shape \(1, 2\) for 'a'"),
-        ([1.0, 2.0], r"text vector of shape \(\) for 'a'"),
-        ([[1.0, 0.0], ["x", "y"]], "non-numeric text vector for 'b'"),
-        ([[1.0, 0.0], [{"x": 1.0}, 0.0]], "non-numeric text vector for 'b'"),
     ],
 )
 def test_malformed_vectors_rejected_without_retry(serve, rows, match, normalize):
@@ -167,6 +219,27 @@ def test_malformed_vectors_rejected_without_retry(serve, rows, match, normalize)
     with pytest.raises(PipelineError, match=match):
         remote.embed("text", ["a", "b"])
     assert provider.requests == 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, 0.0], [1.0, 0.0, 0.0]],
+        [[[1.0, 0.0]], [[1.0, 0.0]]],
+        [1.0, 2.0],
+        [[1.0, 0.0], ["x", "y"]],
+        [[1.0, 0.0], [{"x": 1.0}, 0.0]],
+        [[], []],
+    ],
+    ids=["ragged", "matrix-rows", "scalar-rows", "string-values", "object-values",
+         "zero-width"],
+)
+def test_rows_that_are_not_one_block_answered_500(serve, capfd, rows):
+    url = serve(FixedRows(rows))
+    assert _status(url, {"kind": "text", "items": ["a", "b"]}) == 500
+    with pytest.raises(PipelineError, match="retries.*500"):
+        RemoteEmbedder(url, retries=1).embed("text", ["a", "b"])
+    assert capfd.readouterr().err == ""
 
 
 class FixedBodyHandler(BaseHTTPRequestHandler):
@@ -203,6 +276,10 @@ def fixed_body():
         server.server_close()
 
 
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _url(server):
     return f"http://127.0.0.1:{server.server_address[1]}"
 
@@ -214,14 +291,31 @@ def _url(server):
         ("x", "frame request with a str, not a JSON object"),
         (None, "frame request with a NoneType, not a JSON object"),
         ({"nope": []}, 'frame request without a "vectors" field'),
-        ({"vectors": 5}, '"vectors" of type int, not a list'),
-        ({"vectors": None}, '"vectors" of type NoneType, not a list'),
-        ({"vectors": {"a": [1.0, 0.0]}}, '"vectors" of type dict, not a list'),
-        ({"vectors": []}, "returned 0 frame vectors for 1 items"),
-        ({"vectors": [[1.0, 0.0], [0.0, 1.0]]}, "returned 2 frame vectors for 1 items"),
+        ({"dim": 2, "vectors": 5}, '"vectors" of type int, not a base64 string'),
+        ({"dim": 2, "vectors": None}, '"vectors" of type NoneType, not a base64 string'),
+        ({"dim": 2, "vectors": {"a": [1.0, 0.0]}}, '"vectors" of type dict, not a base64 string'),
+        ({"dim": 2, "vectors": [[1.0, 0.0]]}, '"vectors" of type list, not a base64 string'),
+        ({"dim": 2, "vectors": ""}, "returned 0 frame vectors for 1 items"),
+        ({"dim": 2, "vectors": _b64([1.0, 0.0, 0.0, 1.0])},
+         "returned 2 frame vectors for 1 items"),
+        ({"dim": 2, "vectors": _b64([1.0, 0.0])[:-1]}, "frame request with invalid base64"),
+        ({"dim": 2, "vectors": "AAAA AAAA AAAA AAAA"}, "frame request with invalid base64"),
+        ({"dim": 2, "vectors": "\u00e9" * 4}, "frame request with invalid base64"),
+        ({"vectors": _b64([1.0, 0.0])}, 'frame request with "dim" None, not an int >= 1'),
+        ({"dim": 0, "vectors": ""}, 'frame request with "dim" 0, not an int >= 1'),
+        ({"dim": -2, "vectors": ""}, 'frame request with "dim" -2, not an int >= 1'),
+        ({"dim": 2.0, "vectors": _b64([1.0, 0.0])}, '"dim" 2.0, not an int >= 1'),
+        ({"dim": "2", "vectors": _b64([1.0, 0.0])}, "\"dim\" '2', not an int >= 1"),
+        ({"dim": True, "vectors": _b64([1.0])}, '"dim" True, not an int >= 1'),
+        ({"dim": 2, "vectors": _b64([1.0, 0.0, 1.0])},
+         "returned 24 bytes for 1 frame vectors of width 2, not whole float64 rows"),
+        ({"dim": 1, "vectors": base64.b64encode(bytes(12)).decode()},
+         "returned 12 bytes for 1 frame vectors of width 1, not whole float64 rows"),
     ],
     ids=["array", "string", "null", "no-vectors", "vectors-number", "vectors-null",
-         "vectors-object", "too-few", "too-many"],
+         "vectors-object", "vectors-list", "too-few", "too-many", "base64-truncated",
+         "base64-spaces", "base64-non-ascii", "dim-missing", "dim-zero", "dim-negative",
+         "dim-float", "dim-string", "dim-bool", "partial-row", "partial-value"],
 )
 def test_malformed_envelope_rejected_without_retry(fixed_body, reply, match):
     server = fixed_body(json.dumps(reply).encode("utf-8"))

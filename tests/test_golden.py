@@ -4,6 +4,10 @@ The frozen-bridge values were recorded with the bridge running every block
 over every row; the joint-training losses were recorded with attention run as
 a chain of per-operation autodiff nodes.  A change meant to speed the policy
 up must reproduce them: losses to round-off, actions exactly.
+
+Goldens and digests, here and elsewhere in the suite, are compared at one
+BLAS thread (``OPENBLAS_NUM_THREADS=1``): the same seeds give other bits at
+two threads.
 """
 
 import numpy as np
