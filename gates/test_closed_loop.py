@@ -1,21 +1,25 @@
 """Closed-loop gate: the plan is what makes the policy succeed (ROADMAP item 1).
 
-``ControlModel`` with ``train_bridge=True`` is trained by behavioural cloning
-on 200 expert demonstrations (seeds 0-199) for 4 epochs, with train seed 1,
-for each of model seeds 0-4, and evaluated greedily on 100 episodes from
-seed 10,000.  The gate passes when:
+For each of model seeds 0-4 the default ``ControlModel`` is pretrained on
+grounding (``pretrain_bridge``) over 200 expert demonstrations (seeds
+0-199), then trained by behavioural cloning on them for 4 epochs, both with
+train seed 1, and evaluated greedily on 100 episodes from seed 10,000.  The
+gate passes when:
 
 - on every model seed the Wilson lower bound of success is above the
   success rate of ``goal_chance_policy`` on the same episodes;
 - the mean success over the seeds is at least 0.9;
-- the same model with its plan ablated succeeds at most goal chance + 0.1
-  on every seed, both at 4 epochs and at 15, where its loss has converged.
+- the same model with its plan ablated, which reads no plan and so is not
+  pretrained, succeeds at most goal chance + 0.1 on every seed, both at 4
+  epochs and at 15, where its loss has converged.
 
 Per-seed success and failure causes are printed.  The gate trains about
-7,200 joint and 34,400 ablated minibatch steps; alone on one pinned core of
-a 2-core x86-64 host it ran in 260 s, so it lives outside the tier-1
-``testpaths``.  Joint training's bits depend on the BLAS thread count, and
-the recorded per-seed lines come from one OpenBLAS thread.  Run it with
+5,400 grounding, 7,200 frozen and 34,400 ablated minibatch steps; alone on
+one pinned core of a 2-core x86-64 host it ran in 362 s (212 s for the five
+pretrained seeds, 112 s and 37 s for the ablated cases at 15 and 4 epochs),
+so it lives outside the tier-1 ``testpaths``.  The same seeds give other bits at two
+BLAS threads, and the recorded per-seed lines come from one OpenBLAS
+thread.  Run it with
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest -q -s gates/
 """
@@ -28,11 +32,11 @@ import pytest
 from planact.gridworld import OBJECT_NAMES, EnvConfig, collect_demos, plan_for
 from planact.policy import (
     ControlModel,
-    PolicyConfig,
     bc_train,
     evaluate_policy,
     goal_chance_policy,
     model_policy,
+    pretrain_bridge,
 )
 from planact.vocab import Vocabulary
 
@@ -60,10 +64,9 @@ def chance():
 
 def train_and_evaluate(demos, model_seed: int, epochs: int, ablate_plan: bool) -> dict:
     vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
-    model = ControlModel(
-        np.random.default_rng(model_seed), ENV, vocab, PolicyConfig(train_bridge=True),
-        ablate_plan=ablate_plan,
-    )
+    model = ControlModel(np.random.default_rng(model_seed), ENV, vocab, ablate_plan=ablate_plan)
+    if not ablate_plan:
+        pretrain_bridge(model, demos, seed=TRAIN_SEED)
     log = bc_train(model, demos, seed=TRAIN_SEED, epochs=epochs)
     result = evaluate_policy(model_policy(model), ENV, EPISODES, BASE_SEED)
     causes = Counter(r["cause"] for r in result["per_seed"] if not r["success"])

@@ -27,9 +27,10 @@ precede the plan's ([queries; text], as in the unsplit block).  Block 1's
 text rows serve only as keys and values, so its query projection,
 feed-forward and the final norm run on the query rows alone.  A caller that
 keeps a plan's side (a frozen bridge) pays for it once per plan; each
-observation pays only for the image side.  A caller that trains the bridge
-builds the plan side once per plan per batch, and its graph carries the
-gradients of every image-side row back into it.
+observation pays only for the image side.  While grounding pretraining
+(``policy.pretrain_bridge``) trains the bridge, the plan side is built once
+per plan per minibatch, and its graph carries the gradients of every
+image-side row back into it.
 
 The split is exact because every later operation sees the same values as
 when each observation carried its own copy of every row.  The plan side

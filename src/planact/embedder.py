@@ -146,13 +146,16 @@ class RemoteEmbedder:
                 f"embedding service returned a non-finite {kind} vector for {item!r}"
             )
         if self.normalize:
-            norms = np.linalg.norm(block, axis=1, keepdims=True)
-            if (norms == 0.0).any():
-                item = items[int((norms == 0.0).argmax())]
+            # each row is scaled by its largest magnitude first, so that neither
+            # subnormal nor huge values underflow or overflow in the norm
+            scale = np.abs(block).max(axis=1, keepdims=True, initial=0.0)
+            if (scale == 0.0).any():
+                item = items[int((scale == 0.0).argmax())]
                 raise PipelineError(
                     f"embedding service returned a zero {kind} vector for {item!r}"
                 )
-            block = block / norms
+            block = block / scale
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
         else:
             block = block.astype(np.float64)  # a writable, native-order copy
         return list(block)
@@ -167,8 +170,11 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
     A connection that sends nothing for ``READ_TIMEOUT_S`` is closed without a
     reply, as is one whose client goes away mid-request; neither prints a
     traceback.  A body shorter than its ``Content-Length``, or one that is not
-    ``{"kind": ..., "items": [str, ...]}``, is answered 400.  Vectors that do
-    not stack into one float64 block of width at least 1 are answered 500.
+    ``{"kind": ..., "items": [str, ...]}``, is answered 400, as is one the
+    provider refuses with ``ValueError``, ``KeyError`` or ``ContractError``.
+    Any other provider exception, and vectors that do not stack into one
+    float64 block of width at least 1, are answered 500 with a plain message
+    and print no traceback.
     """
 
     class Handler(BaseHTTPRequestHandler):
@@ -197,12 +203,19 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
                 body = json.loads(raw)
                 if not isinstance(body, dict):
                     raise ValueError("body must be a JSON object")
-                items = body["items"]
+                kind, items = body["kind"], body["items"]
                 if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
                     raise ValueError("items must be a list of strings")
-                vectors = embedder.embed(body["kind"], items)
-            except (ValueError, KeyError, ContractError):
-                self.send_error(400, "expected {kind: text|frame, items: [str, ...]}")
+            except (ValueError, KeyError):
+                self.send_error(400, BAD_REQUEST)
+                return
+            try:
+                vectors = embedder.embed(kind, items)
+            except (ValueError, KeyError, ContractError):  # the provider refused the request
+                self.send_error(400, BAD_REQUEST)
+                return
+            except Exception as exc:  # any other provider failure still gets an answer
+                self.send_error(500, f"provider failed: {type(exc).__name__}")
                 return
             try:  # ragged, scalar or non-numeric rows do not stack
                 block = np.asarray(vectors, dtype="<f8")
@@ -223,6 +236,8 @@ def make_embed_server(embedder: MockEmbedder, port: int = 0) -> ThreadingHTTPSer
 
     return ThreadingHTTPServer(("127.0.0.1", port), Handler)
 
+
+BAD_REQUEST = "expected {kind: text|frame, items: [str, ...]}"
 
 # serve_forever notices shutdown() only between polls, so the poll interval
 # bounds how long a server teardown blocks (the library default is 0.5 s).

@@ -5,6 +5,7 @@ import socket
 import struct
 import urllib.error
 import urllib.request
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -203,6 +204,37 @@ def test_zero_vector_rejected_when_normalizing(serve):
     with pytest.raises(PipelineError, match="zero frame vector for 'vid@1.000'"):
         RemoteEmbedder(url, normalize=True).embed("frame", ["vid@1.000"])
     np.testing.assert_array_equal(RemoteEmbedder(url, normalize=False).embed("text", ["x"]), 0.0)
+
+
+@pytest.mark.parametrize(
+    "row, unit",
+    [
+        ([1e-310, 0.0], [1.0, 0.0]),
+        ([3e200, 4e200], [0.6, 0.8]),
+        ([1.7e308, 1.0], [1.0, 1 / 1.7e308]),
+    ],
+    ids=["subnormal", "squares-overflow", "near-max"],
+)
+def test_rows_of_any_finite_scale_normalize(serve, row, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or underflow warning fails the test
+        got = RemoteEmbedder(serve(FixedRows([row])), normalize=True).embed("text", ["a"])
+    np.testing.assert_allclose(got, [unit], rtol=1e-15, atol=0)
+
+
+class FailingEmbedder:
+    """Stub provider whose every request fails with an error outside the request checks."""
+
+    def embed(self, kind, items):
+        raise RuntimeError("the model is not loaded")
+
+
+def test_provider_failure_answered_500(serve, capfd):
+    url = serve(FailingEmbedder())
+    assert _status(url, {"kind": "text", "items": ["a"]}) == 500
+    with pytest.raises(PipelineError, match="retries.*500"):
+        RemoteEmbedder(url, retries=1).embed("text", ["a"])
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("normalize", [False, True])

@@ -1,9 +1,9 @@
-"""Golden outputs of short behavioural-cloning runs and greedy rollouts.
+"""Golden outputs of short grounding and behavioural-cloning runs and greedy rollouts.
 
-The frozen-bridge values were recorded with the bridge running every block
-over every row; the joint-training losses were recorded with attention run as
-a chain of per-operation autodiff nodes.  A change meant to speed the policy
-up must reproduce them: losses to round-off, actions exactly.
+The behavioural-cloning values were recorded with the bridge running every
+block over every row; the grounding losses pin backward through the bridge's
+attention.  A change meant to speed the policy up must reproduce them:
+losses to round-off, actions exactly.
 
 Goldens and digests, here and elsewhere in the suite, are compared at one
 BLAS thread (``OPENBLAS_NUM_THREADS=1``): the same seeds give other bits at
@@ -13,7 +13,7 @@ two threads.
 import numpy as np
 
 from planact.gridworld import OBJECT_NAMES, EnvConfig, collect_demos, plan_for
-from planact.policy import ControlModel, PolicyConfig, bc_train, evaluate_policy
+from planact.policy import ControlModel, bc_train, evaluate_policy, pretrain_bridge
 from planact.vocab import Vocabulary
 
 # initial loss, one loss per minibatch step (2 epochs of 6), final loss
@@ -34,17 +34,36 @@ LOSSES = [
     1.5579123658914715,
 ]
 
-# bridge trained jointly (its backward runs through every attention): initial
-# loss, one loss per minibatch step (1 epoch of 6), final loss
-JOINT_LOSSES = [
-    1.6721514381461913,
-    1.663598931790122,
-    1.633868282987473,
-    1.5590975816722628,
-    1.6933978510166718,
-    1.652084783535721,
-    1.5593616778286625,
-    1.5467787832434976,
+# pretrain_bridge (3 passes of 6 steps), then bc_train for 1 epoch: one loss
+# per grounding step, then the initial loss, one loss per minibatch step and
+# the final loss
+PRETRAINED_LOSSES = [
+    4.527752197990271,
+    5.111179972617595,
+    4.8361277645978085,
+    5.09050088649067,
+    4.4573061715717515,
+    5.122737431057347,
+    4.102695113763648,
+    4.233372267565034,
+    3.9581244681955727,
+    4.040239981349582,
+    4.091612697459235,
+    3.719083016064756,
+    3.915296363837954,
+    3.9574584523240786,
+    4.099596718752025,
+    3.958001199902844,
+    4.020989264279245,
+    3.996026146021345,
+    1.6487504061302796,
+    1.6012976707911561,
+    1.5654134005986966,
+    1.5729672695910772,
+    1.7653226040788925,
+    1.672816033415086,
+    1.5665692476973065,
+    1.5672363470325774,
 ]
 
 # greedy actions of each of the 10 episodes from seed 10,000: after two
@@ -92,11 +111,14 @@ def test_bc_losses_and_greedy_rollouts_match_golden():
     np.testing.assert_allclose(logits.data, LOGITS, rtol=0, atol=1e-12)
 
 
-def test_joint_bc_losses_match_golden():
+def test_pretrained_bc_losses_match_golden():
     env = EnvConfig()
     vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
-    model = ControlModel(np.random.default_rng(0), env, vocab, PolicyConfig(train_bridge=True))
-    log = bc_train(model, collect_demos(env, [2, 3]), seed=1, epochs=1)
+    model = ControlModel(np.random.default_rng(0), env, vocab)
+    demos = collect_demos(env, [2, 3])
+    grounding = pretrain_bridge(model, demos, seed=1)
+    log = bc_train(model, demos, seed=1, epochs=1)
     np.testing.assert_allclose(
-        [log.initial_loss, *log.losses, log.final_loss], JOINT_LOSSES, rtol=0, atol=1e-12
+        [*grounding, log.initial_loss, *log.losses, log.final_loss], PRETRAINED_LOSSES,
+        rtol=0, atol=1e-12,
     )

@@ -20,6 +20,7 @@ from planact.gridworld import (
 )
 from planact.optim import AdamW, LrSchedule
 from planact.policy import (
+    GROUNDING_EPOCHS,
     ControlModel,
     PolicyConfig,
     _dataset_from_demos,
@@ -27,6 +28,7 @@ from planact.policy import (
     evaluate_policy,
     expert_policy,
     model_policy,
+    pretrain_bridge,
     wilson_interval,
 )
 from planact.tensor import Tensor, _topo_order, cross_entropy, no_grad
@@ -123,7 +125,7 @@ class TestForward:
             model.act(broken, plan)
 
     def test_act_records_no_graph(self, vocab, data, monkeypatch):
-        model = make_model(vocab, train_bridge=True)
+        model = make_model(vocab)
         obs, plan, _ = data[0]
         outputs = []
         forward = model.forward
@@ -188,10 +190,7 @@ class TestBatchedForward:
         rows.append((data[0][0], self.SHORT_PLAN))
         return rows
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [{}, {"query_count": 3}, {"train_bridge": True}, {"train_bridge": True, "query_count": 3}],
-    )
+    @pytest.mark.parametrize("overrides", [{}, {"query_count": 3}])
     def test_rows_match_single_calls(self, vocab, data, overrides):
         model = make_model(vocab, **overrides)
         rows = self.rows(data)
@@ -229,9 +228,8 @@ class TestInstanceFeatures:
         assert features.shape == (1, model.config.query_count, model.config.bridge_dim)
         assert features.data.tobytes() == expected.data.tobytes()
 
-    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
-    def test_mixed_plans_match_one_plan_calls(self, vocab, data, train_bridge):
-        model = make_model(vocab, train_bridge=train_bridge)
+    def test_mixed_plans_match_one_plan_calls(self, vocab, data):
+        model = make_model(vocab)
         obs = np.stack([o for o, _, _ in data])
         plans = [self.PLANS[i % 3] for i in range(len(data))]
         batched = model.instance_features(obs, plans).data
@@ -259,11 +257,8 @@ class TestInstanceFeatures:
         with pytest.raises(ContractError, match="the batch is empty"):
             model.instance_features(np.zeros((0, *ENV.observation_shape)), [])
 
-    @pytest.mark.parametrize(
-        "train_bridge, kept", [(False, True), (True, False)], ids=["frozen", "joint"]
-    )
-    def test_one_plan_side_per_distinct_plan(self, vocab, data, monkeypatch, train_bridge, kept):
-        model = make_model(vocab, train_bridge=train_bridge)
+    def test_one_plan_side_per_distinct_plan(self, vocab, data, monkeypatch):
+        model = make_model(vocab)
         first = model.bridge.blocks[0]
         calls = []
         original = first.self_attention
@@ -279,8 +274,8 @@ class TestInstanceFeatures:
         assert len(calls) == 2 and all(len(shape) == 2 for shape in calls)
         calls.clear()
         model.instance_features(obs, [self.PLANS[1]] * 5)
-        # a frozen bridge keeps each plan's side; a trained one builds it per call
-        assert len(calls) == (0 if kept else 1)
+        # each plan's side is kept
+        assert calls == []
 
 
 class TestFreezing:
@@ -296,11 +291,6 @@ class TestFreezing:
         z = model.instance_features(obs, [p for _, p, _ in data])
         assert not z.requires_grad and z._parents == ()
         assert forward_rows(model, [(o, p) for o, p, _ in data]).requires_grad
-
-    def test_unread_parameters_always_frozen(self, vocab):
-        params = make_model(vocab, train_bridge=True).named_parameters()
-        frozen = {name for name, p in params.items() if not p.requires_grad}
-        assert frozen == {"bridge.proj.w", "bridge.proj.b"}
 
 
 class TestConfig:
@@ -324,16 +314,11 @@ class TestTrainableParameters:
     def test_frozen_bridge_left_out(self, vocab):
         names = make_model(vocab).trainable_parameters()
         assert names and not any(n.startswith(("bridge.", "grid_vision.")) for n in names)
-        ablated = make_model(vocab, ablate_plan=True, train_bridge=True).trainable_parameters()
+        ablated = make_model(vocab, ablate_plan=True).trainable_parameters()
         assert set(ablated) == set(names)
 
-    def test_train_bridge_includes_bridge(self, vocab):
-        names = make_model(vocab, train_bridge=True).trainable_parameters()
-        assert any(n.startswith("bridge.") for n in names)
-        assert any(n.startswith("grid_vision.") for n in names)
-
     def test_every_trainable_parameter_gets_a_gradient(self, vocab, data):
-        model = make_model(vocab, train_bridge=True)
+        model = make_model(vocab)
         params = model.trainable_parameters()
         rows = [(o, p) for o, p, _ in data]
         cross_entropy(forward_rows(model, rows), [a for _, _, a in data]).backward()
@@ -341,85 +326,82 @@ class TestTrainableParameters:
 
 
 # every parameter of the default ControlModel, in registration order: name,
-# shape, then whether it trains with the bridge frozen and with train_bridge
+# shape, then whether bc_train trains it
 DEFAULT_PARAMETERS = """
-grid_vision.patch_embed.w            4x64     0 1
-grid_vision.patch_embed.b            64       0 1
-bridge.queries                       8x64     0 1
-bridge.text_embed                    33x64    0 1
-bridge.blocks.0.ln_self.gamma        64       0 1
-bridge.blocks.0.ln_self.beta         64       0 1
-bridge.blocks.0.self_attn.w_q.w      64x64    0 1
-bridge.blocks.0.self_attn.w_q.b      64       0 1
-bridge.blocks.0.self_attn.w_k.w      64x64    0 1
-bridge.blocks.0.self_attn.w_k.b      64       0 1
-bridge.blocks.0.self_attn.w_v.w      64x64    0 1
-bridge.blocks.0.self_attn.w_v.b      64       0 1
-bridge.blocks.0.self_attn.w_o.w      64x64    0 1
-bridge.blocks.0.self_attn.w_o.b      64       0 1
-bridge.blocks.0.ln_cross.gamma       64       0 1
-bridge.blocks.0.ln_cross.beta        64       0 1
-bridge.blocks.0.cross_attn.w_q.w     64x64    0 1
-bridge.blocks.0.cross_attn.w_q.b     64       0 1
-bridge.blocks.0.cross_attn.w_k.w     64x64    0 1
-bridge.blocks.0.cross_attn.w_k.b     64       0 1
-bridge.blocks.0.cross_attn.w_v.w     64x64    0 1
-bridge.blocks.0.cross_attn.w_v.b     64       0 1
-bridge.blocks.0.cross_attn.w_o.w     64x64    0 1
-bridge.blocks.0.cross_attn.w_o.b     64       0 1
-bridge.blocks.0.ln_ffn.gamma         64       0 1
-bridge.blocks.0.ln_ffn.beta          64       0 1
-bridge.blocks.0.ffn.lin1.w           64x128   0 1
-bridge.blocks.0.ffn.lin1.b           128      0 1
-bridge.blocks.0.ffn.lin2.w           128x64   0 1
-bridge.blocks.0.ffn.lin2.b           64       0 1
-bridge.blocks.1.ln_self.gamma        64       0 1
-bridge.blocks.1.ln_self.beta         64       0 1
-bridge.blocks.1.self_attn.w_q.w      64x64    0 1
-bridge.blocks.1.self_attn.w_q.b      64       0 1
-bridge.blocks.1.self_attn.w_k.w      64x64    0 1
-bridge.blocks.1.self_attn.w_k.b      64       0 1
-bridge.blocks.1.self_attn.w_v.w      64x64    0 1
-bridge.blocks.1.self_attn.w_v.b      64       0 1
-bridge.blocks.1.self_attn.w_o.w      64x64    0 1
-bridge.blocks.1.self_attn.w_o.b      64       0 1
-bridge.blocks.1.ln_ffn.gamma         64       0 1
-bridge.blocks.1.ln_ffn.beta          64       0 1
-bridge.blocks.1.ffn.lin1.w           64x128   0 1
-bridge.blocks.1.ffn.lin1.b           128      0 1
-bridge.blocks.1.ffn.lin2.w           128x64   0 1
-bridge.blocks.1.ffn.lin2.b           64       0 1
-bridge.ln_out.gamma                  64       0 1
-bridge.ln_out.beta                   64       0 1
-bridge.proj.w                        64x64    0 0
-bridge.proj.b                        64       0 0
-global_enc.convs.0.w                 36x16    1 1
-global_enc.convs.0.b                 16       1 1
-global_enc.convs.1.w                 144x16   1 1
-global_enc.convs.1.b                 16       1 1
-global_enc.convs.2.w                 144x16   1 1
-global_enc.convs.2.b                 16       1 1
-global_enc.convs.3.w                 144x32   1 1
-global_enc.convs.3.b                 32       1 1
-head.lin1.w                          544x64   1 1
-head.lin1.b                          64       1 1
-head.lin2.w                          64x64    1 1
-head.lin2.b                          64       1 1
-head.lin3.w                          64x5     1 1
-head.lin3.b                          5        1 1
+grid_vision.patch_embed.w            4x64     0
+grid_vision.patch_embed.b            64       0
+bridge.queries                       8x64     0
+bridge.text_embed                    33x64    0
+bridge.blocks.0.ln_self.gamma        64       0
+bridge.blocks.0.ln_self.beta         64       0
+bridge.blocks.0.self_attn.w_q.w      64x64    0
+bridge.blocks.0.self_attn.w_q.b      64       0
+bridge.blocks.0.self_attn.w_k.w      64x64    0
+bridge.blocks.0.self_attn.w_k.b      64       0
+bridge.blocks.0.self_attn.w_v.w      64x64    0
+bridge.blocks.0.self_attn.w_v.b      64       0
+bridge.blocks.0.self_attn.w_o.w      64x64    0
+bridge.blocks.0.self_attn.w_o.b      64       0
+bridge.blocks.0.ln_cross.gamma       64       0
+bridge.blocks.0.ln_cross.beta        64       0
+bridge.blocks.0.cross_attn.w_q.w     64x64    0
+bridge.blocks.0.cross_attn.w_q.b     64       0
+bridge.blocks.0.cross_attn.w_k.w     64x64    0
+bridge.blocks.0.cross_attn.w_k.b     64       0
+bridge.blocks.0.cross_attn.w_v.w     64x64    0
+bridge.blocks.0.cross_attn.w_v.b     64       0
+bridge.blocks.0.cross_attn.w_o.w     64x64    0
+bridge.blocks.0.cross_attn.w_o.b     64       0
+bridge.blocks.0.ln_ffn.gamma         64       0
+bridge.blocks.0.ln_ffn.beta          64       0
+bridge.blocks.0.ffn.lin1.w           64x128   0
+bridge.blocks.0.ffn.lin1.b           128      0
+bridge.blocks.0.ffn.lin2.w           128x64   0
+bridge.blocks.0.ffn.lin2.b           64       0
+bridge.blocks.1.ln_self.gamma        64       0
+bridge.blocks.1.ln_self.beta         64       0
+bridge.blocks.1.self_attn.w_q.w      64x64    0
+bridge.blocks.1.self_attn.w_q.b      64       0
+bridge.blocks.1.self_attn.w_k.w      64x64    0
+bridge.blocks.1.self_attn.w_k.b      64       0
+bridge.blocks.1.self_attn.w_v.w      64x64    0
+bridge.blocks.1.self_attn.w_v.b      64       0
+bridge.blocks.1.self_attn.w_o.w      64x64    0
+bridge.blocks.1.self_attn.w_o.b      64       0
+bridge.blocks.1.ln_ffn.gamma         64       0
+bridge.blocks.1.ln_ffn.beta          64       0
+bridge.blocks.1.ffn.lin1.w           64x128   0
+bridge.blocks.1.ffn.lin1.b           128      0
+bridge.blocks.1.ffn.lin2.w           128x64   0
+bridge.blocks.1.ffn.lin2.b           64       0
+bridge.ln_out.gamma                  64       0
+bridge.ln_out.beta                   64       0
+bridge.proj.w                        64x64    0
+bridge.proj.b                        64       0
+global_enc.convs.0.w                 36x16    1
+global_enc.convs.0.b                 16       1
+global_enc.convs.1.w                 144x16   1
+global_enc.convs.1.b                 16       1
+global_enc.convs.2.w                 144x16   1
+global_enc.convs.2.b                 16       1
+global_enc.convs.3.w                 144x32   1
+global_enc.convs.3.b                 32       1
+head.lin1.w                          544x64   1
+head.lin1.b                          64       1
+head.lin2.w                          64x64    1
+head.lin2.b                          64       1
+head.lin3.w                          64x5     1
+head.lin3.b                          5        1
 """
 
 
 class TestDefaultParameters:
     """A refactor must keep every weight's name, shape, order and trainable flag."""
 
-    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
-    def test_names_shapes_and_flags_pinned(self, train_bridge):
+    def test_names_shapes_and_flags_pinned(self):
         vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
-        config = PolicyConfig(train_bridge=train_bridge)
-        model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
-        rows = [line.split() for line in DEFAULT_PARAMETERS.strip().splitlines()]
-        expected = [(name, shape, flags[train_bridge]) for name, shape, *flags in rows]
+        model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab)
+        expected = [tuple(line.split()) for line in DEFAULT_PARAMETERS.strip().splitlines()]
         actual = [
             (name, "x".join(map(str, p.shape)), str(int(p.requires_grad)))
             for name, p in model.named_parameters().items()
@@ -428,13 +410,10 @@ class TestDefaultParameters:
 
 
 class TestPlanSideStore:
-    """A frozen bridge keeps each plan's side for the model's life; a trained one does not."""
+    """The model keeps each plan's side until ``pretrain_bridge`` clears it."""
 
-    @pytest.mark.parametrize("train_bridge, plan_side_runs", [(False, 1), (True, 20)])
-    def test_act_runs_plan_side_once_per_plan(
-        self, vocab, data, monkeypatch, train_bridge, plan_side_runs
-    ):
-        model = make_model(vocab, train_bridge=train_bridge)
+    def test_act_runs_plan_side_once_per_plan(self, vocab, data, monkeypatch):
+        model = make_model(vocab)
         extracts = count_extract_calls(model, monkeypatch)
         first = model.bridge.blocks[0]
         attention = []
@@ -448,13 +427,10 @@ class TestPlanSideStore:
         _, plan, _ = data[0]
         for i in range(20):
             model.act(data[i % len(data)][0], plan)
-        assert len(attention) == plan_side_runs and len(extracts) == 20
+        assert len(attention) == 1 and len(extracts) == 20
 
-    @pytest.mark.parametrize("train_bridge, plan_side_runs", [(False, 2), (True, 20)])
-    def test_act_projects_text_rows_once_per_plan(
-        self, vocab, data, monkeypatch, train_bridge, plan_side_runs
-    ):
-        model = make_model(vocab, train_bridge=train_bridge)
+    def test_act_projects_text_rows_once_per_plan(self, vocab, data, monkeypatch):
+        model = make_model(vocab)
         n = model.config.query_count
         second = model.bridge.blocks[1]
         attn = second.self_attn
@@ -477,7 +453,7 @@ class TestPlanSideStore:
         assert rows.pop("w_q") == [n] * 20
         for name, seen in rows.items():
             with_text = [r for r in seen if r > n]
-            assert len(with_text) == plan_side_runs, name
+            assert len(with_text) == 2, name
             assert len(seen) - len(with_text) == 20, name
 
     def test_bc_train_leaves_frozen_weights_unchanged(self, vocab):
@@ -495,13 +471,12 @@ class TestPlanSideStore:
         }
         assert any(after[k] != before[k] for k in before if not k.startswith(frozen))
 
-    @pytest.mark.parametrize("train_bridge", [False, True])
-    def test_trained_model_matches_fresh_model_with_its_weights(self, vocab, data, train_bridge):
+    def test_trained_model_matches_fresh_model_with_its_weights(self, vocab, data):
         obs, plan, _ = data[0]
-        model = make_model(vocab, train_bridge=train_bridge)
+        model = make_model(vocab)
         model.act(obs, plan)  # a kept plan side would now predate training
         bc_train(model, collect_demos(EnvConfig(), [0]), seed=0, epochs=1)
-        fresh = make_model(vocab, seed=1, train_bridge=train_bridge)
+        fresh = make_model(vocab, seed=1)
         restore_into(
             fresh.named_parameters(), {k: v.data for k, v in model.named_parameters().items()}
         )
@@ -597,20 +572,21 @@ class TestBcTrain:
         "seeds", [[0], [0, 1]], ids=["16-rows", "72-rows"]  # one batch of 16; 32, 32 and 8
     )
     @pytest.mark.parametrize(
-        "train_bridge, ablate_plan",
-        [(False, False), (True, False), (False, True), (True, True)],
-        ids=["frozen", "joint", "ablated-frozen", "ablated-joint"],
+        "pretrain, ablate_plan",
+        [(False, False), (True, False), (False, True)],
+        ids=["frozen", "pretrained", "ablated-frozen"],
     )
-    def test_matches_one_forward_per_minibatch(self, seeds, train_bridge, ablate_plan):
+    def test_matches_one_forward_per_minibatch(self, seeds, pretrain, ablate_plan):
         # the default config
         vocab = Vocabulary.build(plan_for(name) for name in OBJECT_NAMES)
         demos = collect_demos(EnvConfig(), seeds)
 
         def fresh():
-            config = PolicyConfig(train_bridge=train_bridge)
-            return ControlModel(
-                np.random.default_rng(0), EnvConfig(), vocab, config, ablate_plan=ablate_plan
-            )
+            model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab,
+                                 ablate_plan=ablate_plan)
+            if pretrain:
+                pretrain_bridge(model, demos, seed=1)
+            return model
 
         model, reference = fresh(), fresh()
         log = bc_train(model, demos, seed=1, epochs=2)
@@ -645,15 +621,6 @@ class TestBcTrain:
         # the feature table, then the logged losses and the steps read it
         seen = kinds(events)
         assert re.fullmatch(r"(fe+)+l(ts)+l", seen) and seen.count("s") == len(log.losses)
-
-    def test_joint_bridge_extracts_every_step(self, vocab, monkeypatch):
-        model = make_model(vocab, train_bridge=True)
-        log, events = record_bc_train(model, collect_demos(ENV, TRAIN_DEMOS), monkeypatch)
-        # each loss, logged or trained, runs one extract per distinct plan of its rows
-        per_loss = rf"fe{{1,{len(TRAIN_DEMOS)}}}"
-        seen = kinds(events)
-        assert re.fullmatch(rf"{per_loss}l({per_loss}ts)+{per_loss}l", seen)
-        assert seen.count("s") == len(log.losses)
 
     def test_step_graph_size_independent_of_batch(self, vocab, monkeypatch):
         demos = collect_demos(ENV, TRAIN_DEMOS)
@@ -696,6 +663,114 @@ class TestBcTrain:
         assert log.losses == graph_log.losses
 
 
+def grounding_names(model):
+    """The parameters ``pretrain_bridge`` trains, in registration order."""
+    return [
+        name for name in model.named_parameters()
+        if name.startswith(("bridge.", "grid_vision.")) and not name.startswith("bridge.proj.")
+    ]
+
+
+def weights(model):
+    return {name: p.data.tobytes() for name, p in model.named_parameters().items()}
+
+
+class TestPretrainBridge:
+    """Grounding pretraining trains the bridge side alone, then freezes it again."""
+
+    def test_every_step_gives_the_bridge_side_gradients(self, vocab, monkeypatch):
+        model = make_model(vocab)
+        names = {id(p): name for name, p in model.named_parameters().items()}
+        steps = []
+        original = AdamW.step
+
+        def recorded(optimizer, lr):
+            steps.append([(names.get(id(p)), p.grad is not None) for p in optimizer.params])
+            return original(optimizer, lr)
+
+        monkeypatch.setattr(AdamW, "step", recorded)
+        losses = pretrain_bridge(model, collect_demos(ENV, TRAIN_DEMOS))
+        # 112 rows: four minibatches per pass; the last two parameters are the head's
+        assert len(steps) == len(losses) == 4 * GROUNDING_EPOCHS
+        expected = [(name, True) for name in grounding_names(model)] + [(None, True)] * 2
+        assert all(step == expected for step in steps)
+
+    def test_trains_then_freezes_the_bridge_side_alone(self, vocab, data):
+        model = make_model(vocab)
+        model.act(data[0][0], data[0][1])
+        trainable = set(model.trainable_parameters())
+        before = weights(model)
+        pretrain_bridge(model, collect_demos(ENV, TRAIN_DEMOS))
+        after = weights(model)
+        trained = grounding_names(model)
+        assert [name for name in trained if after[name] == before[name]] == []
+        # global_enc, head and bridge.proj keep every byte
+        assert {k: v for k, v in after.items() if k not in trained} == {
+            k: v for k, v in before.items() if k not in trained
+        }
+        assert set(model.trainable_parameters()) == trainable
+        assert model.plan_sides == {}
+
+    def test_model_that_acted_matches_fresh_model_with_its_weights(self, vocab, data):
+        obs, plan, _ = data[0]
+        model = make_model(vocab)
+        model.act(obs, plan)  # a kept plan side would now predate pretraining
+        pretrain_bridge(model, collect_demos(ENV, TRAIN_DEMOS))
+        fresh = make_model(vocab, seed=1)
+        restore_into(
+            fresh.named_parameters(), {k: v.data for k, v in model.named_parameters().items()}
+        )
+        rows = [(o, p) for o, p, _ in data]
+        assert forward_rows(model, rows).data.tobytes() == forward_rows(fresh, rows).data.tobytes()
+
+    def test_same_seeds_same_losses_and_weights(self, vocab):
+        demos = collect_demos(ENV, TRAIN_DEMOS)
+        model, twin = make_model(vocab), make_model(vocab)
+        losses = pretrain_bridge(model, demos, seed=2)
+        assert pretrain_bridge(twin, demos, seed=2) == losses
+        assert weights(model) == weights(twin)
+        assert pretrain_bridge(make_model(vocab), demos, seed=3) != losses
+
+    def test_labels_are_the_named_objects_cells(self, vocab, monkeypatch):
+        model = make_model(vocab)
+        seen, targets = [], []
+        features = model.instance_features
+
+        def recorded_features(obs, plans):
+            seen.append((obs, plans))
+            return features(obs, plans)
+
+        def recorded_loss(logits, target):
+            targets.append(np.asarray(target))
+            return cross_entropy(logits, target)
+
+        monkeypatch.setattr(model, "instance_features", recorded_features)
+        monkeypatch.setattr("planact.policy.cross_entropy", recorded_loss)
+        demos = collect_demos(ENV, TRAIN_DEMOS)
+        pretrain_bridge(model, demos)
+        assert len(targets) == 2 * len(seen)
+        named = set()
+        for (obs, plans), rows, cols in zip(seen, targets[::2], targets[1::2]):
+            for o, plan, r, c in zip(obs, plans, rows, cols):
+                j = [plan_for(name) for name in OBJECT_NAMES].index(plan)
+                assert j < ENV.object_count and o[j, r, c] == 1.0
+                named.add(j)
+        assert named == set(range(ENV.object_count))
+
+    def test_demos_validated_first(self, vocab):
+        demo = collect_demos(ENV, [0])[0]
+        obs, plan, _ = demo.steps[0]
+        demo.steps.insert(0, (obs, plan, 7))
+        with pytest.raises(ValidationError, match="demonstration 0 holds an illegal action"):
+            pretrain_bridge(make_model(vocab), [demo])
+        with pytest.raises(ContractError, match="at least one demonstration"):
+            pretrain_bridge(make_model(vocab), [])
+
+    def test_ablated_model_rejected(self, vocab):
+        with pytest.raises(ContractError, match="ablated model reads no plan"):
+            pretrain_bridge(make_model(vocab, ablate_plan=True), collect_demos(ENV, [0]))
+
+
 class TestTrainingRows:
     def test_rows_in_demo_order(self):
         demos = collect_demos(ENV, TRAIN_DEMOS)
@@ -711,13 +786,12 @@ class TestTrainingRows:
         assert obs[::8].tobytes() == np.stack([o for o, _, _ in steps]).tobytes()
         assert actions[::8].tolist() == [a for _, _, a in steps]
 
-    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
-    def test_logged_loss_reads_the_first_256_steps(self, vocab, train_bridge):
+    def test_logged_loss_reads_the_first_256_steps(self, vocab):
         demos = collect_demos(EnvConfig(), list(range(40)))
         assert sum(len(demo.steps) for demo in demos) > 256
 
         def fresh():
-            config = PolicyConfig(train_bridge=train_bridge, **SMALL)
+            config = PolicyConfig(**SMALL)
             return ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
 
         model = fresh()
@@ -725,14 +799,14 @@ class TestTrainingRows:
         assert log.initial_loss == recorded_loss(fresh(), demos)
         assert log.final_loss == recorded_loss(model, demos)
 
-    @pytest.mark.parametrize("train_bridge", [False, True], ids=["frozen", "joint"])
-    def test_integer_observations_train_as_floats(self, vocab, train_bridge):
+    def test_integer_observations_train_as_floats(self, vocab):
         demos = collect_demos(ENV, TRAIN_DEMOS)
         as_int = collect_demos(ENV, TRAIN_DEMOS)
         for demo in as_int:
             demo.steps = [(obs.astype(np.int8), plan, a) for obs, plan, a in demo.steps]
-        model = make_model(vocab, train_bridge=train_bridge)
-        twin = make_model(vocab, train_bridge=train_bridge)
+        model = make_model(vocab)
+        twin = make_model(vocab)
+        assert pretrain_bridge(model, as_int) == pretrain_bridge(twin, demos)
         assert bc_train(model, as_int) == bc_train(twin, demos)
         for p, q in zip(model.parameters(), twin.parameters()):
             assert p.data.tobytes() == q.data.tobytes()

@@ -30,6 +30,8 @@ ALLOWED = {
     "checkpoint.restore_into": "checkpoint trio: ROADMAP item 4 gives it a caller or deletes it",
     "bridge.QueryBridge.project_to_lm": "bridge-to-LM path: ROADMAP item 3 decides its fate",
     "vocab.detokenize": "ROADMAP items 3 and 4 read sampled plan ids as text",
+    "policy.pretrain_bridge": "the closed-loop gate calls it; ROADMAP items 4 and 16 give it "
+                              "a program caller",
     "gradcheck.check_gradients": "the finite-difference reference every gradient test uses",
     "embedder.make_embed_server.Handler.do_POST": "http.server calls it for each POST",
     "embedder.make_embed_server.Handler.log_message": "http.server calls it to log a request",

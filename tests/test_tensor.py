@@ -329,11 +329,10 @@ class TestNoGrad:
         assert recorded.requires_grad and not plain.requires_grad
         assert plain.data.tobytes() == recorded.data.tobytes()
 
-    @pytest.mark.parametrize("train_bridge", [False, True])
-    def test_policy_logits_bit_equal(self, train_bridge):
+    def test_policy_logits_bit_equal(self):
         vocab = Vocabulary.build([plan_for(name) for name in OBJECT_NAMES])
         config = PolicyConfig(bridge_dim=16, query_count=2, hidden_dim=16, global_dim=8,
-                              conv_channels=4, train_bridge=train_bridge)
+                              conv_channels=4)
         model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
         steps = collect_demos(EnvConfig(), [0])[0].steps[:3]
         obs = np.stack([o for o, _, _ in steps])
