@@ -54,6 +54,12 @@ def make_model(vocab, seed=0, ablate_plan=False, **overrides):
     return ControlModel(np.random.default_rng(seed), ENV, vocab, config, ablate_plan=ablate_plan)
 
 
+def pretrained(model):
+    """``model`` after grounding pretraining on one episode."""
+    pretrain_bridge(model, collect_demos(ENV, [0]))
+    return model
+
+
 def count_extract_calls(model, monkeypatch):
     calls = []
     original = model.bridge.extract
@@ -198,6 +204,13 @@ class TestBatchedForward:
         batched = forward_rows(model, rows).data
         np.testing.assert_allclose(batched, single, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("overrides", [{}, {"query_count": 3}])
+    def test_pretrained_rows_match_single_calls(self, vocab, data, overrides):
+        model = pretrained(make_model(vocab, **overrides))
+        rows = self.rows(data)
+        single = np.concatenate([forward_one(model, obs, plan).data for obs, plan in rows])
+        np.testing.assert_allclose(forward_rows(model, rows).data, single, rtol=0, atol=1e-10)
+
     def test_ablated_rows_match_single_calls(self, vocab, data):
         model = make_model(vocab, ablate_plan=True)
         rows = self.rows(data)
@@ -228,8 +241,9 @@ class TestInstanceFeatures:
         assert features.shape == (1, model.config.query_count, model.config.bridge_dim)
         assert features.data.tobytes() == expected.data.tobytes()
 
-    def test_mixed_plans_match_one_plan_calls(self, vocab, data):
-        model = make_model(vocab)
+    @pytest.mark.parametrize("pretrain", [False, True], ids=["frozen", "pretrained"])
+    def test_mixed_plans_match_one_plan_calls(self, vocab, data, pretrain):
+        model = pretrained(make_model(vocab)) if pretrain else make_model(vocab)
         obs = np.stack([o for o, _, _ in data])
         plans = [self.PLANS[i % 3] for i in range(len(data))]
         batched = model.instance_features(obs, plans).data
@@ -257,8 +271,9 @@ class TestInstanceFeatures:
         with pytest.raises(ContractError, match="the batch is empty"):
             model.instance_features(np.zeros((0, *ENV.observation_shape)), [])
 
-    def test_one_plan_side_per_distinct_plan(self, vocab, data, monkeypatch):
-        model = make_model(vocab)
+    @pytest.mark.parametrize("pretrain", [False, True], ids=["frozen", "pretrained"])
+    def test_one_plan_side_per_distinct_plan(self, vocab, data, monkeypatch, pretrain):
+        model = pretrained(make_model(vocab)) if pretrain else make_model(vocab)
         first = model.bridge.blocks[0]
         calls = []
         original = first.self_attention
@@ -291,6 +306,27 @@ class TestFreezing:
         z = model.instance_features(obs, [p for _, p, _ in data])
         assert not z.requires_grad and z._parents == ()
         assert forward_rows(model, [(o, p) for o, p, _ in data]).requires_grad
+
+    def test_unread_parameters_always_frozen(self, vocab, monkeypatch):
+        # the policy reads the bridge through extract, which never runs bridge.proj
+        model = make_model(vocab)
+        proj = {"bridge.proj.w", "bridge.proj.b"}
+        before = {name: model.named_parameters()[name].data.tobytes() for name in proj}
+        flags = []
+        original = AdamW.step
+
+        def recorded(optimizer, lr):
+            flags.append({n for n, p in model.named_parameters().items() if p.requires_grad})
+            return original(optimizer, lr)
+
+        monkeypatch.setattr(AdamW, "step", recorded)
+        demos = collect_demos(ENV, [0])
+        pretrain_bridge(model, demos)
+        bc_train(model, demos, epochs=1)
+        assert flags and all(not proj & trainable for trainable in flags)
+        params = model.named_parameters()
+        assert not any(params[name].requires_grad for name in proj)
+        assert {name: params[name].data.tobytes() for name in proj} == before
 
 
 class TestConfig:
@@ -412,8 +448,12 @@ class TestDefaultParameters:
 class TestPlanSideStore:
     """The model keeps each plan's side until ``pretrain_bridge`` clears it."""
 
-    def test_act_runs_plan_side_once_per_plan(self, vocab, data, monkeypatch):
+    @pytest.mark.parametrize("pretrain", [False, True], ids=["frozen", "pretrained"])
+    def test_act_runs_plan_side_once_per_plan(self, vocab, data, monkeypatch, pretrain):
         model = make_model(vocab)
+        if pretrain:
+            model.act(data[0][0], data[0][1])  # a side kept now is cleared by pretraining
+            pretrained(model)
         extracts = count_extract_calls(model, monkeypatch)
         first = model.bridge.blocks[0]
         attention = []
@@ -786,13 +826,17 @@ class TestTrainingRows:
         assert obs[::8].tobytes() == np.stack([o for o, _, _ in steps]).tobytes()
         assert actions[::8].tolist() == [a for _, _, a in steps]
 
-    def test_logged_loss_reads_the_first_256_steps(self, vocab):
+    @pytest.mark.parametrize("pretrain", [False, True], ids=["frozen", "pretrained"])
+    def test_logged_loss_reads_the_first_256_steps(self, vocab, pretrain):
         demos = collect_demos(EnvConfig(), list(range(40)))
         assert sum(len(demo.steps) for demo in demos) > 256
 
         def fresh():
             config = PolicyConfig(**SMALL)
-            return ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
+            model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
+            if pretrain:
+                pretrain_bridge(model, demos[:1])
+            return model
 
         model = fresh()
         log = bc_train(model, demos, epochs=1)

@@ -10,7 +10,7 @@ from planact.errors import ContractError, DimensionError, NumericError
 from planact.gradcheck import check_gradients
 from planact.gridworld import OBJECT_NAMES, EnvConfig, collect_demos, plan_for
 from planact.lm import LmConfig, MicroLm
-from planact.policy import ControlModel, PolicyConfig
+from planact.policy import ControlModel, PolicyConfig, pretrain_bridge
 from planact.tensor import (
     Tensor,
     broadcast_to,
@@ -329,12 +329,16 @@ class TestNoGrad:
         assert recorded.requires_grad and not plain.requires_grad
         assert plain.data.tobytes() == recorded.data.tobytes()
 
-    def test_policy_logits_bit_equal(self):
+    @pytest.mark.parametrize("pretrain", [False, True])
+    def test_policy_logits_bit_equal(self, pretrain):
         vocab = Vocabulary.build([plan_for(name) for name in OBJECT_NAMES])
         config = PolicyConfig(bridge_dim=16, query_count=2, hidden_dim=16, global_dim=8,
                               conv_channels=4)
         model = ControlModel(np.random.default_rng(0), EnvConfig(), vocab, config)
-        steps = collect_demos(EnvConfig(), [0])[0].steps[:3]
+        demos = collect_demos(EnvConfig(), [0])
+        if pretrain:
+            pretrain_bridge(model, demos)
+        steps = demos[0].steps[:3]
         obs = np.stack([o for o, _, _ in steps])
         plans = [p for _, p, _ in steps]
         recorded = model.forward(obs, plans)
