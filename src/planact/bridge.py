@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .nn import Linear, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
-from .tensor import Tensor, broadcast_to, concat, parameter, take_rows
+from .tensor import Tensor, broadcast_to, concat, linear, parameter, take_rows
 from .vocab import MAX_SEQUENCE_LENGTH
 
 
@@ -120,7 +120,8 @@ class QueryBridge(Module):
         # every row runs through each projection, and only the text rows are kept
         normed = second.ln_self(first.feed_forward(x))
         attn = second.self_attn
-        return PlanSide(queries, cross_q, attn.w_k(normed)[n:, :], attn.w_v(normed)[n:, :])
+        keys = linear(normed, attn.w_k)[n:, :]
+        return PlanSide(queries, cross_q, keys, attn.w_v(normed)[n:, :])
 
     def extract(self, tokens: Tensor, side: PlanSide) -> Tensor:
         """Summarise visual tokens (..., P, D) under a plan's ``side`` into (..., N, D).
@@ -139,11 +140,12 @@ class QueryBridge(Module):
             )
         first, second = self.blocks
         cross = first.cross_attn
-        x = side.queries + cross.attend(side.cross_q, cross.w_k(tokens), cross.w_v(tokens))
+        keys = linear(tokens, cross.w_k)
+        x = side.queries + cross.attend(side.cross_q, keys, cross.w_v(tokens))
         x = first.feed_forward(x)
         attn = second.self_attn
         normed = second.ln_self(x)
-        q, k, v = attn.w_q(normed), attn.w_k(normed), attn.w_v(normed)
+        q, k, v = attn.w_q(normed), linear(normed, attn.w_k), attn.w_v(normed)
         # the plan's keys and values, shared by every leading index, follow the queries'
         lead = tokens.shape[:-2]
         k = concat([k, broadcast_to(side.keys, (*lead, *side.keys.shape))], axis=-2)

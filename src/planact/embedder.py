@@ -25,7 +25,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .errors import ContractError, PipelineError
+from .errors import ContractError, PipelineError, require_int
 from .seeding import rng_for
 
 KINDS = ("text", "frame")
@@ -35,6 +35,7 @@ class MockEmbedder:
     """Seeded hash -> pseudo-random unit vector; pure and stable across runs."""
 
     def __init__(self, dim: int = 16):
+        require_int("dim", dim)
         if dim < 2:
             raise ContractError("embedding dim must be at least 2")
         self.dim = dim
@@ -59,8 +60,9 @@ class RemoteEmbedder:
         retries: int = 2,
         normalize: bool = True,
     ):
-        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
-            raise ContractError(f"retries must be an int >= 0, got {retries!r}")
+        require_int("retries", retries)
+        if retries < 0:
+            raise ContractError(f"retries must be non-negative, got {retries}")
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
             0 < timeout < math.inf
         ):

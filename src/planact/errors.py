@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+from numbers import Integral
 
 
 class PlanactError(Exception):
@@ -35,3 +37,12 @@ class ValidationError(PlanactError):
 
 class PipelineError(PlanactError):
     """The dataset pipeline reached an unrecoverable state."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise ``ContractError`` naming ``name`` unless ``value`` is an integer.
+
+    Python and numpy integers pass; a bool, a float or anything else does not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ContractError(f"{name} must be an integer, got {value!r}")

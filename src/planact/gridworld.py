@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError, ValidationError, require_int
 from .plans import PlanDocument, PlanStep, render_plan
 
 ACTIONS = ("up", "down", "left", "right", "interact")
@@ -31,6 +31,8 @@ class EnvConfig:
     step_limit: int = 50
 
     def __post_init__(self):
+        for name in ("height", "width", "object_count", "step_limit"):
+            require_int(name, getattr(self, name))
         if self.height < 1 or self.width < 1:
             raise ContractError(
                 f"grid height and width must be at least 1, got {self.height}x{self.width}"
@@ -73,6 +75,9 @@ class GoalGridEnv:
         self._active = False
 
     def reset(self, seed: int) -> tuple[np.ndarray, str]:
+        require_int("seed", seed)
+        if seed < 0:
+            raise ContractError(f"seed must be non-negative, got {seed}")
         cfg = self.config
         rng = np.random.default_rng(seed)
         cells = rng.permutation(cfg.height * cfg.width)[: cfg.object_count + 1]

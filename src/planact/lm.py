@@ -4,7 +4,12 @@ The input sequence is laid out as [soft prompt rows][text embeddings].  Text
 positions attend causally among themselves and fully to the soft prompt rows.
 Each block additionally owns ``prefix_len`` trainable key/value rows that
 every position may attend to; these adapter rows are the only LM-interior
-trainables when the base model is frozen.  ``LmConfig(prefix_len=0)`` is the
+trainables when the base model is frozen.  They enter the cache as raw keys
+and values, not through the block's projections.  Token keys are
+``x @ w_k`` with no bias (see ``MultiHeadAttention``), so a query's logit on
+an adapter key compares directly with its logits on token keys; a key bias
+would have shifted only the token logits, and the adapter keys could have
+absorbed it (``adapter_k - b_k`` gives the same logits).  ``LmConfig(prefix_len=0)`` is the
 model without adapters.  Logits are emitted for text positions only, and text
 positions are numbered independently of the soft prompt so prompt rows never
 shift positional slots.
@@ -33,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, require_int
 from .nn import KVCache, LayerNorm, Linear, Module, TransformerBlock, causal_mask
 from .tensor import Tensor, concat, parameter, take_rows
 
@@ -50,6 +55,8 @@ class LmConfig:
     ff_mult: ClassVar[int] = 4
 
     def __post_init__(self):
+        for name in ("vocab_size", "dim", "blocks", "heads", "context", "prefix_len"):
+            require_int(name, getattr(self, name))
         if self.prefix_len < 0:
             raise ContractError(f"prefix_len must be non-negative, got {self.prefix_len}")
         if self.blocks < 1:

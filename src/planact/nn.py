@@ -130,10 +130,17 @@ class MultiHeadAttention(Module):
     ``tensor.attention`` returns; a mask that does not fit, or that leaves a
     query no key to see, raises there and leaves the cache as it was.
     ``mask`` is None (every key visible) or a boolean (n_q, n_cached + n_new)
-    array over every key.  The projections are ``Linear`` layers; every head
-    runs inside one ``tensor.attention`` node between them.  ``attend`` runs
-    the heads and the output projection alone, for a caller that projects
-    some rows itself (see ``QueryBridge``).
+    array over every key.  The query, value and output projections are
+    ``Linear`` layers; every head runs inside one ``tensor.attention`` node
+    between them.  ``attend`` runs the heads and the output projection alone,
+    for a caller that projects some rows itself (see ``QueryBridge``).
+
+    Keys take no bias: ``w_k`` is a bare (dim, dim) weight, drawn as
+    ``Linear`` draws its weight, and keys are ``linear(x_kv, w_k)``.  A key
+    bias ``b`` would add ``q . b`` to every key's logit for a given query,
+    and softmax cancels a shift shared by all of a query's keys, so ``b``
+    would change no output and receive a zero gradient (Namazifar et al.,
+    "Role of Bias Terms in Dot-Product Attention", ICASSP 2023).
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
@@ -144,7 +151,7 @@ class MultiHeadAttention(Module):
         self.dim = dim
         self.heads = heads
         self.w_q = Linear(rng, dim, dim)
-        self.w_k = Linear(rng, dim, dim)
+        self.w_k = parameter(rng.standard_normal((dim, dim)) * math.sqrt(1.0 / dim))
         self.w_v = Linear(rng, dim, dim)
         self.w_o = Linear(rng, dim, dim)
 
@@ -160,7 +167,7 @@ class MultiHeadAttention(Module):
                 f"inputs {x_q.shape}/{x_kv.shape} do not match model dim {self.dim}"
             )
         q = self.w_q(x_q)
-        k = self.w_k(x_kv)
+        k = linear(x_kv, self.w_k)
         v = self.w_v(x_kv)
         if cache is not None:
             k, v = cache.append(k, v)

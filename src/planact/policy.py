@@ -10,7 +10,7 @@ from typing import ClassVar
 import numpy as np
 
 from .bridge import BridgeConfig, PlanSide, QueryBridge
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError, require_int
 from .gridworld import (
     ACTIONS,
     INTERACT,
@@ -52,6 +52,7 @@ class PolicyConfig:
     def __post_init__(self):
         for name in ("global_dim", "conv_channels", "conv_depth", "hidden_dim", "bridge_dim",
                      "query_count"):
+            require_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -373,6 +374,10 @@ def bc_train(
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    require_int("successes", successes)
+    require_int("n", n)
+    if not 0 <= successes <= n:
+        raise ContractError(f"need 0 <= successes <= n, got successes={successes}, n={n}")
     z = 1.96  # 95% two-sided
     if n == 0:
         return 0.0, 1.0
@@ -404,6 +409,7 @@ def evaluate_policy(
     An episode ends only on success or at the step limit, so every failure
     reached the step limit.
     """
+    require_int("episodes", episodes)
     if episodes < 1:
         raise ContractError(f"evaluation needs at least one episode, got {episodes}")
     per_seed = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, NumericError, PromptTooLongError
+from .errors import ContractError, NumericError, PromptTooLongError, require_int
 from .lm import MicroLm
 from .tensor import Tensor, no_grad
 from .vocab import EOS
@@ -34,12 +34,13 @@ class GenerationConfig:
             )
         if not 0.0 < self.top_p <= 1.0:
             raise ContractError(f"top_p must lie in (0, 1], got {self.top_p}")
+        for name in ("samples_per_prompt", "max_new_tokens", "seed"):
+            require_int(name, getattr(self, name))
         for name in ("samples_per_prompt", "max_new_tokens"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ContractError(f"{name} must be an integer of at least 1, got {value!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ContractError(f"seed must be a non-negative integer, got {self.seed!r}")
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ContractError(f"seed must be non-negative, got {self.seed}")
 
 
 def sample_token(

@@ -329,19 +329,22 @@ def broadcast_to(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor._result(out, (x,), lambda g: (_unbroadcast(g, x.shape),))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """``x @ w + b`` as one node, for a 2-d ``w`` and a bias ``b`` of its width.
 
     The product folds the leading axes of ``x`` into one GEMM over the rows
     ``x2 = x.reshape(-1, K)``, and the bias is added to it in place.  The
     weight gradient ``x2.T @ g2`` is one sum over every row of every leading
     index, and the bias gradient is summed over the leading axes by
-    ``_unbroadcast``, as an add node sums it.
+    ``_unbroadcast``, as an add node sums it.  With ``b=None`` the node is
+    ``x @ w`` alone, with no bias add and no bias gradient.
     """
-    a, wd, bd = x.data, w.data, b.data
-    if a.ndim < 2 or wd.ndim != 2 or bd.shape != wd.shape[1:]:
+    a, wd = x.data, w.data
+    bd = None if b is None else b.data
+    if a.ndim < 2 or wd.ndim != 2 or (bd is not None and bd.shape != wd.shape[1:]):
         raise DimensionError(
-            f"linear expects (..., K) @ (K, N) + (N,), got {a.shape}, {wd.shape}, {bd.shape}"
+            f"linear expects (..., K) @ (K, N) + (N,), got {a.shape}, {wd.shape}, "
+            f"{None if bd is None else bd.shape}"
         )
     fold = a.ndim > 2
     a2 = a.reshape(math.prod(a.shape[:-1]), a.shape[-1]) if fold else a
@@ -349,17 +352,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         out2 = a2 @ wd
     except ValueError:  # inner extents disagree
         raise DimensionError(f"linear operands do not fit: {a.shape} x {wd.shape}") from None
-    out2 += bd
+    if bd is not None:
+        out2 += bd
     out = out2.reshape(*a.shape[:-1], wd.shape[1]) if fold else out2
 
     def grad_fn(g: np.ndarray):
         g2 = g.reshape(out2.shape)
         gx = (g2 @ wd.T).reshape(a.shape) if x.requires_grad else None
         gw = a2.T @ g2 if w.requires_grad else None
+        if b is None:
+            return gx, gw
         gb = _unbroadcast(g, bd.shape) if b.requires_grad else None
         return gx, gw, gb
 
-    return Tensor._result(out, (x, w, b), grad_fn)
+    return Tensor._result(out, (x, w) if b is None else (x, w, b), grad_fn)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

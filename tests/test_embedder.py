@@ -133,6 +133,12 @@ def _status(url, body):
     return info.value.code
 
 
+@pytest.mark.parametrize("dim", [2.5, 16.0, True, "16"])
+def test_mock_dim_must_be_an_integer(dim):
+    with pytest.raises(ContractError, match=f"dim must be an integer, got {dim!r}"):
+        MockEmbedder(dim=dim)
+
+
 @pytest.mark.parametrize("retries", [-1, 1.5, True, "2", None])
 def test_retries_must_be_a_count(retries):
     with pytest.raises(ContractError, match="retries"):

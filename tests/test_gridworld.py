@@ -58,6 +58,27 @@ class TestEnv:
         with pytest.raises(ContractError, match="height and width must be at least 1, got"):
             EnvConfig(height=height, width=width)
 
+    @pytest.mark.parametrize("fields", [
+        {"height": 9.0, "width": 9.0}, {"width": 9.0}, {"step_limit": 2.5},
+        {"object_count": True},
+    ], ids=["height", "width", "step_limit", "object_count"])
+    def test_integer_field_must_be_an_integer(self, fields):
+        name, value = next(iter(fields.items()))
+        with pytest.raises(ContractError, match=f"{name} must be an integer, got {value!r}"):
+            EnvConfig(**fields)
+
+    def test_numpy_integer_fields_accepted(self):
+        assert EnvConfig(height=np.int64(5)).observation_shape == (4, 5, 9)
+
+    @pytest.mark.parametrize("seed, match", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ])
+    def test_invalid_seed_rejected(self, seed, match):
+        with pytest.raises(ContractError, match=match):
+            GoalGridEnv().reset(seed)
+
     def test_interact_on_target_succeeds(self):
         env = GoalGridEnv()
         env.reset(1)

@@ -91,6 +91,13 @@ class TestLmForward:
         with pytest.raises(ContractError, match=message):
             MicroLm(rng, LmConfig(**{**vars(cfg), field: 0}))
 
+    @pytest.mark.parametrize(
+        "field, value", [("dim", 16.0), ("heads", 2.5), ("context", True), ("prefix_len", 1.0)]
+    )
+    def test_integer_field_must_be_an_integer(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be an integer, got {value!r}"):
+            LmConfig(vocab_size=len(VOCAB), **{field: value})
+
     def test_feed_forward_width_cannot_be_set(self):
         with pytest.raises(TypeError, match="ff_mult"):
             LmConfig(vocab_size=len(VOCAB), ff_mult=LmConfig.ff_mult)
@@ -186,6 +193,7 @@ class TestSampler:
     @pytest.mark.parametrize("field, value", [
         ("temperature", float("nan")), ("temperature", float("inf")), ("seed", -1),
         ("seed", 1.5), ("max_new_tokens", 2.5), ("samples_per_prompt", "3"),
+        ("samples_per_prompt", True), ("seed", True),
     ])
     def test_invalid_field_rejected_by_name(self, field, value):
         with pytest.raises(ContractError, match=field):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from planact.errors import ContractError, DimensionError, NumericError
 from planact.gradcheck import check_gradients
@@ -12,7 +14,7 @@ from planact.nn import (
     causal_mask,
     sinusoidal_embedding,
 )
-from planact.tensor import MASK_BIAS, Tensor, attention, concat, gelu, softmax
+from planact.tensor import MASK_BIAS, Tensor, attention, concat, gelu, linear, softmax
 
 
 class TestMask:
@@ -238,6 +240,33 @@ class TestScaledDotAttention:
                 [q, k, v],
             )
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        heads=st.sampled_from([1, 2, 3]),
+        n_q=st.integers(1, 4),
+        extra_keys=st.integers(0, 3),
+        causal=st.booleans(),
+    )
+    def test_shared_key_shift_changes_nothing(self, seed, heads, n_q, extra_keys, causal):
+        # a vector c added to every key shifts each query's logits by q . c,
+        # which softmax cancels: why keys take no bias
+        rng = np.random.default_rng(seed)
+        d, n_k = 2 * heads, n_q + extra_keys
+        mask = causal_mask(n_q, n_k) if causal else None
+        q, k, v = (rng.standard_normal(shape) for shape in ((n_q, d), (n_k, d), (n_k, d)))
+        c = Tensor(rng.standard_normal(d), requires_grad=True)
+        g = Tensor(rng.standard_normal((n_q, d)))
+        runs = []
+        for shift in (None, c):
+            leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            keys = leaves[1] if shift is None else leaves[1] + shift
+            out = attention(leaves[0], keys, leaves[2], heads, mask)
+            (out * g).sum().backward()
+            runs.append([out.data] + [t.grad for t in leaves])
+        for plain, shifted in zip(*runs):
+            np.testing.assert_allclose(shifted, plain, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c.grad, 0.0, rtol=0, atol=1e-12)
+
 
 class TestMultiHeadAttention:
     def test_single_head_reduces_to_projected_attention(self, rng):
@@ -245,7 +274,7 @@ class TestMultiHeadAttention:
         x_q = Tensor(rng.standard_normal((3, 6)))
         x_kv = Tensor(rng.standard_normal((4, 6)))
         out = mha(x_q, x_kv)
-        manual = attention(mha.w_q(x_q), mha.w_k(x_kv), mha.w_v(x_kv), 1)
+        manual = attention(mha.w_q(x_q), linear(x_kv, mha.w_k), mha.w_v(x_kv), 1)
         np.testing.assert_allclose(out.data, mha.w_o(manual).data, atol=1e-12)
 
     def test_kv_permutation_invariance(self, rng):
@@ -283,7 +312,8 @@ def per_head_reference(mha, x_q, x_kv, allowed, past=None):
     def project(lin, x):
         return x @ lin.w.data + lin.b.data
 
-    q, k, v = project(mha.w_q, x_q), project(mha.w_k, x_kv), project(mha.w_v, x_kv)
+    # keys take no bias
+    q, k, v = project(mha.w_q, x_q), x_kv @ mha.w_k.data, project(mha.w_v, x_kv)
     if past is not None:
         k = np.concatenate([past[0], k])
         v = np.concatenate([past[1], v])

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import planact.bridge as bridge_module
 from planact.checkpoint import restore_into
 from planact.errors import ContractError, DimensionError, NumericError, ValidationError
 from planact.gridworld import (
@@ -31,7 +32,7 @@ from planact.policy import (
     pretrain_bridge,
     wilson_interval,
 )
-from planact.tensor import Tensor, _topo_order, cross_entropy, no_grad
+from planact.tensor import Tensor, _topo_order, cross_entropy, linear, no_grad
 from planact.vocab import Vocabulary, tokenize
 
 ENV = EnvConfig(step_limit=6)
@@ -338,6 +339,13 @@ class TestConfig:
             PolicyConfig(**{field: 0})
 
     @pytest.mark.parametrize(
+        "field, value", [("query_count", 2.5), ("global_dim", 32.0), ("conv_depth", True)]
+    )
+    def test_integer_field_must_be_an_integer(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} must be an integer, got {value!r}"):
+            PolicyConfig(**{field: value})
+
+    @pytest.mark.parametrize(
         "field", ["bridge_heads", "ff_mult", "augment_symmetry", "bc_batch", "bc_peak_lr",
                   "bc_warmup_ratio"],
     )
@@ -372,8 +380,7 @@ bridge.blocks.0.ln_self.gamma        64       0
 bridge.blocks.0.ln_self.beta         64       0
 bridge.blocks.0.self_attn.w_q.w      64x64    0
 bridge.blocks.0.self_attn.w_q.b      64       0
-bridge.blocks.0.self_attn.w_k.w      64x64    0
-bridge.blocks.0.self_attn.w_k.b      64       0
+bridge.blocks.0.self_attn.w_k        64x64    0
 bridge.blocks.0.self_attn.w_v.w      64x64    0
 bridge.blocks.0.self_attn.w_v.b      64       0
 bridge.blocks.0.self_attn.w_o.w      64x64    0
@@ -382,8 +389,7 @@ bridge.blocks.0.ln_cross.gamma       64       0
 bridge.blocks.0.ln_cross.beta        64       0
 bridge.blocks.0.cross_attn.w_q.w     64x64    0
 bridge.blocks.0.cross_attn.w_q.b     64       0
-bridge.blocks.0.cross_attn.w_k.w     64x64    0
-bridge.blocks.0.cross_attn.w_k.b     64       0
+bridge.blocks.0.cross_attn.w_k       64x64    0
 bridge.blocks.0.cross_attn.w_v.w     64x64    0
 bridge.blocks.0.cross_attn.w_v.b     64       0
 bridge.blocks.0.cross_attn.w_o.w     64x64    0
@@ -398,8 +404,7 @@ bridge.blocks.1.ln_self.gamma        64       0
 bridge.blocks.1.ln_self.beta         64       0
 bridge.blocks.1.self_attn.w_q.w      64x64    0
 bridge.blocks.1.self_attn.w_q.b      64       0
-bridge.blocks.1.self_attn.w_k.w      64x64    0
-bridge.blocks.1.self_attn.w_k.b      64       0
+bridge.blocks.1.self_attn.w_k        64x64    0
 bridge.blocks.1.self_attn.w_v.w      64x64    0
 bridge.blocks.1.self_attn.w_v.b      64       0
 bridge.blocks.1.self_attn.w_o.w      64x64    0
@@ -483,8 +488,15 @@ class TestPlanSideStore:
             return call
 
         monkeypatch.setattr(second, "ln_self", counted("ln_self", second.ln_self))
-        for name in ("w_q", "w_k", "w_v"):
+        for name in ("w_q", "w_v"):
             monkeypatch.setattr(attn, name, counted(name, getattr(attn, name)))
+        # the key weight is a bare parameter, projected through the bridge's linear
+        def keys(x, w, b=None):
+            if w is attn.w_k:
+                rows["w_k"].append(x.shape[-2])
+            return linear(x, w, b)
+
+        monkeypatch.setattr(bridge_module, "linear", keys)
         plans = [plan_for(name) for name in OBJECT_NAMES[:2]]
         for i in range(20):
             model.act(data[i % len(data)][0], plans[i % 2])
@@ -911,6 +923,16 @@ class TestEvaluation:
         got = wilson_interval(successes, n)
         np.testing.assert_allclose(got, (low, high), atol=1e-6)
 
+    @pytest.mark.parametrize("successes, n", [(5, 3), (-1, 3), (0, -1)])
+    def test_wilson_interval_rejects_counts_out_of_range(self, successes, n):
+        with pytest.raises(ContractError, match=f"successes={successes}, n={n}"):
+            wilson_interval(successes, n)
+
+    @pytest.mark.parametrize("successes, n", [(1.5, 3), (1, 3.0), (True, 3)])
+    def test_wilson_interval_rejects_counts_that_are_not_integers(self, successes, n):
+        with pytest.raises(ContractError, match="must be an integer"):
+            wilson_interval(successes, n)
+
     def test_same_seeds_same_result(self, vocab):
         model = make_model(vocab)
         first = evaluate_policy(model_policy(model), ENV, episodes=3, base_seed=7)
@@ -923,6 +945,15 @@ class TestEvaluation:
     def test_fewer_than_one_episode_rejected(self, episodes):
         with pytest.raises(ContractError, match=f"at least one episode, got {episodes}"):
             evaluate_policy(expert_policy(), ENV, episodes=episodes)
+
+    @pytest.mark.parametrize("episodes", [2.5, True])
+    def test_episode_count_must_be_an_integer(self, episodes):
+        with pytest.raises(ContractError, match=f"episodes must be an integer, got {episodes}"):
+            evaluate_policy(expert_policy(), ENV, episodes=episodes)
+
+    def test_negative_base_seed_rejected_by_value(self):
+        with pytest.raises(ContractError, match="seed must be non-negative, got -1"):
+            evaluate_policy(expert_policy(), ENV, episodes=1, base_seed=-1)
 
 
 def toward_another_object(env, obs, plan_text):

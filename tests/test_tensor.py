@@ -479,6 +479,20 @@ class TestLinear:
         out = linear(x, w, b)
         assert out._parents == (x, w, b)
 
+    @pytest.mark.parametrize("shape", SHAPES + [(2, 1, 3, 4)])
+    def test_without_bias_is_the_folded_product(self, rng, shape):
+        a, wd, _ = self.operands(rng, shape)
+        g = rng.standard_normal((*shape[:-1], 3))
+        x, w = Tensor(a, requires_grad=True), Tensor(wd, requires_grad=True)
+        out = linear(x, w)
+        assert out._parents == (x, w)
+        (out * Tensor(g)).sum().backward()
+        a2, g2 = a.reshape(-1, shape[-1]), g.reshape(-1, 3)
+        want = [(a2 @ wd).reshape(g.shape), (g2 @ wd.T).reshape(shape), a2.T @ g2]
+        for have, ref in zip([out.data, x.grad, w.grad], want):
+            assert have.tobytes() == ref.tobytes()
+        check_gradients(lambda inp: gelu(linear(inp[0], inp[1])).sum(), [x, w])
+
     @pytest.mark.parametrize("x, w, b", [((4,), (4, 3), (3,)), ((2, 4), (5, 3), (3,)),
                                          ((2, 4), (4, 3), (2,)), ((2, 4), (4, 3, 1), (3,))])
     def test_shapes_that_do_not_fit_rejected(self, x, w, b):

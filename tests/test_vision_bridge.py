@@ -292,8 +292,8 @@ class TestPlanSideOncePerPlan:
         first, second = bridge.blocks
         cross = first.cross_attn
         params = [tokens, bridge.queries, bridge.text_embed, first.ln_cross.gamma,
-                  cross.w_q.w, cross.w_k.w, cross.w_v.w, cross.w_o.w, first.ffn.lin2.w,
-                  second.ln_self.gamma, second.self_attn.w_q.w, second.self_attn.w_k.w,
+                  cross.w_q.w, cross.w_k, cross.w_v.w, cross.w_o.w, first.ffn.lin2.w,
+                  second.ln_self.gamma, second.self_attn.w_q.w, second.self_attn.w_k,
                   second.self_attn.w_v.w]
         check_gradients(fn, params)
 
