@@ -7,12 +7,11 @@ every position may attend to; these adapter rows are the only LM-interior
 trainables when the base model is frozen.  They enter the cache as raw keys
 and values, not through the block's projections.  Token keys are
 ``x @ w_k`` with no bias (see ``MultiHeadAttention``), so a query's logit on
-an adapter key compares directly with its logits on token keys; a key bias
-would have shifted only the token logits, and the adapter keys could have
-absorbed it (``adapter_k - b_k`` gives the same logits).  ``LmConfig(prefix_len=0)`` is the
-model without adapters.  Logits are emitted for text positions only, and text
-positions are numbered independently of the soft prompt so prompt rows never
-shift positional slots.
+an adapter key compares directly with its logits on token keys.
+``LmConfig(prefix_len=0)`` is the model without adapters.  Logits are
+emitted for text positions only, and text positions are numbered
+independently of the soft prompt so prompt rows never shift positional
+slots.
 
 Every ``forward`` runs on an ``LmCache``: one ``KVCache`` per block that
 ``new_cache`` opens with storage for ``LmConfig.context`` key and value

@@ -52,9 +52,10 @@ class PolicyConfig:
     def __post_init__(self):
         for name in ("global_dim", "conv_channels", "conv_depth", "hidden_dim", "bridge_dim",
                      "query_count"):
-            require_int(name, getattr(self, name))
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            require_int(name, value)
+            if value < 1:
+                raise ContractError(f"{name} must be at least 1, got {value}")
 
 
 class GlobalEncoder(Module):

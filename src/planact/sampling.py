@@ -34,13 +34,11 @@ class GenerationConfig:
             )
         if not 0.0 < self.top_p <= 1.0:
             raise ContractError(f"top_p must lie in (0, 1], got {self.top_p}")
-        for name in ("samples_per_prompt", "max_new_tokens", "seed"):
-            require_int(name, getattr(self, name))
-        for name in ("samples_per_prompt", "max_new_tokens"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ContractError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("samples_per_prompt", 1), ("max_new_tokens", 1), ("seed", 0)):
+            value = getattr(self, name)
+            require_int(name, value)
+            if value < least:
+                raise ContractError(f"{name} must be at least {least}, got {value}")
 
 
 def sample_token(
