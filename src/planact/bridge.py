@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, require_int
 from .nn import Linear, Module, TransformerBlock, LayerNorm, sinusoidal_embedding
 from .tensor import Tensor, broadcast_to, concat, linear, parameter, take_rows
 from .vocab import MAX_SEQUENCE_LENGTH
@@ -84,11 +84,13 @@ class BridgeConfig:
     heads: int = 4
     ff_mult: int = 4
 
+    def __post_init__(self):
+        for name in ("query_count", "dim", "lm_dim", "heads", "ff_mult"):
+            require_int(name, getattr(self, name), least=1)
+
 
 class QueryBridge(Module):
     def __init__(self, rng: np.random.Generator, vocab_size: int, config: BridgeConfig):
-        if config.query_count < 1:
-            raise ContractError(f"query_count must be at least 1, got {config.query_count}")
         self.config = config
         self.queries = parameter(rng.standard_normal((config.query_count, config.dim)) * 0.1)
         self.text_embed = parameter(rng.standard_normal((vocab_size, config.dim)) * 0.1)

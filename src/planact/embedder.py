@@ -35,9 +35,7 @@ class MockEmbedder:
     """Seeded hash -> pseudo-random unit vector; pure and stable across runs."""
 
     def __init__(self, dim: int = 16):
-        require_int("dim", dim)
-        if dim < 2:
-            raise ContractError("embedding dim must be at least 2")
+        require_int("dim", dim, least=2)
         self.dim = dim
 
     def _vector(self, kind: str, item: str) -> np.ndarray:
@@ -60,9 +58,7 @@ class RemoteEmbedder:
         retries: int = 2,
         normalize: bool = True,
     ):
-        require_int("retries", retries)
-        if retries < 0:
-            raise ContractError(f"retries must be non-negative, got {retries}")
+        require_int("retries", retries, least=0)
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not (
             0 < timeout < math.inf
         ):

@@ -39,10 +39,15 @@ class PipelineError(PlanactError):
     """The dataset pipeline reached an unrecoverable state."""
 
 
-def require_int(name: str, value) -> None:
-    """Raise ``ContractError`` naming ``name`` unless ``value`` is an integer.
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Raise ``ContractError`` naming ``name`` unless ``value`` is an integer
+    of at least ``least`` (no lower bound when ``least`` is None).
 
     Python and numpy integers pass; a bool, a float or anything else does not.
+    This is the one check for a count, width, seed or index a caller sets;
+    upper bounds and ranges stay with the code that knows them.
     """
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ContractError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ContractError(f"{name} must be at least {least}, got {value}")

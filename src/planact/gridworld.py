@@ -5,6 +5,10 @@ grid and designates one object as the target.  The observation encodes object
 types and the agent position but never which object is the target; that
 information lives only in the task caption and plan text, so a policy must
 read the plan to disambiguate.
+
+The grid is square (``EnvConfig.side``): the policy's 2-d cell position code,
+grounding's row and column labels and the eight dihedral views of
+``symmetry_views`` all assume one.
 """
 
 from __future__ import annotations
@@ -25,34 +29,27 @@ OBJECT_NAMES = ("red block", "blue ball", "green key", "yellow cone", "purple ri
 
 @dataclass
 class EnvConfig:
-    height: int = 9
-    width: int = 9
+    side: int = 9  # the grid is side x side cells
     object_count: int = 3
     step_limit: int = 50
 
     def __post_init__(self):
-        for name in ("height", "width", "object_count", "step_limit"):
-            require_int(name, getattr(self, name))
-        if self.height < 1 or self.width < 1:
-            raise ContractError(
-                f"grid height and width must be at least 1, got {self.height}x{self.width}"
-            )
-        if self.object_count < 1 or self.object_count > len(OBJECT_NAMES):
+        for name in ("side", "object_count", "step_limit"):
+            require_int(name, getattr(self, name), least=1)
+        if self.object_count > len(OBJECT_NAMES):
             raise ContractError(
                 f"object_count must lie in [1, {len(OBJECT_NAMES)}], got {self.object_count}"
             )
-        if self.height * self.width < self.object_count + 1:
+        if self.side * self.side < self.object_count + 1:
             raise ContractError(
-                f"grid {self.height}x{self.width} cannot hold {self.object_count} objects "
+                f"grid {self.side}x{self.side} cannot hold {self.object_count} objects "
                 "plus the agent"
             )
-        if self.step_limit < 1:
-            raise ContractError("step_limit must be positive")
 
     @property
     def observation_shape(self) -> tuple[int, int, int]:
-        """(channels, H, W): one channel per object, then the agent's."""
-        return (self.object_count + 1, self.height, self.width)
+        """(channels, side, side): one channel per object, then the agent's."""
+        return (self.object_count + 1, self.side, self.side)
 
 
 def caption_for(target_name: str) -> str:
@@ -75,13 +72,11 @@ class GoalGridEnv:
         self._active = False
 
     def reset(self, seed: int) -> tuple[np.ndarray, str]:
-        require_int("seed", seed)
-        if seed < 0:
-            raise ContractError(f"seed must be non-negative, got {seed}")
+        require_int("seed", seed, least=0)
         cfg = self.config
         rng = np.random.default_rng(seed)
-        cells = rng.permutation(cfg.height * cfg.width)[: cfg.object_count + 1]
-        coords = [(int(c) // cfg.width, int(c) % cfg.width) for c in cells]
+        cells = rng.permutation(cfg.side * cfg.side)[: cfg.object_count + 1]
+        coords = [divmod(int(c), cfg.side) for c in cells]
         self.object_pos = coords[: cfg.object_count]
         self.agent_pos = coords[cfg.object_count]
         self.target_idx = int(rng.integers(cfg.object_count))
@@ -109,7 +104,8 @@ class GoalGridEnv:
     def step(self, action: int) -> tuple[np.ndarray, bool, bool]:
         if not self._active or self.done:
             raise ContractError("step called on an inactive episode")
-        if action not in range(len(ACTIONS)):
+        require_int("action", action, least=0)
+        if action >= len(ACTIONS):
             raise ContractError(f"action {action} outside the discrete space")
         cfg = self.config
         success = False
@@ -117,8 +113,8 @@ class GoalGridEnv:
             success = self.agent_pos == self.object_pos[self.target_idx]
         else:
             dr, dc = _MOVES[action]
-            r = min(max(self.agent_pos[0] + dr, 0), cfg.height - 1)
-            c = min(max(self.agent_pos[1] + dc, 0), cfg.width - 1)
+            r = min(max(self.agent_pos[0] + dr, 0), cfg.side - 1)
+            c = min(max(self.agent_pos[1] + dc, 0), cfg.side - 1)
             self.agent_pos = (r, c)
         self.steps += 1
         self.done = success or self.steps >= cfg.step_limit
@@ -194,7 +190,8 @@ class Demonstration:
                 raise ValidationError(
                     f"demonstration {self.seed} holds a non-finite observation at step {i}"
                 )
-            if action not in range(len(ACTIONS)):
+            require_int(f"demonstration {self.seed} action at step {i}", action)
+            if not 0 <= action < len(ACTIONS):
                 raise ValidationError(f"demonstration {self.seed} holds an illegal action")
             if not plan.strip():
                 raise ValidationError(f"demonstration {self.seed} holds an empty plan")

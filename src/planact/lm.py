@@ -54,14 +54,9 @@ class LmConfig:
     ff_mult: ClassVar[int] = 4
 
     def __post_init__(self):
-        for name in ("vocab_size", "dim", "blocks", "heads", "context", "prefix_len"):
-            require_int(name, getattr(self, name))
-        if self.prefix_len < 0:
-            raise ContractError(f"prefix_len must be non-negative, got {self.prefix_len}")
-        if self.blocks < 1:
-            raise ContractError(f"blocks must be at least 1, got {self.blocks}")
-        if self.context < 1:
-            raise ContractError(f"context must be at least 1, got {self.context}")
+        for name in ("vocab_size", "dim", "blocks", "heads", "context"):
+            require_int(name, getattr(self, name), least=1)
+        require_int("prefix_len", self.prefix_len, least=0)
         if self.prefix_len >= self.context:
             raise ContractError(
                 f"prefix_len must be below context {self.context}, got {self.prefix_len}"

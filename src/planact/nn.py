@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, require_int
 from .tensor import (
     Tensor,
     attention,
@@ -73,8 +73,8 @@ def causal_mask(n: int, keys: int | None = None, prefix: int = 0) -> np.ndarray:
 
 class Linear(Module):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
-        if d_in < 1 or d_out < 1:
-            raise ContractError(f"Linear widths must be at least 1, got {d_in} -> {d_out}")
+        require_int("Linear d_in", d_in, least=1)
+        require_int("Linear d_out", d_out, least=1)
         self.w = parameter(rng.standard_normal((d_in, d_out)) * math.sqrt(1.0 / d_in))
         self.b = parameter(np.zeros(d_out))
 
@@ -144,8 +144,7 @@ class MultiHeadAttention(Module):
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int):
-        if heads < 1:
-            raise ContractError(f"head count must be at least 1, got {heads}")
+        require_int("heads", heads, least=1)
         if dim % heads != 0:
             raise ContractError(f"model dim {dim} not divisible by head count {heads}")
         self.dim = dim

@@ -52,10 +52,7 @@ class PolicyConfig:
     def __post_init__(self):
         for name in ("global_dim", "conv_channels", "conv_depth", "hidden_dim", "bridge_dim",
                      "query_count"):
-            value = getattr(self, name)
-            require_int(name, value)
-            if value < 1:
-                raise ContractError(f"{name} must be at least 1, got {value}")
+            require_int(name, getattr(self, name), least=1)
 
 
 class GlobalEncoder(Module):
@@ -126,11 +123,10 @@ class ControlModel(Module):
         ablate_plan: bool = False,
     ):
         config = config or PolicyConfig()
-        if env_config.height != env_config.width:
-            raise ContractError("control model expects a square grid")
-        if env_config.height < 2 * config.conv_depth + 1:
+        side = env_config.side
+        if side < 2 * config.conv_depth + 1:
             raise ContractError(
-                f"a {env_config.height}x{env_config.width} grid is smaller than the "
+                f"a {side}x{side} grid is smaller than the "
                 f"{2 * config.conv_depth + 1}x{2 * config.conv_depth + 1} receptive field "
                 f"of {config.conv_depth} convolutions"
             )
@@ -143,7 +139,7 @@ class ControlModel(Module):
         # cell-level tokens with fixed 2-d position codes: attention selects cells
         # by content (which object sits there) while the position code carries
         # per-cell coordinates the policy head can decode directions from
-        self.grid_vision = VisualEncoder(rng, channels, env_config.height, config.bridge_dim)
+        self.grid_vision = VisualEncoder(rng, channels, side, config.bridge_dim)
         self.bridge = QueryBridge(
             rng,
             vocab_size=len(vocab),
@@ -174,6 +170,8 @@ class ControlModel(Module):
         the same plan share one ``plan_side``, kept in ``plan_sides``, and one
         ``extract`` call, and the rows keep their order.
         """
+        if isinstance(plan_texts, str):
+            raise ContractError("plan_texts must be a list of plans, one per row, not one string")
         if len(obs) == 0:
             raise ContractError("the batch is empty: the policy needs at least one observation")
         if len(obs) != len(plan_texts):
@@ -245,7 +243,7 @@ def _dataset_from_demos(
     ``symmetry_views``, the step as recorded first, so rows 0, 8, 16, ... are
     the recorded steps in order."""
     if not demos:
-        raise ContractError("behavioral cloning requires at least one demonstration")
+        raise ContractError("training needs at least one demonstration")
     obs, plans, actions = [], [], []
     for demo in demos:
         demo.validate(env_config)
@@ -304,7 +302,8 @@ def pretrain_bridge(model: ControlModel, demos: list[Demonstration], seed: int =
     """
     if model.ablate_plan:
         raise ContractError("an ablated model reads no plan, so its bridge cannot be pretrained")
-    cfg, side = model.config, model.env_config.height  # the grid is square
+    require_int("seed", seed, least=0)
+    cfg, side = model.config, model.env_config.side
     obs, _, _ = _dataset_from_demos(demos, model.env_config)
     rng = np.random.default_rng(seed)
     head = Linear(rng, cfg.query_count * cfg.bridge_dim, 2 * side)
@@ -349,6 +348,8 @@ def bc_train(
     recorded (unaugmented) steps, through the same loss as the steps, with
     no autodiff graph.
     """
+    require_int("seed", seed, least=0)
+    require_int("epochs", epochs, least=1)
     cfg = model.config
     obs, plans, actions = _dataset_from_demos(demos, model.env_config)
     chunks = [slice(i, i + cfg.bc_batch) for i in range(0, len(obs), cfg.bc_batch)]
@@ -410,9 +411,7 @@ def evaluate_policy(
     An episode ends only on success or at the step limit, so every failure
     reached the step limit.
     """
-    require_int("episodes", episodes)
-    if episodes < 1:
-        raise ContractError(f"evaluation needs at least one episode, got {episodes}")
+    require_int("episodes", episodes, least=1)
     per_seed = []
     successes = 0
     for i in range(episodes):

@@ -35,10 +35,7 @@ class GenerationConfig:
         if not 0.0 < self.top_p <= 1.0:
             raise ContractError(f"top_p must lie in (0, 1], got {self.top_p}")
         for name, least in (("samples_per_prompt", 1), ("max_new_tokens", 1), ("seed", 0)):
-            value = getattr(self, name)
-            require_int(name, value)
-            if value < least:
-                raise ContractError(f"{name} must be at least {least}, got {value}")
+            require_int(name, getattr(self, name), least=least)
 
 
 def sample_token(

@@ -3,6 +3,7 @@ import pytest
 
 from planact.errors import ContractError, ValidationError
 from planact.gridworld import (
+    ACTIONS,
     INTERACT,
     Demonstration,
     EnvConfig,
@@ -10,6 +11,7 @@ from planact.gridworld import (
     caption_for,
     collect_demos,
     scripted_expert,
+    symmetry_views,
 )
 from planact.plans import parse_plan
 
@@ -31,10 +33,10 @@ class TestEnv:
         assert obs[3].sum() == 1.0  # exactly one agent cell
         assert obs[:3].sum() == 3.0  # one cell per object
 
-    def test_observation_shape_of_a_non_square_grid(self):
-        env = GoalGridEnv(EnvConfig(height=5, width=7, object_count=2))
+    def test_observation_shape_of_a_smaller_grid(self):
+        env = GoalGridEnv(EnvConfig(side=5, object_count=2))
         obs, _ = env.reset(0)
-        assert obs.shape == env.config.observation_shape == (3, 5, 7)
+        assert obs.shape == env.config.observation_shape == (3, 5, 5)
 
     def test_observation_does_not_reveal_target(self):
         # identical layout with a different designated target must look identical
@@ -51,27 +53,33 @@ class TestEnv:
 
     def test_capacity_config_error(self):
         with pytest.raises(ContractError, match="grid 2x2 cannot hold 5 objects"):
-            EnvConfig(height=2, width=2, object_count=5)
+            EnvConfig(side=2, object_count=5)
 
-    @pytest.mark.parametrize("height, width", [(-3, -3), (0, 9), (9, 0), (1, -4)])
-    def test_grid_side_below_one_rejected(self, height, width):
-        with pytest.raises(ContractError, match="height and width must be at least 1, got"):
-            EnvConfig(height=height, width=width)
+    @pytest.mark.parametrize("side", [-3, 0])
+    def test_grid_side_below_one_rejected(self, side):
+        with pytest.raises(ContractError, match=f"side must be at least 1, got {side}"):
+            EnvConfig(side=side)
+
+    @pytest.mark.parametrize("fields", [{"object_count": 0}, {"step_limit": 0}],
+                             ids=["object_count", "step_limit"])
+    def test_count_below_one_rejected_by_name(self, fields):
+        name, value = next(iter(fields.items()))
+        with pytest.raises(ContractError, match=f"{name} must be at least 1, got {value}"):
+            EnvConfig(**fields)
 
     @pytest.mark.parametrize("fields", [
-        {"height": 9.0, "width": 9.0}, {"width": 9.0}, {"step_limit": 2.5},
-        {"object_count": True},
-    ], ids=["height", "width", "step_limit", "object_count"])
+        {"side": 9.0}, {"side": True}, {"step_limit": 2.5}, {"object_count": True},
+    ], ids=["side", "side-bool", "step_limit", "object_count"])
     def test_integer_field_must_be_an_integer(self, fields):
         name, value = next(iter(fields.items()))
         with pytest.raises(ContractError, match=f"{name} must be an integer, got {value!r}"):
             EnvConfig(**fields)
 
     def test_numpy_integer_fields_accepted(self):
-        assert EnvConfig(height=np.int64(5)).observation_shape == (4, 5, 9)
+        assert EnvConfig(side=np.int64(5)).observation_shape == (4, 5, 5)
 
     @pytest.mark.parametrize("seed, match", [
-        (-1, "seed must be non-negative, got -1"),
+        (-1, "seed must be at least 0, got -1"),
         (1.5, "seed must be an integer, got 1.5"),
         (True, "seed must be an integer, got True"),
     ])
@@ -124,6 +132,20 @@ class TestEnv:
         assert done and env.target_name == name
         assert env.observation().tobytes() == obs.tobytes()
 
+    @pytest.mark.parametrize("action, match", [
+        (True, "action must be an integer, got True"),
+        (1.0, "action must be an integer, got 1.0"),
+        ("1", "action must be an integer, got '1'"),
+        (-1, "action must be at least 0, got -1"),
+        (5, "action 5 outside the discrete space"),
+    ])
+    def test_invalid_action_rejected(self, action, match):
+        env = GoalGridEnv()
+        env.reset(0)
+        with pytest.raises(ContractError, match=match):
+            env.step(action)
+        assert env.steps == 0
+
     def test_moves_clamp_at_walls(self):
         env = GoalGridEnv()
         env.reset(0)
@@ -173,6 +195,37 @@ class TestExpert:
         assert scripted_expert(env) == 0
 
 
+def env_from_channels(config, obs, target_idx):
+    """A fresh episode whose objects and agent sit where ``obs`` puts them."""
+    env = GoalGridEnv(config)
+    env.reset(0)
+    cells = [tuple(int(k) for k in np.argwhere(channel)[0]) for channel in obs]
+    env.object_pos, env.agent_pos = cells[:-1], cells[-1]
+    env.target_idx = target_idx
+    return env
+
+
+class TestSymmetryViews:
+    """``symmetry_views`` must commute with ``GoalGridEnv.step``: behavioural
+    cloning trains on the views as if the environment had produced them."""
+
+    @pytest.mark.parametrize("side", [3, 5, 9])
+    def test_views_commute_with_step(self, side):
+        config = EnvConfig(side=side)
+        for seed in range(40):
+            for action in range(len(ACTIONS)):
+                env = GoalGridEnv(config)
+                obs, _ = env.reset(seed)
+                next_obs, done, success = env.step(action)
+                views = zip(symmetry_views(obs, action), symmetry_views(next_obs, action))
+                for (view, view_action), (next_view, _) in views:
+                    viewed = env_from_channels(config, view, env.target_idx)
+                    np.testing.assert_array_equal(viewed.observation(), view)
+                    stepped, viewed_done, viewed_success = viewed.step(view_action)
+                    np.testing.assert_array_equal(stepped, next_view)
+                    assert (viewed_done, viewed_success) == (done, success)
+
+
 class TestDemos:
     def test_counts(self):
         for k in (10, 25):
@@ -203,6 +256,7 @@ class TestDemos:
             (lambda steps: steps + steps[-1:] * 50, "exceeds the step limit"),
             (lambda steps: steps[:-1], "does not end with interact"),
             (lambda steps: [(steps[0][0], steps[0][1], 7)] + steps[1:], "holds an illegal action"),
+            (lambda steps: [(steps[0][0], steps[0][1], -1)] + steps[1:], "holds an illegal action"),
             (lambda steps: [(steps[0][0], " ", steps[0][2])] + steps[1:], "holds an empty plan"),
             (
                 lambda steps: [(steps[0][0][:, :7, :7], *steps[0][1:])] + steps[1:],
@@ -210,7 +264,8 @@ class TestDemos:
             ),
         ],
         ids=[
-            "no-steps", "over-step-limit", "no-final-interact", "illegal-action", "empty-plan",
+            "no-steps", "over-step-limit", "no-final-interact", "illegal-action",
+            "negative-action", "empty-plan",
             "observation-shape",
         ],
     )
@@ -218,6 +273,15 @@ class TestDemos:
         demo = collect_demos(EnvConfig(), seeds=[2])[0]
         demo.steps = change(demo.steps)
         with pytest.raises(ValidationError, match=rf"^demonstration 2 {fault}$"):
+            demo.validate(EnvConfig())
+
+    @pytest.mark.parametrize("action", [True, 1.0])
+    def test_validation_rejects_a_non_integer_action(self, action):
+        demo = collect_demos(EnvConfig(), seeds=[2])[0]
+        obs, plan, _ = demo.steps[0]
+        demo.steps[0] = (obs, plan, action)
+        name = "demonstration 2 action at step 0"
+        with pytest.raises(ContractError, match=f"{name} must be an integer, got {action!r}"):
             demo.validate(EnvConfig())
 
     def test_validation_rejects_failure(self):

@@ -81,10 +81,11 @@ class TestLmForward:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("heads", "head count must be at least 1, got 0"),
-            ("dim", "Linear widths must be at least 1, got 0 -> 0"),
+            ("heads", "heads must be at least 1, got 0"),
+            ("dim", "dim must be at least 1, got 0"),
+            ("vocab_size", "vocab_size must be at least 1, got 0"),
         ],
-        ids=["heads", "dim"],
+        ids=["heads", "dim", "vocab_size"],
     )
     def test_zero_width_fails_by_name(self, rng, field, message):
         cfg = LmConfig(vocab_size=len(VOCAB), dim=16, heads=2, context=8)

@@ -152,12 +152,8 @@ class TestForward:
         b = forward_one(make_model(vocab, seed=3), obs, plan).data
         assert a.tobytes() == b.tobytes()
 
-    def test_rejects_non_square_grid(self, vocab):
-        with pytest.raises(ContractError):
-            ControlModel(np.random.default_rng(0), EnvConfig(height=9, width=7), vocab)
-
     def test_rejects_grid_smaller_than_receptive_field(self, vocab):
-        small = EnvConfig(height=7, width=7)
+        small = EnvConfig(side=7)
         with pytest.raises(ContractError, match=r"7x7 grid is smaller than the 9x9"):
             ControlModel(np.random.default_rng(0), small, vocab)
         config = PolicyConfig(**{**SMALL, "conv_depth": 3})
@@ -232,6 +228,15 @@ class TestInstanceFeatures:
     """The policy tokenizes each plan and groups rows by plan before the bridge runs."""
 
     PLANS = [plan_for(name) for name in OBJECT_NAMES[:3]]
+
+    def test_one_string_is_not_a_plan_list(self, vocab):
+        # a str has a len and indexes by character, so it would pass as one plan per character
+        model = make_model(vocab)
+        obs = np.zeros((4, *ENV.observation_shape))
+        with pytest.raises(ContractError, match="plan_texts must be a list of plans"):
+            model.instance_features(obs, "abcd")
+        with pytest.raises(ContractError, match="plan_texts must be a list of plans"):
+            model.forward(obs, "abcd")
 
     def test_one_plan_matches_bridge_extract(self, vocab, data):
         model = make_model(vocab)
@@ -727,6 +732,20 @@ def weights(model):
     return {name: p.data.tobytes() for name, p in model.named_parameters().items()}
 
 
+    # with no demonstrations, a check that ran after the dataset is built
+    # would raise "training needs at least one demonstration" instead
+    @pytest.mark.parametrize("fields, match", [
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"epochs": 0}, "epochs must be at least 1, got 0"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ])
+    def test_epochs_and_seed_checked_before_the_dataset(self, vocab, fields, match):
+        with pytest.raises(ContractError, match=match):
+            bc_train(make_model(vocab), [], **fields)
+
+
 class TestPretrainBridge:
     """Grounding pretraining trains the bridge side alone, then freezes it again."""
 
@@ -817,6 +836,15 @@ class TestPretrainBridge:
             pretrain_bridge(make_model(vocab), [demo])
         with pytest.raises(ContractError, match="at least one demonstration"):
             pretrain_bridge(make_model(vocab), [])
+
+    @pytest.mark.parametrize("seed, match", [
+        (-1, "seed must be at least 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ])
+    def test_seed_checked_before_the_dataset(self, vocab, seed, match):
+        with pytest.raises(ContractError, match=match):
+            pretrain_bridge(make_model(vocab), [], seed=seed)
 
     def test_ablated_model_rejected(self, vocab):
         with pytest.raises(ContractError, match="ablated model reads no plan"):
@@ -943,7 +971,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("episodes", [0, -2])
     def test_fewer_than_one_episode_rejected(self, episodes):
-        with pytest.raises(ContractError, match=f"at least one episode, got {episodes}"):
+        with pytest.raises(ContractError, match=f"episodes must be at least 1, got {episodes}"):
             evaluate_policy(expert_policy(), ENV, episodes=episodes)
 
     @pytest.mark.parametrize("episodes", [2.5, True])
@@ -952,7 +980,7 @@ class TestEvaluation:
             evaluate_policy(expert_policy(), ENV, episodes=episodes)
 
     def test_negative_base_seed_rejected_by_value(self):
-        with pytest.raises(ContractError, match="seed must be non-negative, got -1"):
+        with pytest.raises(ContractError, match="seed must be at least 0, got -1"):
             evaluate_policy(expert_policy(), ENV, episodes=1, base_seed=-1)
 
 
