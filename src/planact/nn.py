@@ -65,8 +65,7 @@ def causal_mask(n: int, keys: int | None = None, prefix: int = 0) -> np.ndarray:
     keys = n if keys is None else keys
     if keys < n:
         raise ContractError(f"{n} queries need at least {n} key columns, got {keys}")
-    if prefix < 0:
-        raise ContractError(f"prefix length must be non-negative, got {prefix}")
+    require_int("prefix", prefix, least=0)
     cols = np.arange(keys)
     return (cols[None, :] <= np.arange(keys - n, keys)[:, None]) | (cols < prefix)
 
@@ -259,8 +258,8 @@ class TransformerBlock(Module):
 
 def sinusoidal_embedding(n: int, d: int) -> Tensor:
     """Deterministic sine/cosine position table; position 0 is [0, 1, 0, 1, ...]."""
-    if n <= 0 or d <= 0:
-        raise ContractError(f"positional table needs positive extents, got {n}x{d}")
+    require_int("positional table rows", n, least=1)
+    require_int("positional table width", d, least=1)
     pos = np.arange(n, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / d)

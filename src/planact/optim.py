@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError, require_int
 from .tensor import Tensor
 
 BETA1 = 0.9
@@ -39,8 +39,7 @@ class LrSchedule:
     def __post_init__(self):
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ContractError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
-        if self.total_steps <= 0:
-            raise ContractError("total_steps must be positive")
+        require_int("total_steps", self.total_steps, least=1)
 
     @property
     def warmup_steps(self) -> int:

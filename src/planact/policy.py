@@ -72,13 +72,15 @@ class GlobalEncoder(Module):
             for i in range(config.conv_depth)
         ]
 
-    def __call__(self, obs: Tensor) -> Tensor:
+    def __call__(self, obs: np.ndarray) -> Tensor:
         """Pooled context (B, global_dim) of observations (B, channels, H, W)."""
+        if isinstance(obs, Tensor):
+            raise ContractError("the global encoder takes the observation array, not a Tensor")
         if obs.ndim != 4 or obs.shape[1] != self.channels:
             raise DimensionError(
                 f"observation shape {obs.shape} does not match (B, {self.channels}, H, W)"
             )
-        x = obs.transpose(0, 2, 3, 1)  # channels-last, as unfold_windows takes it
+        x = Tensor(obs.transpose(0, 2, 3, 1))  # channels-last, as unfold_windows takes it
         for conv in self.convs[:-1]:
             b, h, w, _ = x.shape
             x = gelu(conv(unfold_windows(x, 3))).reshape(b, h - 2, w - 2, -1)
@@ -182,7 +184,7 @@ class ControlModel(Module):
             raise ContractError("every plan must be a non-empty string")
         if self.ablate_plan:
             return zeros(len(obs), self.config.query_count, self.config.bridge_dim)
-        tokens = self.grid_vision.encode_image(Tensor(obs))
+        tokens = self.grid_vision.encode_image(obs)
         rows_by_plan: dict[str, list[int]] = {}
         for i, plan_text in enumerate(plan_texts):
             rows_by_plan.setdefault(plan_text, []).append(i)
@@ -194,7 +196,7 @@ class ControlModel(Module):
             return self.bridge.extract(tokens, sides[plan_texts[0]])
         parts, order = [], []
         for plan_text, rows in rows_by_plan.items():
-            parts.append(self.bridge.extract(tokens[rows], sides[plan_text]))
+            parts.append(self.bridge.extract(take_rows(tokens, rows), sides[plan_text]))
             order += rows
         return take_rows(concat(parts, axis=0), np.argsort(order))
 
@@ -216,7 +218,7 @@ class ControlModel(Module):
             bad = int(np.argmin(finite))
             raise NumericError(f"observation row {bad} holds a non-finite value")
         z_instance = self.instance_features(obs, plan_texts)
-        return self.policy_logits(z_instance, self.global_enc(Tensor(obs)))
+        return self.policy_logits(z_instance, self.global_enc(obs))
 
     def act(self, obs: np.ndarray, plan_text: str) -> int:
         """Greedy action for one observation; records no autodiff graph."""
@@ -360,7 +362,7 @@ def bc_train(
 
     def loss_of(rows: np.ndarray) -> Tensor:
         return cross_entropy(
-            model.policy_logits(Tensor(features[rows]), model.global_enc(Tensor(obs[rows]))),
+            model.policy_logits(Tensor(features[rows]), model.global_enc(obs[rows])),
             actions[rows],
         )
 

@@ -6,13 +6,18 @@ output gradient.  ``backward`` walks that record once, in reverse topological
 order, and accumulates gradients onto the participating leaves.  Everything is
 float64 throughout so finite-difference checks stay meaningful.
 
-The composite operations the models run most are one node each, with an
-analytic backward: ``softmax``, ``layer_norm``, ``gelu``, ``cross_entropy``,
-``unfold_windows`` (the k-by-k windows of channels-last images),
-``attention`` (multi-head scaled dot-product attention, its heads split and
-merged inside the node), ``linear`` (``x @ w + b``) and ``write_rows``
-(``concat`` of cached and new rows, computed in preallocated storage).  Each
-gives the values and gradients of the chain of nodes it replaces bit for bit.
+The operator set is small, with one path per concept.  ``Tensor`` has
+``+`` and ``*`` (numpy broadcasting), ``reshape``, ``sum``, ``mean`` and
+indexing.  Products go through ``linear`` (``x @ w + b``), row gathers
+through ``take_rows`` and slices through ``Tensor.__getitem__``, which takes
+basic keys only.  The other operations are module functions: ``concat``,
+``write_rows`` (``concat`` of cached and new rows, computed in preallocated
+storage), ``broadcast_to``, ``softmax``, ``layer_norm``, ``gelu``,
+``cross_entropy``, ``unfold_windows`` (the k-by-k windows of channels-last
+images) and ``attention`` (multi-head scaled dot-product attention, its
+heads split and merged inside the node).  Each composite is one node with an
+analytic backward that gives the values and gradients of the chain of nodes
+it replaces bit for bit.
 
 Inside a ``with no_grad():`` block nothing is recorded: every operation
 returns a plain constant, without looking at its inputs' ``requires_grad``,
@@ -26,11 +31,12 @@ from __future__ import annotations
 
 import contextlib
 import math
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError, NumericError, require_int
 
 _recording = True
 _FLOAT64 = np.dtype(np.float64)
@@ -162,36 +168,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    # -- matrix product ------------------------------------------------------
-
-    def __matmul__(self, other) -> "Tensor":
-        """Matrix product over the last two axes; leading axes broadcast as in numpy.
-
-        No gradient is computed for an operand that does not require one.
-        """
-        other = as_tensor(other)
-        if self.ndim < 2 or other.ndim < 2:
-            raise DimensionError(
-                f"matmul expects operands of rank >= 2, got {self.shape} and {other.shape}"
-            )
-        a, b = self.data, other.data
-        try:
-            out = a @ b
-        except ValueError:  # inner extents disagree or batch axes do not broadcast
-            raise DimensionError(
-                f"matmul operands do not fit: {self.shape} x {other.shape}"
-            ) from None
-
-        def grad_fn(g: np.ndarray):
-            ga = gb = None
-            if self.requires_grad:
-                ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
-            if other.requires_grad:
-                gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
-            return ga, gb
-
-        return Tensor._result(out, (self, other), grad_fn)
-
     # -- shape manipulation ----------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -201,20 +177,24 @@ class Tensor:
         out = self.data.reshape(shape)
         return Tensor._result(out, (self,), lambda g: (g.reshape(old),))
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        if not axes:
-            axes = tuple(reversed(range(self.ndim)))
-        out = self.data.transpose(axes)
-        return Tensor._result(out, (self,), lambda g: (g.transpose(np.argsort(axes)),))
-
     def __getitem__(self, key) -> "Tensor":
+        """Basic indexing only: ints, slices, ``...`` and tuples of them.
+
+        A basic key selects each element at most once, so the gradient is
+        written into the selected view.  Gather rows with ``take_rows``.
+        """
+        for part in key if isinstance(key, tuple) else (key,):
+            if not (part is Ellipsis or isinstance(part, slice)
+                    or (isinstance(part, Integral) and not isinstance(part, bool))):
+                raise ContractError(
+                    f"a Tensor index takes ints, slices and ... only, not "
+                    f"{type(part).__name__}; gather rows with take_rows"
+                )
         out = self.data[key]
 
         def grad_fn(g: np.ndarray):
             full = np.zeros_like(self.data)
-            np.add.at(full, key, g)
+            full[key] += g
             return (full,)
 
         return Tensor._result(np.array(out), (self,), grad_fn)
@@ -302,7 +282,8 @@ def write_rows(storage: np.ndarray, head: Tensor, new: Tensor) -> Tensor:
 
 
 def take_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row lookup (embedding); gradients scatter-add back into the table."""
+    """Rows ``ids`` of ``table``'s first axis (an embedding lookup or a batch
+    gather); gradients scatter-add back into the table."""
     idx = np.asarray(ids, dtype=np.int64)
     bad = idx[(idx < 0) | (idx >= table.shape[0])]
     if bad.size:
@@ -452,7 +433,8 @@ def attention(
     if k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
     dim = q.shape[-1]
-    if heads < 1 or dim % heads:
+    require_int("heads", heads, least=1)
+    if dim % heads:
         raise ContractError(f"width {dim} does not split into {heads} heads")
     n_q, n_k = q.shape[-2], k.shape[-2]
     if mask is not None and np.shape(mask) != (n_q, n_k):
@@ -538,8 +520,7 @@ def unfold_windows(x: Tensor, k: int) -> Tensor:
     """
     if x.ndim != 4:
         raise DimensionError(f"unfold_windows expects (B, H, W, c), got {x.shape}")
-    if k < 1:
-        raise ContractError(f"window size must be at least 1, got {k}")
+    require_int("window size", k, least=1)
     b, h, w, c = x.shape
     if h < k or w < k:
         raise DimensionError(f"window {k} exceeds spatial extents of {x.shape}")

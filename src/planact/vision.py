@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, require_int
 from .nn import Linear, Module, sinusoidal_embedding
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor
 
 
 def sinusoidal_grid_embedding(side: int, dim: int) -> Tensor:
@@ -28,13 +28,17 @@ def sinusoidal_grid_embedding(side: int, dim: int) -> Tensor:
 
 class VisualEncoder(Module):
     def __init__(self, rng: np.random.Generator, channels: int, side: int, dim: int):
+        for name, value in (("channels", channels), ("side", side), ("dim", dim)):
+            require_int(name, value, least=1)
         self.grid_shape = (channels, side, side)
         self.patch_embed = Linear(rng, channels, dim)
         self.pos = sinusoidal_grid_embedding(side, dim)
 
-    def encode_image(self, grid) -> Tensor:
+    def encode_image(self, grid: np.ndarray) -> Tensor:
         """Tokens (..., side * side, dim) of a grid or a batch of grids (..., c, side, side)."""
-        grid = as_tensor(grid)
+        if isinstance(grid, Tensor):
+            raise ContractError("encode_image takes the observation array, not a Tensor")
+        grid = np.asarray(grid, dtype=np.float64)
         if grid.shape[-3:] != self.grid_shape:
             raise DimensionError(
                 f"grid of shape {grid.shape} does not match "
@@ -43,4 +47,4 @@ class VisualEncoder(Module):
         *lead, c, h, w = grid.shape
         n = len(lead)
         cells = grid.transpose(*range(n), n + 1, n + 2, n).reshape(*lead, h * w, c)
-        return self.patch_embed(cells) + self.pos
+        return self.patch_embed(Tensor(cells)) + self.pos

@@ -14,7 +14,16 @@ from planact.nn import (
     causal_mask,
     sinusoidal_embedding,
 )
-from planact.tensor import MASK_BIAS, Tensor, attention, concat, gelu, linear, softmax
+from planact.tensor import (
+    MASK_BIAS,
+    Tensor,
+    _unbroadcast,
+    attention,
+    concat,
+    gelu,
+    linear,
+    softmax,
+)
 
 
 class TestMask:
@@ -34,10 +43,12 @@ class TestMask:
         np.testing.assert_array_equal(causal_mask(5, prefix=0), causal_mask(5))
 
     def test_negative_prefix_rejected(self):
-        with pytest.raises(ContractError, match="prefix"):
+        with pytest.raises(ContractError, match="prefix must be at least 0, got -1"):
             causal_mask(3, prefix=-1)
-        with pytest.raises(ContractError, match="prefix"):
+        with pytest.raises(ContractError, match="prefix must be at least 0, got -1"):
             causal_mask(2, 5, prefix=-1)
+        with pytest.raises(ContractError, match="prefix must be an integer, got 1.0"):
+            causal_mask(3, prefix=1.0)
 
     def test_fewer_keys_than_queries_rejected(self):
         with pytest.raises(ContractError, match="key columns"):
@@ -110,30 +121,41 @@ class TestMask:
         )
 
 
+def _swap_node(x, a, b):
+    """``x`` with axes ``a`` and ``b`` swapped, as one node."""
+    return Tensor._result(np.swapaxes(x.data, a, b), (x,), lambda g: (np.swapaxes(g, a, b),))
+
+
+def _matmul_node(a, b):
+    """``a @ b`` over the last two axes as one node; leading axes broadcast."""
+    def grad_fn(g):
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return Tensor._result(a.data @ b.data, (a, b), grad_fn)
+
+
 def chain_attention(q, k, v, heads, mask=None):
     """Multi-head attention as the chain of autodiff nodes it once ran as.
 
-    Split heads (reshape, transpose), scale the queries, multiply by the
+    Split heads (reshape, swap axes), scale the queries, multiply by the
     transposed keys, fill masked scores, softmax, multiply by the values,
-    then merge heads (transpose, reshape).  The fill is a product with the
+    then merge heads (swap axes, reshape).  The fill is a product with the
     mask plus a constant, which equals ``np.where(mask, scores, MASK_BIAS)``.
+    The swaps and products are nodes local to this reference, since the
+    package's products all go through ``linear`` and ``attention``.
     """
     d = q.shape[-1] // heads
 
-    def swap(x, a, b):
-        axes = list(range(x.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return x.transpose(axes)
-
     def split(x):
-        return swap(x.reshape(*x.shape[:-1], heads, d), -3, -2)
+        return _swap_node(x.reshape(*x.shape[:-1], heads, d), -3, -2)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh * (1.0 / math.sqrt(d))) @ swap(kh, -1, -2)
+    scores = _matmul_node(qh * (1.0 / math.sqrt(d)), _swap_node(kh, -1, -2))
     if mask is not None and not mask.all():
         scores = scores * mask + np.where(mask, 0.0, MASK_BIAS)
-    out = softmax(scores, axis=-1) @ vh
-    return swap(out, -3, -2).reshape(*out.shape[:-3], q.shape[-2], q.shape[-1])
+    out = _matmul_node(softmax(scores, axis=-1), vh)
+    return _swap_node(out, -3, -2).reshape(*out.shape[:-3], q.shape[-2], q.shape[-1])
 
 
 def _attention_case(rng, case):
@@ -202,6 +224,15 @@ class TestScaledDotAttention:
         np.testing.assert_allclose(
             out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12
         )
+
+    @pytest.mark.parametrize("heads, message", [(0, "heads must be at least 1, got 0"),
+                                                (2.0, "heads must be an integer, got 2.0"),
+                                                (3, "width 4 does not split into 3 heads")],
+                             ids=["zero", "float", "indivisible"])
+    def test_bad_head_count_rejected(self, rng, heads, message):
+        x = Tensor(rng.standard_normal((2, 4)))
+        with pytest.raises(ContractError, match=message):
+            attention(x, x, x, heads)
 
     def test_matches_dense_recomputation(self, rng):
         q = Tensor(rng.standard_normal((2, 4)))
@@ -474,6 +505,14 @@ class TestPositionalEmbedding:
     def test_position_zero_alternates(self):
         table = sinusoidal_embedding(3, 6)
         np.testing.assert_allclose(table.data[0], [0, 1, 0, 1, 0, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("n, d, message", [(0, 4, "rows must be at least 1, got 0"),
+                                               (3, 0, "width must be at least 1, got 0"),
+                                               (3.0, 4, "rows must be an integer, got 3.0")],
+                             ids=["zero_rows", "zero_width", "float_rows"])
+    def test_bad_extent_rejected(self, n, d, message):
+        with pytest.raises(ContractError, match=f"positional table {message}"):
+            sinusoidal_embedding(n, d)
 
     def test_sinusoidal_bounded(self):
         table = sinusoidal_embedding(50, 16)

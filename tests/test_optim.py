@@ -163,6 +163,13 @@ class TestLrSchedule:
         sched = LrSchedule(peak_lr=3e-3, total_steps=333, warmup_ratio=0.07)
         assert all(sched.lr_at(s) >= 0.0 for s in range(334))
 
+    @pytest.mark.parametrize("steps, message", [(0, "at least 1, got 0"),
+                                                (10.0, "an integer, got 10.0")],
+                             ids=["zero", "float"])
+    def test_bad_total_steps_rejected(self, steps, message):
+        with pytest.raises(ContractError, match=f"total_steps must be {message}"):
+            LrSchedule(peak_lr=1.0, total_steps=steps)
+
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ContractError):
             LrSchedule(peak_lr=1.0, total_steps=10, warmup_ratio=1.0)

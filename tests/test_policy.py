@@ -97,10 +97,16 @@ class TestForward:
         assert calls == []
         np.testing.assert_array_equal(logits, forward_one(ablated, obs, "go to the red block").data)
         features = np.zeros((1, ablated.config.query_count, ablated.config.bridge_dim))
-        zero = ablated.policy_logits(Tensor(features), ablated.global_enc(Tensor(obs[None])))
+        zero = ablated.policy_logits(Tensor(features), ablated.global_enc(obs[None]))
         np.testing.assert_array_equal(logits, zero.data)
         plain = make_model(vocab)
         assert not np.array_equal(forward_one(plain, obs, plan).data, logits)
+
+    def test_global_encoder_rejects_a_tensor(self, vocab, data):
+        # observations are constants: the encoder wraps the array itself
+        model = make_model(vocab)
+        with pytest.raises(ContractError, match="takes the observation array, not a Tensor"):
+            model.global_enc(Tensor(data[0][0][None]))
 
     @pytest.mark.parametrize(
         "plan",
@@ -242,7 +248,7 @@ class TestInstanceFeatures:
         model = make_model(vocab)
         obs, plan, _ = data[0]
         features = model.instance_features(obs[None], [plan])
-        tokens = model.grid_vision.encode_image(Tensor(obs[None]))
+        tokens = model.grid_vision.encode_image(obs[None])
         expected = model.bridge.extract(tokens, model.bridge.plan_side(tokenize(plan, vocab)))
         assert features.shape == (1, model.config.query_count, model.config.bridge_dim)
         assert features.data.tobytes() == expected.data.tobytes()
@@ -256,6 +262,28 @@ class TestInstanceFeatures:
         for i, plan in enumerate(plans):
             one = model.instance_features(obs[i : i + 1], [plan]).data[0]
             np.testing.assert_allclose(batched[i], one, rtol=0, atol=1e-12)
+
+    def test_three_plans_match_per_plan_extract_bytes(self, vocab, data, monkeypatch):
+        # each plan's rows, gathered from the batch's tokens, give the features of
+        # one extract call on those rows, and its input gradient in those rows
+        model = make_model(vocab)
+        obs = np.stack([o for o, _, _ in data])
+        plans = [self.PLANS[i % 3] for i in range(len(data))]
+        with no_grad():
+            values = model.grid_vision.encode_image(obs).data
+        tokens = Tensor(values, requires_grad=True)
+        monkeypatch.setattr(model.grid_vision, "encode_image", lambda _: tokens)
+        features = model.instance_features(obs, plans)
+        w = np.random.default_rng(1).standard_normal(features.shape)
+        (features * Tensor(w)).sum().backward()
+        for plan in self.PLANS:
+            rows = [i for i, p in enumerate(plans) if p == plan]
+            part = Tensor(values[rows], requires_grad=True)
+            one = model.bridge.extract(part, model.plan_sides[plan])
+            (one * Tensor(w[rows])).sum().backward()
+            assert features.data[rows].tobytes() == one.data.tobytes()
+            # the gather's gradient adds each row's into zeros, which turns -0.0 into 0.0
+            assert tokens.grad[rows].tobytes() == (0.0 + part.grad).tobytes()
 
     @pytest.mark.parametrize("ablate_plan", [False, True], ids=["plan", "ablated"])
     def test_plan_count_must_match(self, vocab, data, ablate_plan):

@@ -29,84 +29,6 @@ from planact.tensor import (
 from planact.vocab import Vocabulary
 
 
-class TestMatmul:
-    def test_identity(self):
-        b = Tensor(np.arange(6.0).reshape(3, 2))
-        out = Tensor(np.eye(3)) @ b
-        np.testing.assert_array_equal(out.data, b.data)
-
-    def test_hand_product(self):
-        # [[1,2],[3,4]] @ [[0],[1]] = [[2],[4]]
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([[0.0], [1.0]])
-        np.testing.assert_array_equal(out.data, [[2.0], [4.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
-
-    def test_gradient(self, rng):
-        a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        check_gradients(lambda inp: (inp[0] @ inp[1]).sum(), [a, b])
-
-    def test_batched_times_matrix_gradient(self, rng):
-        a = Tensor(rng.standard_normal((2, 3, 3, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        check_gradients(lambda inp: gelu(inp[0] @ inp[1]).sum(), [a, w])
-
-    def test_broadcast_batch_gradient(self, rng):
-        a = Tensor(rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
-        b = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
-        assert (a @ b).shape == (2, 3, 3, 2)
-        check_gradients(lambda inp: gelu(inp[0] @ inp[1]).sum(), [a, b])
-
-    def test_batched_rows_match_two_d_products(self, rng):
-        a = rng.standard_normal((3, 5, 4))
-        w = rng.standard_normal((4, 2))
-        out = (Tensor(a) @ Tensor(w)).data
-        for i in range(3):
-            np.testing.assert_allclose(out[i], a[i] @ w, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(6, 1, 7), (6, 5, 7)])
-    def test_batched_weight_product_gradient(self, rng, shape):
-        a = Tensor(rng.standard_normal(shape), requires_grad=True)
-        w = Tensor(rng.standard_normal((7, 3)), requires_grad=True)
-        check_gradients(lambda inp: gelu(inp[0] @ inp[1]).sum(), [a, w])
-
-    @pytest.mark.parametrize("shape", [(32, 1, 144), (32, 5, 36), (2, 3, 5, 7)])
-    def test_batched_weight_product_matches_per_index_formula(self, rng, shape):
-        # the product of every leading index, its weight gradient summed over
-        # the leading axes one at a time
-        a = rng.standard_normal(shape)
-        w = rng.standard_normal((shape[-1], 4))
-        g = rng.standard_normal((*shape[:-1], 4))
-        ta, tw = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
-        out = ta @ tw
-        ga, gw = out._grad_fn(g)
-        ref_gw = np.swapaxes(a, -1, -2) @ g
-        while ref_gw.ndim > 2:
-            ref_gw = ref_gw.sum(axis=0)
-        np.testing.assert_allclose(out.data, a @ w, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(ga, g @ w.T, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gw, ref_gw, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(4, 3, 5), (3, 5)])
-    def test_no_gradient_for_a_constant_operand(self, rng, shape):
-        x = Tensor(rng.standard_normal(shape))
-        w = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-        out = x @ w
-        gx, gw = out._grad_fn(np.ones(out.shape))
-        assert gx is None and gw.shape == (5, 2)
-        out = Tensor(rng.standard_normal((2, 5)), requires_grad=True) @ Tensor(w.data)
-        assert out._grad_fn(np.ones(out.shape))[1] is None
-
-    def test_rank_one_and_batch_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            Tensor(np.zeros(3)) @ Tensor(np.zeros((3, 2)))
-        with pytest.raises(DimensionError, match=r"\(2, 2, 3\).*\(3, 3, 2\)"):
-            Tensor(np.zeros((2, 2, 3))) @ Tensor(np.zeros((3, 3, 2)))
-
-
 class TestSoftmax:
     def test_uniform_from_equal_logits(self):
         out = softmax(Tensor(np.zeros((1, 4))), axis=-1)
@@ -256,7 +178,7 @@ class TestBackward:
     def test_frozen_leaf_receives_no_grad(self, rng):
         frozen = Tensor(rng.standard_normal((2, 2)), requires_grad=False)
         live = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
-        (frozen @ live).sum().backward()
+        linear(frozen, live).sum().backward()
         assert frozen.grad is None
         assert live.grad is not None
 
@@ -273,7 +195,7 @@ class TestBackward:
         c = Tensor(rng.standard_normal((2,)), requires_grad=True)
 
         def fn(inp):
-            h = gelu(inp[0] @ inp[1]) + inp[2]
+            h = gelu(linear(inp[0], inp[1])) + inp[2]
             return (softmax(h, axis=-1) * gelu(h)).mean()
 
         check_gradients(fn, [a, b, c])
@@ -283,7 +205,7 @@ class TestBackward:
 
         def run():
             x = Tensor(data.copy(), requires_grad=True)
-            loss = (softmax(x @ x, axis=-1)).sum()
+            loss = (softmax(linear(x, x), axis=-1)).sum()
             loss.backward()
             return loss.data.tobytes(), x.grad.tobytes()
 
@@ -294,7 +216,8 @@ class TestNoGrad:
     def test_op_on_parameter_records_nothing(self, rng):
         p = parameter(rng.standard_normal((3, 4)))
         with no_grad():
-            out = layer_norm(p @ Tensor(np.ones((4, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            out = layer_norm(linear(p, Tensor(np.ones((4, 4)))), Tensor(np.ones(4)),
+                             Tensor(np.zeros(4)))
         assert not out.requires_grad
         assert out._parents == () and out._grad_fn is None
         assert p.requires_grad  # leaves keep their flag
@@ -349,11 +272,9 @@ class TestNoGrad:
 
 
 class TestShapeOps:
-    def test_reshape_transpose_roundtrip_gradient(self, rng):
+    def test_reshape_roundtrip_gradient(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        check_gradients(
-            lambda inp: gelu(inp[0].transpose(2, 0, 1).reshape(4, 6)).sum(), [x]
-        )
+        check_gradients(lambda inp: gelu(inp[0].reshape(4, 6)).reshape(24).sum(), [x])
 
     def test_getitem_gradient(self, rng):
         x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
@@ -425,10 +346,46 @@ class TestShapeOps:
         assert grad.shape == shape
         assert np.ascontiguousarray(grad).tobytes() == ref_grad.tobytes()
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, 2.0])
     def test_unfold_windows_rejects_window_below_one(self, rng, k):
-        with pytest.raises(ContractError, match=f"at least 1, got {k}"):
+        message = f"window size must be (at least 1|an integer), got {k}"
+        with pytest.raises(ContractError, match=message):
             unfold_windows(Tensor(rng.standard_normal((1, 5, 5, 2))), k)
+
+
+class TestIndexing:
+    # the program's slices first, then the other basic forms
+    KEYS = {
+        "rows_a_to_b": np.s_[2:5, :],
+        "first_n_rows": np.s_[:3, :],
+        "rows_from_n": np.s_[3:, :],
+        "first_s_cols": np.s_[:, :2],
+        "cols_from_s": np.s_[:, 2:],
+        "int": 1,
+        "numpy_int_with_ellipsis": np.s_[..., np.int64(2)],
+        "negative_step": np.s_[::-2, 1:],
+    }
+
+    @pytest.mark.parametrize("key", list(KEYS.values()), ids=list(KEYS))
+    def test_gradient_bytes_equal_a_scatter_add(self, rng, key):
+        data = rng.standard_normal((6, 4))
+        out = Tensor(data, requires_grad=True)[key]
+        g = rng.standard_normal(out.shape)
+        g.reshape(-1)[0] = -0.0
+        (grad,) = out._grad_fn(g)
+        ref = np.zeros_like(data)
+        np.add.at(ref, key, g)
+        assert out.data.tobytes() == data[key].tobytes()
+        assert grad.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "key",
+        [[0, 2], np.array([0, 2]), np.array([True, False] * 3), np.s_[:, [1, 2]], None, True],
+        ids=["list", "int_array", "bool_array", "list_in_tuple", "newaxis", "bool"],
+    )
+    def test_non_basic_key_rejected(self, key):
+        with pytest.raises(ContractError, match="gather rows with take_rows"):
+            Tensor(np.zeros((6, 4)))[key]
 
 
 class TestLinear:
@@ -561,9 +518,9 @@ class TestRandomGraphGradients:
 
         def fn(inp):
             x, y, z = inp
-            h = x @ y
+            h = linear(x, y)
             h = h + gelu(z)
-            h = softmax(h, axis=-1) @ (z * 0.5)
+            h = linear(softmax(h, axis=-1), z * 0.5)
             h = layer_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3)))
             return (gelu(h)).mean() + (x * x).sum() * 0.01
 

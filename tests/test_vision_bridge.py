@@ -45,7 +45,7 @@ def bridge(rng, vocab):
 
 class TestVisualEncoder:
     def test_single_frame_token_count(self, encoder, rng):
-        out = encoder.encode_image(Tensor(rng.standard_normal((3, 4, 4))))
+        out = encoder.encode_image(rng.standard_normal((3, 4, 4)))
         assert out.shape == (16, 16)
 
     @pytest.mark.parametrize(
@@ -55,7 +55,12 @@ class TestVisualEncoder:
     )
     def test_wrong_grid_shape_rejected(self, encoder, shape):
         with pytest.raises(DimensionError, match=r"does not match \(\.\.\., 3, 4, 4\)"):
-            encoder.encode_image(Tensor(np.zeros(shape)))
+            encoder.encode_image(np.zeros(shape))
+
+    def test_tensor_rejected(self, encoder):
+        # observations are constants: the encoder wraps the array itself
+        with pytest.raises(ContractError, match="takes the observation array, not a Tensor"):
+            encoder.encode_image(Tensor(np.zeros((3, 4, 4))))
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "batched"])
     def test_cell_layout(self, rng, lead):
@@ -66,7 +71,7 @@ class TestVisualEncoder:
         grid = np.arange(np.prod((*lead, 2, side, side)), dtype=np.float64).reshape(
             *lead, 2, side, side
         )
-        tokens = enc.encode_image(Tensor(grid)).data
+        tokens = enc.encode_image(grid).data
         assert tokens.shape == (*lead, side * side, 2)
         for r in range(side):
             for c in range(side):
@@ -74,7 +79,7 @@ class TestVisualEncoder:
                 np.testing.assert_array_equal(tokens[..., r * side + c, :], cell)
 
     def test_every_parameter_gets_a_gradient(self, encoder, rng):
-        images = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        images = rng.standard_normal((2, 3, 4, 4))
         encoder.encode_image(images).sum().backward()
         missing = [name for name, p in encoder.named_parameters().items() if p.grad is None]
         assert missing == []
@@ -84,9 +89,17 @@ class TestVisualEncoder:
         assert not encoder.pos.requires_grad
         assert list(encoder.named_parameters()) == ["patch_embed.w", "patch_embed.b"]
 
-    def test_zero_channels_rejected(self, rng):
-        with pytest.raises(ContractError, match="Linear d_in must be at least 1, got 0"):
-            VisualEncoder(rng, 0, 4, 4)
+    @pytest.mark.parametrize("field, args, message", [
+        ("channels", (0, 9, 16), "at least 1, got 0"),
+        ("channels", (4.0, 9, 16), "an integer, got 4.0"),
+        ("side", (4, 0, 16), "at least 1, got 0"),
+        ("side", (4, 9.0, 16), "an integer, got 9.0"),
+        ("dim", (4, 9, 0), "at least 1, got 0"),
+        ("dim", (4, 9, True), "an integer, got True"),
+    ], ids=["channels_zero", "channels_float", "side_zero", "side_float", "dim_zero", "dim_bool"])
+    def test_bad_size_names_its_field(self, rng, field, args, message):
+        with pytest.raises(ContractError, match=f"^{field} must be {message}$"):
+            VisualEncoder(rng, *args)
 
 
 class TestQueryBridge:
@@ -118,7 +131,7 @@ class TestQueryBridge:
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-10)
 
     def test_deterministic(self, encoder, bridge, vocab, rng):
-        img = Tensor(rng.standard_normal((3, 4, 4)))
+        img = rng.standard_normal((3, 4, 4))
         ids = tokenize("go to the red block", vocab)
         a = bridge.extract(encoder.encode_image(img), bridge.plan_side(ids))
         b = bridge.extract(encoder.encode_image(img), bridge.plan_side(ids))
@@ -151,7 +164,7 @@ class TestQueryBridge:
             bridge.project_to_lm(Tensor(rng.standard_normal((4, 9))))
 
     def test_different_plans_distinguishable(self, encoder, bridge, vocab, rng):
-        tokens = encoder.encode_image(Tensor(rng.standard_normal((1, 3, 4, 4))))
+        tokens = encoder.encode_image(rng.standard_normal((1, 3, 4, 4)))
 
         def features(plan):
             return bridge.extract(tokens, bridge.plan_side(tokenize(plan, vocab))).data
@@ -164,15 +177,15 @@ class TestQueryBridge:
     def test_extract_rows_match_single_images(self, encoder, bridge, vocab, rng):
         images = rng.standard_normal((2, 3, 4, 4))
         ids = tokenize("go to the red block", vocab)
-        batched = bridge.extract(encoder.encode_image(Tensor(images)), bridge.plan_side(ids))
+        batched = bridge.extract(encoder.encode_image(images), bridge.plan_side(ids))
         assert batched.shape == (2, 4, 16)
         for i in range(2):
-            one = bridge.extract(encoder.encode_image(Tensor(images[i])), bridge.plan_side(ids))
+            one = bridge.extract(encoder.encode_image(images[i]), bridge.plan_side(ids))
             np.testing.assert_allclose(batched.data[i], one.data, rtol=0, atol=1e-12)
 
     def test_gradients_reach_trainables_not_frozen_encoder(self, encoder, bridge, vocab, rng):
         set_trainable(encoder.named_parameters(), False)
-        img = Tensor(rng.standard_normal((3, 4, 4)))
+        img = rng.standard_normal((3, 4, 4))
         tokens = encoder.encode_image(img)
         z = bridge.extract(tokens, bridge.plan_side(tokenize("go to the red block", vocab)))
         loss = gelu(bridge.project_to_lm(z) * 0.3).sum()
